@@ -10,9 +10,9 @@ GO ?= go
 # instrumentation.
 RACE_PKGS = ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve
 
-.PHONY: check fmt vet build test race bench obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke tier-registry-gate obs-catalog-gate
+.PHONY: check fmt vet build test perfbench-test race bench obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke tier-registry-gate obs-catalog-gate
 
-check: fmt vet build test race obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke tier-registry-gate obs-catalog-gate
+check: fmt vet build test perfbench-test race obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke tier-registry-gate obs-catalog-gate
 
 # gofmt cleanliness gate: fails listing the offending files.
 fmt:
@@ -28,12 +28,17 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench is a nested module the root ./... skips; it imports the
+# solver API, so vet and test it on its own.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 race:
 	$(GO) test -race -short $(RACE_PKGS)
 
 # MVM pipeline benchmarks: serial vs parallel wall-clock, the
 # allocs/op contract (ideal steady state must report 0 allocs/op), and
-# the circuit cold/seeded/warm start comparison. benchjson tees the
+# the circuit cold/seeded start comparison. benchjson tees the
 # table to stdout and writes $(BENCH_OUT); override BENCH_OUT to keep
 # older trajectory files.
 BENCH_OUT ?= BENCH_PR10.json

@@ -304,14 +304,13 @@ func rrmse(got, ref *linalg.Dense) float64 {
 // case is expected to be ≥2× faster wall-clock; outputs are
 // bit-identical in both.
 //
-// The cold/seeded/warm sub-benchmarks compare Newton start strategies
-// at fixed serial execution: cold rebuilds every solve from a zero
-// state (the pre-cache behaviour), seeded starts from the cached MNA
-// factorization's direct solve (the default), and warm is the
-// fastcircuit tier reusing each pooled instance's previous converged
-// state. Each is gated on probe-statistic rRMSE against a cold
-// reference before timing, so the latency numbers compare matched
-// outputs; seeded is expected ≥5× faster than cold in steady state.
+// The cold/seeded sub-benchmarks compare Newton start strategies at
+// fixed serial execution: cold rebuilds every solve from a zero state
+// (the pre-cache behaviour) and seeded starts from the cached MNA
+// factorization's direct solve (the default). Each is gated on
+// probe-statistic rRMSE against a cold reference before timing, so the
+// latency numbers compare matched outputs; seeded is expected ≥5×
+// faster than cold in steady state.
 func BenchmarkMVMCircuit(b *testing.B) {
 	const in, out, batch = 16, 16, 4 // 2×2 tile grid at 8×8
 	serialCfg := func() funcsim.Config {
@@ -345,17 +344,12 @@ func BenchmarkMVMCircuit(b *testing.B) {
 	for _, sc := range []struct {
 		name  string
 		start xbar.SolverStart
-		model func(cfg xbar.Config) funcsim.Model
-	}{
-		{"cold", xbar.StartCold, func(cfg xbar.Config) funcsim.Model { return funcsim.Circuit{Cfg: cfg} }},
-		{"seeded", xbar.StartSeeded, func(cfg xbar.Config) funcsim.Model { return funcsim.Circuit{Cfg: cfg} }},
-		{"warm", xbar.StartWarm, func(cfg xbar.Config) funcsim.Model { return funcsim.FastCircuit{Cfg: cfg} }},
-	} {
+	}{{"cold", xbar.StartCold}, {"seeded", xbar.StartSeeded}} {
 		b.Run(sc.name, func(b *testing.B) {
 			ref, _ := coldRef(b)
 			cfg := serialCfg()
 			cfg.Xbar.Start = sc.start
-			mat, x, dst := mvmBench(b, cfg, sc.model(cfg.Xbar), in, out, batch)
+			mat, x, dst := mvmBench(b, cfg, funcsim.Circuit{Cfg: cfg.Xbar}, in, out, batch)
 			if err := mat.MVMInto(dst, x); err != nil {
 				b.Fatal(err)
 			}

@@ -13,6 +13,9 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
+# perfbench is a nested module the root ./... skips; it imports the
+# solver API, so vet and test it on its own.
+(cd perfbench && go vet ./... && go test ./...)
 go test -race -short ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve
 go run ./scripts/obssmoke
 go run ./cmd/funcsim-run -mode ideal -size 8 -train 24 -test 6 \

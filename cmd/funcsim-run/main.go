@@ -105,9 +105,7 @@ func run() error {
 	// (TestMVMCircuitBatchWorkersBitIdentical). The auto default still
 	// picks 1 when tile tasks already fan out across the cores —
 	// nesting a second fan-out there adds scheduling overhead without
-	// adding parallelism, and fastcircuit's warm starts additionally
-	// lose bit-reproducibility with concurrent batch items (see
-	// funcsim.FastCircuit). -batch-workers overrides the heuristic for
+	// adding parallelism. -batch-workers overrides the heuristic for
 	// flat workloads (one huge tile) where intra-batch concurrency is
 	// the only parallelism available.
 	batchWorkers := *batchWork

@@ -14,6 +14,7 @@ import (
 
 	"geniex/internal/funcsim"
 	"geniex/internal/linalg"
+	"geniex/internal/nonideal"
 	"geniex/internal/xbar"
 )
 
@@ -22,10 +23,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	variation := xbar.Variation{Sigma: 0.25, StuckOff: 0.02, Seed: 99}
+	// Stuck-at faults first (a stuck cell is stuck regardless of
+	// programming noise), then device-to-device variation.
+	stuck := &nonideal.StuckAt{POff: 0.02}
+	d2d := &nonideal.D2DVariation{Sigma: 0.25}
+	variation := nonideal.Stack{stuck, d2d}
 	fmt.Println("design point:", cfg)
 	fmt.Printf("programming noise: sigma=%.2f, stuck-off=%.0f%%\n\n",
-		variation.Sigma, 100*variation.StuckOff)
+		d2d.Sigma, 100*stuck.POff)
 
 	// Intended weights and the array that actually got programmed.
 	rng := linalg.NewRNG(1)
@@ -33,8 +38,8 @@ func main() {
 	for i := range intent.Data {
 		intent.Data[i] = cfg.ConductanceFromLevel(rng.Float64())
 	}
-	actual, err := variation.Apply(intent, cfg)
-	if err != nil {
+	actual := intent.Clone()
+	if _, err := variation.Apply(actual, xbar.EnvFromConfig(cfg), 99, 0); err != nil {
 		log.Fatal(err)
 	}
 

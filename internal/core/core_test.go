@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"geniex/internal/linalg"
+	"geniex/internal/nonideal"
 	"geniex/internal/xbar"
 )
 
@@ -352,14 +353,14 @@ func TestGENIExLearnsMeasuredVariation(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Vsupply = 0.5
-	variation := xbar.Variation{Sigma: 0.6, Seed: 5}
+	variation := nonideal.Stack{&nonideal.D2DVariation{Sigma: 0.6}}
 	xb, err := xbar.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noisy := MeasurerFunc(func(v []float64, g *linalg.Dense) ([]float64, error) {
-		pert, err := variation.Apply(g, cfg)
-		if err != nil {
+		pert := g.Clone()
+		if _, err := variation.Apply(pert, xbar.EnvFromConfig(cfg), 5, 0); err != nil {
 			return nil, err
 		}
 		if err := xb.Program(pert); err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"geniex/internal/core"
 	"geniex/internal/linalg"
+	"geniex/internal/nonideal"
 	"geniex/internal/xbar"
 )
 
@@ -167,21 +168,29 @@ func ab4Variation(c *Context) (*Table, error) {
 		Title:   "Extension — NF under device variation and stuck-at faults",
 		Columns: []string{"sigma", "stuck-on %", "stuck-off %", "mean |NF|", "max |NF|"},
 	}
-	cases := []xbar.Variation{
+	cases := []nonideal.Stack{
 		{},
-		{Sigma: 0.1},
-		{Sigma: 0.3},
-		{StuckOn: 0.01, StuckOff: 0.04},
-		{Sigma: 0.2, StuckOn: 0.01, StuckOff: 0.04},
+		{&nonideal.D2DVariation{Sigma: 0.1}},
+		{&nonideal.D2DVariation{Sigma: 0.3}},
+		{&nonideal.StuckAt{POn: 0.01, POff: 0.04}},
+		{&nonideal.StuckAt{POn: 0.01, POff: 0.04}, &nonideal.D2DVariation{Sigma: 0.2}},
 	}
-	for i, v := range cases {
-		v.Seed = c.Scale.Seed + uint64(300+i)
-		meanAbs, maxAbs, err := variationNF(c, cfg, v)
+	for i, stack := range cases {
+		meanAbs, maxAbs, err := variationNF(c, cfg, stack, c.Scale.Seed+uint64(300+i))
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(v.Sigma, 100*v.StuckOn, 100*v.StuckOff, meanAbs, maxAbs)
-		c.logf("  sigma=%g on=%g off=%g: mean|NF|=%.4f", v.Sigma, v.StuckOn, v.StuckOff, meanAbs)
+		var sigma, on, off float64
+		for _, comp := range stack {
+			switch comp := comp.(type) {
+			case *nonideal.StuckAt:
+				on, off = comp.POn, comp.POff
+			case *nonideal.D2DVariation:
+				sigma = comp.Sigma
+			}
+		}
+		t.AddRow(sigma, 100*on, 100*off, meanAbs, maxAbs)
+		c.logf("  sigma=%g on=%g off=%g: mean|NF|=%.4f", sigma, on, off, meanAbs)
 	}
 	t.Note("NF computed against the intended conductances; variation applied at programming time")
 	return t, nil
@@ -197,7 +206,9 @@ func randomConductances(cfg xbar.Config, rng *linalg.RNG) *linalg.Dense {
 	return g
 }
 
-func variationNF(c *Context, cfg xbar.Config, v xbar.Variation) (meanAbs, maxAbs float64, err error) {
+// variationNF programs random arrays perturbed by stack (drawn from
+// seed) and measures circuit NF against the intended conductances.
+func variationNF(c *Context, cfg xbar.Config, stack nonideal.Stack, seed uint64) (meanAbs, maxAbs float64, err error) {
 	rng := linalg.NewRNG(c.Scale.Seed + 400)
 	xb, err := xbar.New(cfg)
 	if err != nil {
@@ -207,8 +218,8 @@ func variationNF(c *Context, cfg xbar.Config, v xbar.Variation) (meanAbs, maxAbs
 	var n int
 	for s := 0; s < c.Scale.XbarSamples; s++ {
 		g := randomConductances(cfg, rng)
-		pert, err := v.Apply(g, cfg)
-		if err != nil {
+		pert := g.Clone()
+		if _, err := stack.Apply(pert, xbar.EnvFromConfig(cfg), seed, 0); err != nil {
 			return 0, 0, err
 		}
 		drive := make([]float64, cfg.Rows)

@@ -369,41 +369,6 @@ func (m Circuit) NewTile(g *linalg.Dense) (Tile, error) {
 	return circuitTile{solver: solver, cols: g.Cols, degraded: m.Degraded, health: m.Health}, nil
 }
 
-// FastCircuit is the circuit model with the solver's warm-start tier
-// enabled: each pooled Crossbar instance seeds Newton from its previous
-// converged node voltages (falling back to the cached factorization
-// seed on the first solve after programming). Accuracy is identical to
-// Circuit — every solve still runs full Newton to the same KCL
-// tolerance — but steady-state latency drops because correlated input
-// streams start near the solution.
-//
-// The trade: with Cfg.BatchWorkers > 1 the mapping of batch items to
-// pooled instances depends on scheduling, so repeated runs are
-// tolerance-reproducible, not bit-reproducible. Within the functional
-// simulator's default pipeline (one tile task per worker,
-// BatchWorkers = 1) item order is fixed and runs stay deterministic.
-type FastCircuit struct {
-	Cfg xbar.Config
-	// Degraded and Health behave exactly as on Circuit.
-	Degraded bool
-	Health   *SolverHealth
-}
-
-// Name implements Model.
-func (FastCircuit) Name() string { return "fastcircuit" }
-
-// NewTile implements Model. It builds the same pooled-solver tile as
-// Circuit with the start mode forced to warm.
-func (m FastCircuit) NewTile(g *linalg.Dense) (Tile, error) {
-	cfg := m.Cfg
-	cfg.Start = xbar.StartWarm
-	solver, err := xbar.NewBatchSolver(cfg, g)
-	if err != nil {
-		return nil, err
-	}
-	return circuitTile{solver: solver, cols: g.Cols, degraded: m.Degraded, health: m.Health}, nil
-}
-
 type circuitTile struct {
 	solver   *xbar.BatchSolver
 	cols     int

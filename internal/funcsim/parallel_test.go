@@ -1,7 +1,6 @@
 package funcsim
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -134,27 +133,6 @@ func TestMVMCircuitBatchWorkersBitIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// The fastcircuit tier (warm-started pooled solves) must agree with
-// the full circuit model to solver tolerance, and — with serial batch
-// solves, where each tile's calls stay on its own task in a fixed
-// order — remain bit-identical across tile worker counts.
-func TestFastCircuitMatchesCircuit(t *testing.T) {
-	if raceDetectorEnabled && testing.Short() {
-		t.Skip("circuit solves under -race -short")
-	}
-	cfg := exactConfig(8, 8)
-	cfg.Xbar.BatchWorkers = 1
-	w, x := testWorkload(66, 12, 10, 3)
-	ref, _ := mvmAt(t, cfg, Circuit{Cfg: cfg.Xbar}, w, x, 1, 1)
-	fast, _ := mvmAt(t, cfg, FastCircuit{Cfg: cfg.Xbar}, w, x, 1, 1)
-	for i := range ref.Data {
-		if d := math.Abs(fast.Data[i] - ref.Data[i]); d > 1e-6*(math.Abs(ref.Data[i])+1) {
-			t.Errorf("output[%d]: fastcircuit %v vs circuit %v (diff %v)", i, fast.Data[i], ref.Data[i], d)
-		}
-	}
-	checkDeterministic(t, cfg, FastCircuit{Cfg: cfg.Xbar}, w, x)
 }
 
 // Degraded circuit mode (failed batch items zeroed instead of failing

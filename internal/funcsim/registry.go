@@ -129,21 +129,14 @@ func needSurrogate(p ModelParams, name string) (*core.Model, error) {
 }
 
 // The built-in fidelity ladder, highest fidelity first: circuit (full
-// non-linear solver), fastcircuit (same accuracy, warm-started),
-// geniex-adaptive (neural surrogate with online calibration),
-// geniex (frozen neural surrogate), analytical (linear parasitics),
-// ideal (error-free).
+// non-linear solver), geniex-adaptive (neural surrogate with online
+// calibration), geniex (frozen neural surrogate), analytical (linear
+// parasitics), ideal (error-free).
 func init() {
 	RegisterModel(ModelSpec{
 		Name: "circuit", Rank: 100, Circuit: true,
 		New: func(p ModelParams) (Model, error) {
 			return Circuit{Cfg: p.Xbar, Degraded: p.Degraded, Health: p.Health}, nil
-		},
-	})
-	RegisterModel(ModelSpec{
-		Name: "fastcircuit", Rank: 90, Circuit: true,
-		New: func(p ModelParams) (Model, error) {
-			return FastCircuit{Cfg: p.Xbar, Degraded: p.Degraded, Health: p.Health}, nil
 		},
 	})
 	RegisterModel(ModelSpec{

@@ -8,7 +8,7 @@ import (
 // The built-in ladder must resolve by name, in decreasing-rank order,
 // with the attributes the serving stack keys decisions on.
 func TestModelRegistryBuiltins(t *testing.T) {
-	want := []string{"circuit", "fastcircuit", "geniex-adaptive", "geniex", "analytical", "ideal"}
+	want := []string{"circuit", "geniex-adaptive", "geniex", "analytical", "ideal"}
 	got := ModelNames()
 	if len(got) < len(want) {
 		t.Fatalf("ModelNames() = %v, want at least the %d built-ins", got, len(want))
@@ -30,7 +30,7 @@ func TestModelRegistryBuiltins(t *testing.T) {
 		prev = spec.Rank
 	}
 
-	for name, wantCircuit := range map[string]bool{"circuit": true, "fastcircuit": true, "geniex": false, "ideal": false} {
+	for name, wantCircuit := range map[string]bool{"circuit": true, "geniex": false, "ideal": false} {
 		spec, err := ModelByName(name)
 		if err != nil {
 			t.Fatal(err)

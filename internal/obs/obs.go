@@ -35,8 +35,8 @@
 //     span events write into preallocated ring slots.
 //   - The global Enabled flag gates the operations that are not free —
 //     reading the monotonic clock (Now returns the zero Time when
-//     disabled, and ObserveSince/RecordSpan treat a zero start as
-//     "skip"), span recording, and runtime/trace regions.
+//     disabled, and ObserveSince treats a zero start as "skip"), span
+//     recording, and runtime/trace regions.
 //   - Handles are resolved once, at package init (registration takes a
 //     lock; the hot path never does).
 //
@@ -83,8 +83,8 @@ func Enabled() bool { return enabled.Load() }
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
 // Now returns the current time when instrumentation is enabled and the
-// zero Time when it is disabled. Pair it with Histogram.ObserveSince
-// or RecordSpan, both of which treat a zero start as "disabled, skip":
+// zero Time when it is disabled. Pair it with Histogram.ObserveSince,
+// which treats a zero start as "disabled, skip":
 //
 //	start := obs.Now()
 //	... work ...
@@ -138,25 +138,13 @@ func NewHistogramVec(name string, bounds []float64, keys ...string) *HistogramVe
 	return std.HistogramVec(name, bounds, keys...)
 }
 
-// RecordSpan records a completed span into the Default registry's
-// trace ring. start should come from Now; a zero start (instrumentation
-// disabled at span start) is skipped.
-func RecordSpan(name string, start time.Time) { std.RecordSpan(name, start) }
-
-// RecordSpanTID records a completed span with a trace ID (from
-// NextTraceID) into the Default registry, grouping it with the other
-// spans of the same logical operation in trace exports.
-func RecordSpanTID(name string, start time.Time, trace int64) {
-	std.RecordSpanTID(name, start, trace)
-}
-
 // traceIDs issues process-wide span-grouping IDs; see NextTraceID.
 var traceIDs atomic.Int64
 
-// NextTraceID returns a fresh nonzero trace ID. Allocate one per
-// logical operation (an inference forward pass, a training step) and
-// record its spans with RecordSpanTID so exports group them on one
-// track. The call is a single atomic add — safe on hot paths.
+// NextTraceID returns a fresh nonzero trace ID. StartSpan allocates
+// one per root span, so every span of one logical operation (an
+// inference request, a training step) groups on one track in exports.
+// The call is a single atomic add — safe on hot paths.
 func NextTraceID() int64 { return traceIDs.Add(1) }
 
 // Snapshot returns a read-only, deterministic view of the Default

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -174,9 +175,9 @@ func TestEnabledGatesTimers(t *testing.T) {
 	if h.Count() != 0 {
 		t.Errorf("disabled ObserveSince recorded %d observations", h.Count())
 	}
-	r.RecordSpan("op", time.Now().Add(-time.Millisecond))
+	recordSpan(r, "op")
 	if spans := r.Spans(); len(spans) != 0 {
-		t.Errorf("disabled RecordSpan recorded %d spans", len(spans))
+		t.Errorf("disabled span recorded %d spans", len(spans))
 	}
 
 	SetEnabled(true)
@@ -188,13 +189,19 @@ func TestEnabledGatesTimers(t *testing.T) {
 	if h.Count() != 1 {
 		t.Errorf("enabled ObserveSince recorded %d observations, want 1", h.Count())
 	}
+	// A span opened while enabled but ended after a disable is dropped.
+	_, sp := r.StartSpan(context.Background(), "late")
+	SetEnabled(false)
+	sp.End()
+	if spans := r.Spans(); len(spans) != 0 {
+		t.Errorf("span ended while disabled recorded %d spans", len(spans))
+	}
 }
 
 func TestSpanRing(t *testing.T) {
 	r := NewRegistry()
-	base := time.Now().Add(-time.Minute)
 	for i := 0; i < traceRingSize+10; i++ {
-		r.RecordSpan("op", base)
+		recordSpan(r, "op")
 	}
 	spans, dropped := r.trace.snapshot(false)
 	if len(spans) != traceRingSize {
@@ -204,7 +211,7 @@ func TestSpanRing(t *testing.T) {
 		t.Errorf("dropped = %d, want 10", dropped)
 	}
 	for _, s := range spans {
-		if s.Name != "op" || s.Duration <= 0 {
+		if s.Name != "op" || s.Span == 0 || s.Trace == 0 || s.Duration < 0 {
 			t.Fatalf("bad span %+v", s)
 		}
 	}
@@ -251,14 +258,17 @@ func TestMetricOpsDoNotAllocate(t *testing.T) {
 	c := r.Counter("alloc.c")
 	g := r.Gauge("alloc.g")
 	h := r.Histogram("alloc.h", LatencyBuckets)
-	r.RecordSpan("warm", time.Now().Add(-time.Microsecond)) // preallocate the ring
+	// Opening a span allocates its context; recording it into a warm
+	// ring must not.
+	_, sp := r.StartSpan(context.Background(), "op")
+	sp.End() // preallocate the ring
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		g.Set(3)
 		start := Now()
 		h.Observe(1e-5)
 		h.ObserveSince(start)
-		r.RecordSpan("op", start)
+		sp.End()
 	})
 	if allocs != 0 {
 		t.Errorf("metric ops allocate %.1f objects per run, want 0", allocs)

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // traceRingSize is the number of span events a registry retains. Spans
 // instrument coarse operations (layer forwards, batch solves, training
@@ -34,8 +31,6 @@ type Event struct {
 	Trace int64 `json:"trace_id,omitempty"`
 	// Span is this span's own ID and Parent the enclosing span's (0
 	// for roots), forming the parented span tree StartSpan builds.
-	// Spans recorded through RecordSpan/RecordSpanTID carry 0 for
-	// both — flat, as before.
 	Span   int64 `json:"span_id,omitempty"`
 	Parent int64 `json:"parent_id,omitempty"`
 	// Track optionally names the trace's display row (e.g.
@@ -92,32 +87,6 @@ func (r *eventRing) snapshot(clear bool) ([]Event, int64) {
 		r.next, r.total, r.dropped = 0, 0, 0
 	}
 	return out, dropped
-}
-
-// RecordSpan records a completed span (started at start, ending now)
-// into the registry's trace ring. A zero start — what Now returns when
-// instrumentation is disabled — is skipped, as is recording while
-// disabled.
-func (r *Registry) RecordSpan(name string, start time.Time) {
-	r.RecordSpanTID(name, start, 0)
-}
-
-// RecordSpanTID is RecordSpan with an explicit trace ID, so spans of
-// one logical operation (an inference pass, a training step) group
-// together in exports. Obtain IDs from NextTraceID; 0 means ungrouped.
-func (r *Registry) RecordSpanTID(name string, start time.Time, trace int64) {
-	if start.IsZero() || !enabled.Load() {
-		return
-	}
-	// Anchor the wall-clock Start at the registry epoch through the
-	// monotonic delta, so ring timestamps stay ordered even if the
-	// wall clock steps mid-run (see Event).
-	r.trace.record(Event{
-		Name:     name,
-		Start:    r.epochNano + start.Sub(r.epoch).Nanoseconds(),
-		Duration: time.Since(start).Nanoseconds(),
-		Trace:    trace,
-	})
 }
 
 // Spans returns the retained span events, oldest first.

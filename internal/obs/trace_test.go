@@ -2,23 +2,36 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
 	"time"
 )
 
+// recordSpan opens and immediately ends one span named name on r.
+func recordSpan(r *Registry, name string) {
+	_, sp := r.StartSpan(context.Background(), name)
+	sp.End()
+}
+
 // WriteTrace must emit valid Chrome trace-event JSON: epoch-relative
 // microsecond timestamps, one track (tid) per trace ID, sorted by ts.
 func TestWriteTraceChromeFormat(t *testing.T) {
 	r := NewRegistry()
-	// Span starts sit after the epoch (negative offsets clamp to 0 and
-	// would collapse the ordering this test asserts).
-	base := r.Epoch()
-	time.Sleep(5 * time.Millisecond)
-	r.RecordSpanTID("second", base.Add(3*time.Millisecond), 7)
-	r.RecordSpanTID("first", base.Add(1*time.Millisecond), 7)
-	r.RecordSpan("ungrouped", base.Add(2*time.Millisecond))
+	// Seed the ring out of order, with explicit epoch offsets, plus
+	// one ungrouped (trace 0) event.
+	at := func(name string, offset time.Duration, trace int64) {
+		r.trace.record(Event{
+			Name:     name,
+			Start:    r.epochNano + offset.Nanoseconds(),
+			Duration: time.Millisecond.Nanoseconds(),
+			Trace:    trace,
+		})
+	}
+	at("second", 3*time.Millisecond, 7)
+	at("first", 1*time.Millisecond, 7)
+	at("ungrouped", 2*time.Millisecond, 0)
 
 	var buf bytes.Buffer
 	n, err := r.WriteTrace(&buf)
@@ -47,7 +60,7 @@ func TestWriteTraceChromeFormat(t *testing.T) {
 	if len(tr.TraceEvents) != 3 {
 		t.Fatalf("trace has %d events, want 3", len(tr.TraceEvents))
 	}
-	// Sorted by ts: first (-30ms), ungrouped (-20ms), second (-10ms).
+	// Sorted by ts: first (1ms), ungrouped (2ms), second (3ms).
 	wantOrder := []string{"first", "ungrouped", "second"}
 	wantTid := []int64{7, 0, 7}
 	prev := math.Inf(-1)
@@ -65,12 +78,8 @@ func TestWriteTraceChromeFormat(t *testing.T) {
 			t.Errorf("events not sorted: ts[%d]=%g after %g", i, e.Ts, prev)
 		}
 		prev = e.Ts
-		if e.Ts < 0 || e.Dur <= 0 {
-			t.Errorf("event %d has ts=%g dur=%g, want non-negative ts and positive dur", i, e.Ts, e.Dur)
-		}
-		// Durations were ~10–30ms; timestamps fit inside the run so far.
-		if e.Dur > 5e6 {
-			t.Errorf("event %d dur = %gµs, implausibly long", i, e.Dur)
+		if want := float64(i + 1); e.Ts != 1e3*want || e.Dur != 1e3 {
+			t.Errorf("event %d has ts=%gµs dur=%gµs, want %gµs and 1000µs", i, e.Ts, e.Dur, 1e3*want)
 		}
 	}
 }
@@ -79,9 +88,9 @@ func TestWriteTraceChromeFormat(t *testing.T) {
 // started right after registry creation has a small positive offset.
 func TestSpanTimestampsEpochAnchored(t *testing.T) {
 	r := NewRegistry()
-	start := time.Now()
+	_, sp := r.StartSpan(ContextWithTrace(context.Background(), TraceContext{Trace: 3}), "op")
 	time.Sleep(2 * time.Millisecond)
-	r.RecordSpanTID("op", start, 3)
+	sp.End()
 	spans := r.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans", len(spans))

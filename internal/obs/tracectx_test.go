@@ -206,9 +206,8 @@ func TestSpansDroppedSurfaced(t *testing.T) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)
 	r := NewRegistry()
-	base := time.Now().Add(-time.Second)
 	for i := 0; i < traceRingSize+10; i++ {
-		r.RecordSpan("op", base)
+		recordSpan(r, "op")
 	}
 	if got := r.Snapshot().SpansDropped; got != 10 {
 		t.Errorf("Snapshot().SpansDropped = %d, want 10", got)

@@ -34,11 +34,10 @@ type chromeTrace struct {
 // JSON, loadable in chrome://tracing or https://ui.perfetto.dev. Each
 // span becomes one complete event; its timestamp is the span's offset
 // from the registry epoch (Epoch), so the trace timeline starts near
-// zero regardless of wall-clock values. Spans recorded with a trace ID
-// (RecordSpanTID, StartSpan) land on that ID's track ("tid"), grouping
-// the spans of one logical operation — e.g. one inference request —
-// into one row of the viewer; ungrouped spans share track 0. Spans
-// from StartSpan additionally carry span_id/parent_id args encoding
+// zero regardless of wall-clock values. Spans land on their trace ID's
+// track ("tid"), grouping the spans of one logical operation — e.g.
+// one inference request — into one row of the viewer; ungrouped spans
+// (trace 0) share track 0. Spans carry span_id/parent_id args encoding
 // the parent/child tree, and a root span's Track (StartRootSpan)
 // becomes the row's thread_name metadata, so per-tenant requests are
 // labeled rows. Complete events are sorted by timestamp and metadata

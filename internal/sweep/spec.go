@@ -26,11 +26,10 @@ import (
 // (funcsim.RegisterModel is the source of truth; a cell may select any
 // registered tier, these are just the built-ins specs commonly list).
 const (
-	ModelIdeal       = "ideal"
-	ModelAnalytical  = "analytical"
-	ModelGENIEx      = "geniex"
-	ModelCircuit     = "circuit"
-	ModelFastCircuit = "fastcircuit"
+	ModelIdeal      = "ideal"
+	ModelAnalytical = "analytical"
+	ModelGENIEx     = "geniex"
+	ModelCircuit    = "circuit"
 )
 
 // StackSpec is a named non-ideality composition; the name keys cell

@@ -186,12 +186,10 @@ func BatchSolve(cfg Config, g *linalg.Dense, vs *linalg.Dense) (*linalg.Dense, e
 //
 // The returned error covers setup problems only (bad shapes, an
 // unprogrammable conductance matrix); solver failures never abort the
-// batch. Results are deterministic under the default StartSeeded (and
-// StartCold) configurations: each item's starting point is a pure
-// function of the programmed conductances and its drive vector, so the
-// output is independent of worker count and scheduling. StartWarm
-// trades that guarantee for speed — items inherit whatever state their
-// pooled instance solved last.
+// batch. Results are deterministic under both start modes: each item's
+// starting point is a pure function of the programmed conductances and
+// its drive vector, so the output is independent of worker count and
+// scheduling.
 //
 // Callers that evaluate many batches against the same conductance
 // matrix should hold a NewBatchSolver instead: this function builds
@@ -327,11 +325,9 @@ func (s *BatchSolver) SolveReport(vs *linalg.Dense) (*linalg.Dense, *BatchReport
 // (Config.BatchWorkers; 0 means GOMAXPROCS). Failed items are retried
 // once under the recovery ladder and zeroed if they still fail; the
 // report carries per-item outcomes. The error covers setup problems
-// only. Under StartSeeded (the default) and StartCold, results are
-// deterministic and independent of worker count: every item's starting
-// point depends only on the array and its own drive vector, and each
-// item is written by index. StartWarm gives up that bit-level
-// guarantee (converged results still agree to solver tolerance).
+// only. Results are deterministic and independent of worker count:
+// every item's starting point depends only on the array and its own
+// drive vector, and each item is written by index.
 func (s *BatchSolver) SolveReportInto(out *linalg.Dense, vs *linalg.Dense) (*BatchReport, error) {
 	return s.SolveReportIntoContext(nil, out, vs)
 }

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"geniex/internal/device"
+	"geniex/internal/nonideal"
 )
 
 // SolverPolicy selects how strictly the circuit solver treats
@@ -91,13 +92,6 @@ const (
 	// pre-factorization behaviour. No factorization is built or used;
 	// kept for benchmarks and bit-compatibility with historical runs.
 	StartCold
-	// StartWarm starts Newton from the previous converged solution of
-	// the same crossbar instance when one exists (falling back to the
-	// factorized seed otherwise). Fastest steady-state option, but
-	// results may differ in the last bits depending on solve order, so
-	// batch outputs are no longer bit-identical across worker counts —
-	// an explicit opt-in, surfaced as the funcsim "fastcircuit" tier.
-	StartWarm
 )
 
 // String implements fmt.Stringer.
@@ -107,23 +101,8 @@ func (s SolverStart) String() string {
 		return "seeded"
 	case StartCold:
 		return "cold"
-	case StartWarm:
-		return "warm"
 	}
 	return fmt.Sprintf("SolverStart(%d)", int(s))
-}
-
-// ParseStart converts a CLI-style name into a SolverStart.
-func ParseStart(s string) (SolverStart, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "seeded", "seed":
-		return StartSeeded, nil
-	case "cold":
-		return StartCold, nil
-	case "warm":
-		return StartWarm, nil
-	}
-	return 0, fmt.Errorf("xbar: unknown solver start %q (want seeded, cold or warm)", s)
 }
 
 // Config describes a crossbar design point. The defaults follow the
@@ -166,8 +145,7 @@ type Config struct {
 	Policy SolverPolicy
 
 	// Start selects the Newton starting point; the zero value
-	// (StartSeeded) uses the per-programming factorization seed. See
-	// SolverStart for the reproducibility trade-offs.
+	// (StartSeeded) uses the per-programming factorization seed.
 	Start SolverStart
 
 	// BatchWorkers bounds the goroutines a batch solve fans out across.
@@ -227,8 +205,7 @@ func WithLinearDevices() Option { return func(c *Config) { c.NonLinear = false }
 // WithPolicy sets the solver's non-convergence policy.
 func WithPolicy(p SolverPolicy) Option { return func(c *Config) { c.Policy = p } }
 
-// WithStart sets the solver's Newton starting point (seeded, cold or
-// warm).
+// WithStart sets the solver's Newton starting point (seeded or cold).
 func WithStart(s SolverStart) Option { return func(c *Config) { c.Start = s } }
 
 // WithBatchWorkers bounds the goroutines a batch solve fans out
@@ -275,7 +252,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("xbar: RRAM parameters must be positive, got %+v", c.RRAM)
 	case c.Policy < PolicyRecover || c.Policy > PolicyBestEffort:
 		return fmt.Errorf("xbar: invalid solver policy %d", int(c.Policy))
-	case c.Start < StartSeeded || c.Start > StartWarm:
+	case c.Start < StartSeeded || c.Start > StartCold:
 		return fmt.Errorf("xbar: invalid solver start %d", int(c.Start))
 	case c.BatchWorkers < 0:
 		return fmt.Errorf("xbar: BatchWorkers must be non-negative, got %d", c.BatchWorkers)
@@ -315,4 +292,19 @@ func (c Config) String() string {
 	}
 	return fmt.Sprintf("%dx%d Ron=%.0fkΩ on/off=%g Rs=%gΩ Rk=%gΩ Rw=%gΩ V=%gV %s",
 		c.Rows, c.Cols, c.Ron/1e3, c.OnOffRatio, c.Rsource, c.Rsink, c.Rwire, c.Vsupply, dev)
+}
+
+// EnvFromConfig projects a crossbar design point onto the environment
+// the non-ideality component library perturbs within. Every layer that
+// applies nonideal stacks to conductances programmed for this design
+// point (funcsim lowering, the fault plan, variation studies) builds
+// its Env here so the window and parasitics stay consistent.
+func EnvFromConfig(c Config) nonideal.Env {
+	return nonideal.Env{
+		Rows: c.Rows, Cols: c.Cols,
+		Goff: c.Goff(), Gon: c.Gon(),
+		Rsource: c.Rsource, Rsink: c.Rsink, Rwire: c.Rwire,
+		Vsupply: c.Vsupply,
+		RRAM:    c.RRAM,
+	}
 }

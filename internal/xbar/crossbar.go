@@ -21,7 +21,7 @@ type Crossbar struct {
 	pattern *linalg.Pattern
 	coords  []linalg.Coord
 	ws      *linalg.CGWorkspace
-	volt    []float64 // node voltages; reused as Newton/warm start
+	volt    []float64 // node voltages; the Newton iterate
 	rhs     []float64
 	delta   []float64
 	prev    []float64 // iterate before the last Newton update
@@ -44,9 +44,6 @@ type Crossbar struct {
 	factErr       bool // factor build failed; cold-start until reprogrammed
 	precond       *factorPrecond
 	activePrecond *factorPrecond
-	// warmOK marks x.volt as a converged solution of the current
-	// programming, usable as a StartWarm starting point.
-	warmOK bool
 
 	// faults is the active test-only fault-injection plan (usually nil).
 	faults *FaultPlan
@@ -160,7 +157,7 @@ func (x *Crossbar) Program(g *linalg.Dense) error {
 	x.cell = cells
 	// Reprogramming (including FaultPlan stuck-at application and
 	// nonideal re-lowering, which both arrive through Program)
-	// invalidates the operating-point factorization and any warm state.
+	// invalidates the operating-point factorization.
 	if x.fact != nil {
 		x.fact = nil
 		x.precond = nil
@@ -170,7 +167,6 @@ func (x *Crossbar) Program(g *linalg.Dense) error {
 	}
 	x.activePrecond = nil
 	x.factErr = false
-	x.warmOK = false
 	return nil
 }
 

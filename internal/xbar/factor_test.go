@@ -76,8 +76,8 @@ func TestSeededSolveMatchesCold(t *testing.T) {
 		cold := cfg
 		cold.Start = StartCold
 		want := cleanSolve(t, cold, g, v)
-		if want.Seeded || want.WarmStarted {
-			t.Fatal("cold solve reported a seeded/warm start")
+		if want.Seeded {
+			t.Fatal("cold solve reported a seeded start")
 		}
 
 		got := cleanSolve(t, cfg, g, v)
@@ -94,102 +94,6 @@ func TestSeededSolveMatchesCold(t *testing.T) {
 			t.Errorf("trial %d: seeded used %d Newton updates, cold used %d",
 				trial, got.NewtonIters, want.NewtonIters)
 		}
-	}
-}
-
-// Satellite regression: warm-started and cold-started solves of the
-// same inputs agree within kclOK.
-func TestWarmStartAgreesWithCold(t *testing.T) {
-	cfg := smallConfig()
-	warm := cfg
-	warm.Start = StartWarm
-	r := linalg.NewRNG(52)
-	g := randomLevels(cfg, r)
-
-	wx, err := New(warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wx.Program(g); err != nil {
-		t.Fatal(err)
-	}
-	cold := cfg
-	cold.Start = StartCold
-	for trial := 0; trial < 6; trial++ {
-		v := randomDrive(cfg, r)
-		want := cleanSolve(t, cold, g, v)
-		got, err := wx.Solve(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if trial == 0 && !got.Seeded {
-			t.Error("first warm-mode solve should fall back to the factorization seed")
-		}
-		if trial > 0 && !got.WarmStarted {
-			t.Errorf("trial %d: warm-mode solve did not warm-start", trial)
-		}
-		if !got.Converged {
-			t.Fatalf("trial %d: warm solve did not converge", trial)
-		}
-		if d := relDiff(got.Currents, want.Currents); d > kclOK {
-			t.Errorf("trial %d: warm vs cold currents differ by %v (> kclOK)", trial, d)
-		}
-	}
-}
-
-// A warm start whose previous state sits in the wrong basin must fall
-// back to the factorization seed (counted as a reseed), converge on
-// rung 0 without touching the recovery ladder, and leave the instance
-// warm-startable again. Driving all rows at Vsupply and then all at
-// zero triggers this deterministically: the high-voltage state is a
-// stall point for the zero-drive system.
-func TestWarmStartReseedsInsteadOfRecovering(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Start = StartWarm
-	r := linalg.NewRNG(55)
-	xb, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := xb.Program(randomLevels(cfg, r)); err != nil {
-		t.Fatal(err)
-	}
-	full := make([]float64, cfg.Rows)
-	for i := range full {
-		full[i] = cfg.Vsupply
-	}
-	zero := make([]float64, cfg.Rows)
-	if _, err := xb.Solve(full); err != nil {
-		t.Fatal(err)
-	}
-
-	before := obs.Snapshot()
-	sol, err := xb.Solve(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := obs.Snapshot()
-	if d := after.Counters["xbar.solver.factor.reseeds"] - before.Counters["xbar.solver.factor.reseeds"]; d != 1 {
-		t.Errorf("reseeds moved by %d, want 1", d)
-	}
-	if !sol.Seeded || sol.WarmStarted {
-		t.Errorf("reseeded solve flags: Seeded=%v WarmStarted=%v, want seeded only", sol.Seeded, sol.WarmStarted)
-	}
-	if sol.Recovery != "" {
-		t.Errorf("reseeded solve escalated to recovery rung %q", sol.Recovery)
-	}
-	if !sol.Converged {
-		t.Error("reseeded solve did not converge")
-	}
-
-	// The reseeded converged state is a valid warm start for the next
-	// solve.
-	sol, err = xb.Solve(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.WarmStarted {
-		t.Error("instance did not warm-start after a reseeded solve")
 	}
 }
 
@@ -245,7 +149,7 @@ func TestFactorInvalidatedOnProgram(t *testing.T) {
 	}
 }
 
-// Satellite regression: the default (warm-start-off) batch path stays
+// Satellite regression: the default seeded batch path stays
 // bit-identical across worker counts with the factorization cache
 // active, and the pooled instances share one factorization.
 func TestSeededBatchDeterministicAcrossWorkers(t *testing.T) {
@@ -295,21 +199,20 @@ func TestSeededBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// ParseStart round-trips every start mode, rejects junk, and Validate
-// rejects out-of-range values.
-func TestParseStart(t *testing.T) {
-	for _, s := range []SolverStart{StartSeeded, StartCold, StartWarm} {
-		got, err := ParseStart(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseStart(%q) = %v, %v", s.String(), got, err)
+// Validate accepts exactly StartSeeded and StartCold and rejects every
+// other value, including the first one past StartCold.
+func TestValidateStart(t *testing.T) {
+	cfg := smallConfig()
+	for _, s := range []SolverStart{StartSeeded, StartCold} {
+		cfg.Start = s
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("start %v rejected: %v", s, err)
 		}
 	}
-	if _, err := ParseStart("lukewarm"); err == nil {
-		t.Error("expected error for unknown start mode")
-	}
-	cfg := smallConfig()
-	cfg.Start = SolverStart(17)
-	if err := cfg.Validate(); err == nil {
-		t.Error("expected validation error for out-of-range start")
+	for _, s := range []SolverStart{-1, 2, 17} {
+		cfg.Start = s
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("expected validation error for start %d", int(s))
+		}
 	}
 }

@@ -30,21 +30,13 @@ var (
 	mRungBestEffort = obs.NewCounter("xbar.solver.rung.best_effort")
 
 	// Factorization-cache counters: builds/invalidations follow the
-	// Program lifecycle, reuses counts solves that consumed a cached
-	// factor (as seed, warm-start precondition, or both), newton_saved
-	// counts Newton updates replaced by direct factorized solves (one
-	// per seeded start — the first cold update computes the same linear
-	// solve iteratively), warm_starts counts StartWarm solves that
-	// reused the previous converged state, and reseeds counts warm
-	// starts that failed rung 0 and fell back to the factorization
-	// seed before any recovery rung ran.
+	// Program lifecycle, and reuses counts seeded solves — each one
+	// replaces the first cold Newton update with a direct factorized
+	// solve and preconditions the rest with the cached factor.
 	mFactorBuilds        = obs.NewCounter("xbar.solver.factor.builds")
 	mFactorInvalidations = obs.NewCounter("xbar.solver.factor.invalidations")
 	mFactorBuildFailures = obs.NewCounter("xbar.solver.factor.build_failures")
 	mFactorReuses        = obs.NewCounter("xbar.solver.factor.reuses")
-	mFactorNewtonSaved   = obs.NewCounter("xbar.solver.factor.newton_saved")
-	mFactorWarmStarts    = obs.NewCounter("xbar.solver.factor.warm_starts")
-	mFactorReseeds       = obs.NewCounter("xbar.solver.factor.reseeds")
 
 	mBatchCalls   = obs.NewCounter("xbar.batch.calls")
 	mBatchItems   = obs.NewCounter("xbar.batch.items")
@@ -67,14 +59,8 @@ func recordSolve(sol *Solution, err error, start time.Time) {
 		}
 		return
 	}
-	if sol.Seeded || sol.WarmStarted {
-		mFactorReuses.Inc()
-	}
 	if sol.Seeded {
-		mFactorNewtonSaved.Inc()
-	}
-	if sol.WarmStarted {
-		mFactorWarmStarts.Inc()
+		mFactorReuses.Inc()
 	}
 	mNewtonIters.Observe(float64(sol.NewtonIters))
 	mCGIters.Observe(float64(sol.CGIters))

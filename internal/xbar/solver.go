@@ -112,9 +112,6 @@ type Solution struct {
 	// cold one computes the same linear solve, by CG) plus its inner
 	// iterations.
 	Seeded bool
-	// WarmStarted reports that Newton started from the previous
-	// converged solution of this instance (StartWarm only).
-	WarmStarted bool
 	// DampedSteps counts backtracked Newton steps.
 	DampedSteps int
 	// LUFallbacks counts linear solves rescued by the direct-LU path
@@ -173,10 +170,6 @@ func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy) 
 	region := obs.StartRegion("xbar.solve")
 	sol, err := x.runLadder(ctx, v, policy)
 	region.End()
-	// x.volt is a valid StartWarm starting point only after a converged
-	// solve of this programming; failures and best-effort iterates
-	// would seed the next solve from a bad basin.
-	x.warmOK = err == nil && sol.Converged
 	if err != nil && canceled(err) {
 		if obs.Enabled() {
 			mSolveCancelled.Inc()
@@ -217,10 +210,9 @@ func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPoli
 	}
 
 	// Rung 0: plain Newton. The starting point follows Config.Start —
-	// the factorized operating-point seed by default, the previous
-	// converged solution under StartWarm, flat zero under StartCold —
-	// and the cached factorization preconditions the inner CG solves
-	// whenever it is available.
+	// the factorized operating-point seed by default, flat zero under
+	// StartCold — and the cached factorization preconditions the inner
+	// CG solves whenever it is available.
 	x.startRung0(v, sol)
 	ok, err := x.newtonIterate(ctx, v, false, policy, sol)
 	// Recovery rungs keep the legacy cold-start Jacobi-CG path: their
@@ -235,35 +227,6 @@ func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPoli
 		return x.finish(v, sol, ""), nil
 	}
 	cause = err
-
-	// A failed warm start is a bad initial guess, not a hard circuit:
-	// the previous converged state can sit in the wrong basin when
-	// consecutive inputs are uncorrelated. Retry rung 0 from the
-	// deterministic factorization seed — the same start a non-warm
-	// solve would have used — before escalating to the far more
-	// expensive damped/continuation rungs.
-	if sol.WarmStarted {
-		if f := x.ensureFactor(); f != nil {
-			sol.WarmStarted = false
-			sol.Seeded = true
-			if obs.Enabled() {
-				mFactorReseeds.Inc()
-			}
-			x.activePrecond = x.precond
-			f.seedInto(x.volt, v, x.factScr)
-			ok, err = x.newtonIterate(ctx, v, false, policy, sol)
-			x.activePrecond = nil
-			if err != nil && canceled(err) {
-				return nil, err
-			}
-			if err != nil && cause == nil {
-				cause = err
-			}
-			if record(ok, 0, "newton-reseed") {
-				return x.finish(v, sol, ""), nil
-			}
-		}
-	}
 	if policy == PolicyFailFast {
 		if err != nil {
 			return nil, err
@@ -320,11 +283,6 @@ func (x *Crossbar) startRung0(v []float64, sol *Solution) {
 		return
 	}
 	x.activePrecond = x.precond
-	if x.cfg.Start == StartWarm && x.warmOK {
-		// x.volt already holds the previous converged solution.
-		sol.WarmStarted = true
-		return
-	}
 	f.seedInto(x.volt, v, x.factScr)
 	sol.Seeded = true
 }
@@ -389,7 +347,7 @@ func (x *Crossbar) kclResidual() float64 {
 }
 
 // newtonIterate runs (optionally damped) Newton from the current
-// contents of x.volt — callers choose cold or warm starts — toward the
+// contents of x.volt — callers choose the starting point — toward the
 // drive vector v. It reports convergence; a non-nil error means the
 // attempt aborted on a linear-solver failure that the LU fallback
 // could not rescue.

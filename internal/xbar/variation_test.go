@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"geniex/internal/linalg"
+	"geniex/internal/nonideal"
 )
 
 func midLevels(cfg Config) *linalg.Dense {
@@ -13,31 +14,29 @@ func midLevels(cfg Config) *linalg.Dense {
 	return g
 }
 
-func TestVariationValidate(t *testing.T) {
-	good := []Variation{{}, {Sigma: 0.1}, {StuckOn: 0.1, StuckOff: 0.2}}
-	for _, v := range good {
-		if err := v.Validate(); err != nil {
-			t.Errorf("%+v invalid: %v", v, err)
-		}
+// applyStack returns what an imperfect programming pass leaves in the
+// array: a copy of the intended matrix g perturbed by s at cfg's
+// design point. g itself is untouched.
+func applyStack(t *testing.T, s nonideal.Stack, g *linalg.Dense, cfg Config, seed uint64) *linalg.Dense {
+	t.Helper()
+	out := g.Clone()
+	if _, err := s.Apply(out, EnvFromConfig(cfg), seed, 0); err != nil {
+		t.Fatal(err)
 	}
-	bad := []Variation{{Sigma: -1}, {StuckOn: -0.1}, {StuckOn: 0.6, StuckOff: 0.6}}
-	for _, v := range bad {
-		if err := v.Validate(); err == nil {
-			t.Errorf("%+v should be invalid", v)
-		}
-	}
+	return out
 }
 
+// Neither an empty stack nor zero-rate, zero-sigma components change
+// a single cell.
 func TestVariationZeroIsIdentity(t *testing.T) {
 	cfg := smallConfig()
 	g := midLevels(cfg)
-	out, err := Variation{Seed: 1}.Apply(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range g.Data {
-		if out.Data[i] != g.Data[i] {
-			t.Fatalf("zero variation changed cell %d", i)
+	for _, s := range []nonideal.Stack{{}, {&nonideal.StuckAt{}, &nonideal.D2DVariation{}}} {
+		out := applyStack(t, s, g, cfg, 1)
+		for i := range g.Data {
+			if out.Data[i] != g.Data[i] {
+				t.Fatalf("zero stack %q changed cell %d", s.Label(), i)
+			}
 		}
 	}
 }
@@ -46,10 +45,8 @@ func TestVariationStaysInWindow(t *testing.T) {
 	cfg := smallConfig()
 	r := linalg.NewRNG(2)
 	g := randomLevels(cfg, r)
-	out, err := Variation{Sigma: 0.5, StuckOn: 0.05, StuckOff: 0.05, Seed: 3}.Apply(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := nonideal.Stack{&nonideal.StuckAt{POn: 0.05, POff: 0.05}, &nonideal.D2DVariation{Sigma: 0.5}}
+	out := applyStack(t, s, g, cfg, 3)
 	for i, v := range out.Data {
 		if v < cfg.Goff() || v > cfg.Gon() {
 			t.Fatalf("cell %d conductance %v outside window", i, v)
@@ -61,15 +58,8 @@ func TestVariationDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	r := linalg.NewRNG(4)
 	g := randomLevels(cfg, r)
-	v := Variation{Sigma: 0.2, Seed: 5}
-	a, err := v.Apply(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := v.Apply(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := nonideal.Stack{&nonideal.D2DVariation{Sigma: 0.2}}
+	a, b := applyStack(t, s, g, cfg, 5), applyStack(t, s, g, cfg, 5)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("same seed produced different perturbations")
@@ -80,10 +70,7 @@ func TestVariationDeterministic(t *testing.T) {
 func TestVariationPerturbs(t *testing.T) {
 	cfg := smallConfig()
 	g := midLevels(cfg)
-	out, err := Variation{Sigma: 0.3, Seed: 7}.Apply(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := applyStack(t, nonideal.Stack{&nonideal.D2DVariation{Sigma: 0.3}}, g, cfg, 7)
 	changed := 0
 	for i := range g.Data {
 		if out.Data[i] != g.Data[i] {
@@ -99,10 +86,7 @@ func TestStuckAtRates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rows, cfg.Cols = 64, 64 // enough cells for rate statistics
 	g := midLevels(cfg)
-	out, err := Variation{StuckOn: 0.1, StuckOff: 0.2, Seed: 11}.Apply(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := applyStack(t, nonideal.Stack{&nonideal.StuckAt{POn: 0.1, POff: 0.2}}, g, cfg, 11)
 	var on, off int
 	for _, v := range out.Data {
 		switch v {
@@ -133,10 +117,7 @@ func TestVariationIncreasesNFSpread(t *testing.T) {
 	linalg.Fill(v, cfg.Vsupply)
 
 	spread := func(sigma float64) float64 {
-		pert, err := Variation{Sigma: sigma, Seed: 17}.Apply(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pert := applyStack(t, nonideal.Stack{&nonideal.D2DVariation{Sigma: sigma}}, g, cfg, 17)
 		xb, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -44,12 +44,12 @@ func main() {
 
 func run() error {
 	// A circuit-backed ladder so the trace tree includes real solver
-	// spans; fastcircuit keeps per-request cost tolerable. The latency
-	// SLO is armed with a generous target — the gate checks plumbing,
-	// not tail latency.
+	// spans; the 8×8 seeded circuit tier keeps per-request cost
+	// tolerable. The latency SLO is armed with a generous target — the
+	// gate checks plumbing, not tail latency.
 	cmd := exec.Command("go", "run", "./cmd/geniex-serve",
 		"-addr", "127.0.0.1:0",
-		"-tiers", "fastcircuit,ideal",
+		"-tiers", "circuit,ideal",
 		"-train", "48", "-epochs", "1", "-channels", "4", "-size", "8",
 		"-max-inflight", "4", "-tenant-queue", "16",
 		"-deadline", "10s", "-max-deadline", "15s",
