@@ -106,14 +106,9 @@ func run() error {
 		chaosStuckOn  = flag.Float64("chaos-stuck-on", 0, "chaos: probability a circuit-tier cell is stuck at Gon")
 		chaosStuckOff = flag.Float64("chaos-stuck-off", 0, "chaos: probability a circuit-tier cell is stuck at Goff")
 		chaosSeed     = flag.Uint64("chaos-seed", 1, "chaos: injection schedule seed")
-		metricsEnable = flag.Bool("metrics", true, "enable the obs registry")
 		withPprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
-
-	if *metricsEnable {
-		obs.SetEnabled(true)
-	}
 
 	tierNames := strings.Split(*tiers, ",")
 	if len(tierNames) == 0 || tierNames[0] == "" {

@@ -82,7 +82,7 @@ func run() error {
 		jobs      = flag.Int("jobs", 0, "concurrent cells (0 = spec's Jobs, else GOMAXPROCS)")
 		printSpec = flag.Bool("print-spec", false, "write the default spec JSON to stdout and exit")
 		cellDelay = flag.Duration("cell-delay", 0, "testing: artificial pause before each executed cell")
-		metrics   = flag.Bool("metrics", false, "enable the obs registry and print sweep counters at exit")
+		metrics   = flag.Bool("metrics", false, "print sweep counters at exit")
 	)
 	flag.Parse()
 
@@ -105,10 +105,6 @@ func run() error {
 			return fmt.Errorf("parsing %s: %w", *specPath, err)
 		}
 	}
-	if *metrics {
-		obs.SetEnabled(true)
-	}
-
 	// SIGINT stops dispatching new cells and leaves the checkpoints on
 	// disk; a second SIGINT kills the process the hard way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

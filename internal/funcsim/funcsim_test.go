@@ -2,6 +2,7 @@ package funcsim
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"geniex/internal/core"
@@ -252,12 +253,11 @@ func TestAnalyticalUnderestimates(t *testing.T) {
 	}
 }
 
-// trainTinyGENIEx fits a quick surrogate for the 8×8 tile used in
-// these tests. The training set mirrors the workloads the functional
+// trainTinyGENIEx fits a quick surrogate for the tile used in these
+// tests. The training set mirrors the workloads the functional
 // simulator generates: digit-grid-aligned values with heavy sparsity
 // (the paper's stratification argument).
-func trainTinyGENIEx(t *testing.T, cfg xbar.Config) *core.Model {
-	t.Helper()
+func trainTinyGENIEx(cfg xbar.Config) (*core.Model, error) {
 	ds, err := core.Generate(cfg, core.GenOptions{
 		Samples:    1200,
 		StreamBits: 2, SliceBits: 2,
@@ -265,16 +265,38 @@ func trainTinyGENIEx(t *testing.T, cfg xbar.Config) *core.Model {
 		Seed:       5,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	m, err := core.NewModel(cfg, 128, 7)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if err := m.Train(ds, core.TrainOptions{Epochs: 300, BatchSize: 32, LR: 2e-3, Seed: 9}); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return m
+	return m, nil
+}
+
+// harshGENIEx holds the trainTinyGENIEx surrogate for harshXbar. It is
+// trained once per test binary (training dominates the package's race
+// run) and only read by the tests that share it.
+var harshGENIEx struct {
+	once  sync.Once
+	model *core.Model
+	err   error
+}
+
+// sharedHarshGENIEx returns the shared harshXbar surrogate, training it
+// on first use; a training error fails every caller.
+func sharedHarshGENIEx(t *testing.T) *core.Model {
+	t.Helper()
+	harshGENIEx.once.Do(func() {
+		harshGENIEx.model, harshGENIEx.err = trainTinyGENIEx(harshXbar())
+	})
+	if harshGENIEx.err != nil {
+		t.Fatal(harshGENIEx.err)
+	}
+	return harshGENIEx.model
 }
 
 // harshXbar is an aggressively non-ideal design point (low Ron, low
@@ -295,7 +317,7 @@ func harshXbar() xbar.Config {
 func TestGENIExTileTracksCircuit(t *testing.T) {
 	cfg := exactConfig(8, 8)
 	cfg.Xbar = harshXbar()
-	gx := trainTinyGENIEx(t, cfg.Xbar)
+	gx := sharedHarshGENIEx(t)
 	r := linalg.NewRNG(4)
 
 	g := linalg.NewDense(8, 8)
@@ -502,7 +524,10 @@ func TestGENIExApproximatesCircuitEndToEnd(t *testing.T) {
 	cfg := exactConfig(16, 16)
 	cfg.Xbar = harshXbar()
 	cfg.Xbar.Rows, cfg.Xbar.Cols = 16, 16
-	gx := trainTinyGENIEx(t, cfg.Xbar)
+	gx, err := trainTinyGENIEx(cfg.Xbar)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	run := func(m Model) *linalg.Dense {
 		eng, err := NewEngine(cfg, m)

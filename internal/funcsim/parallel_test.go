@@ -87,7 +87,7 @@ func TestMVMDeterministicAcrossWorkersAnalytical(t *testing.T) {
 func TestMVMDeterministicAcrossWorkersGENIEx(t *testing.T) {
 	cfg := exactConfig(8, 8)
 	cfg.Xbar = harshXbar()
-	gx := trainTinyGENIEx(t, cfg.Xbar)
+	gx := sharedHarshGENIEx(t)
 	w, x := testWorkload(63, 20, 12, 4)
 	checkDeterministic(t, cfg, GENIEx{Model: gx}, w, x)
 }
@@ -217,7 +217,7 @@ func TestConcurrentMVMStats(t *testing.T) {
 func TestGENIExSharedVContextMatchesDirect(t *testing.T) {
 	cfg := exactConfig(8, 8)
 	cfg.Xbar = harshXbar()
-	gx := trainTinyGENIEx(t, cfg.Xbar)
+	gx := sharedHarshGENIEx(t)
 	g := linalg.NewDense(8, 8)
 	r := linalg.NewRNG(67)
 	for i := range g.Data {

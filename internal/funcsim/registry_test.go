@@ -3,6 +3,8 @@ package funcsim
 import (
 	"strings"
 	"testing"
+
+	"geniex/internal/core"
 )
 
 // The built-in ladder must resolve by name, in decreasing-rank order,
@@ -96,7 +98,11 @@ func TestModelFactorySurrogateValidation(t *testing.T) {
 		t.Fatal("geniex factory accepted a nil surrogate")
 	}
 
-	gx := trainTinyGENIEx(t, cfg.Xbar)
+	// The factory checks only dimensions, so an untrained model will do.
+	gx, err := core.NewModel(cfg.Xbar, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wrong := exactConfig(4, 4)
 	if _, err := spec.New(ModelParams{Xbar: wrong.Xbar, Surrogate: gx}); err == nil {
 		t.Fatal("geniex factory accepted an 8x8 surrogate for a 4x4 design point")

@@ -7,16 +7,12 @@ import (
 )
 
 // Handler returns an http.Handler that serves the registry snapshot.
-// Every path returns the JSON form ("?format=text" switches to the
-// sorted text lines, "?format=prom" to the Prometheus text exposition
-// — see WriteProm), so it works both as a standalone endpoint and
-// mounted under a path like /metrics.
+// Every path returns the JSON form ("?format=prom" switches to the
+// Prometheus text exposition — see WriteProm), so it works both as a
+// standalone endpoint and mounted under a path like /metrics.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		switch req.URL.Query().Get("format") {
-		case "text":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = r.WriteText(w)
 		case "prom":
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			_ = r.WriteProm(w)
@@ -39,7 +35,7 @@ func (r *Registry) TraceHandler() http.Handler {
 
 // Mux assembles the registry's HTTP surface:
 //
-//	/metrics   snapshot (JSON; ?format=text for text lines)
+//	/metrics   snapshot (JSON; ?format=prom for Prometheus text)
 //	/trace     span ring as Chrome trace-event JSON
 //	/          snapshot (back-compat with the pre-mux endpoint)
 //

@@ -36,7 +36,8 @@ func TestMuxContentTypes(t *testing.T) {
 		ct   string
 	}{
 		{"/metrics", "application/json"},
-		{"/metrics?format=text", "text/plain; charset=utf-8"},
+		{"/metrics?format=prom", "text/plain; version=0.0.4; charset=utf-8"},
+		{"/metrics?format=bogus", "application/json"},
 		{"/trace", "application/json"},
 		{"/", "application/json"},
 	} {
@@ -132,7 +133,7 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 		if i%3 == 1 {
 			path = "/trace"
 		} else if i%3 == 2 {
-			path = "/metrics?format=text"
+			path = "/metrics?format=prom"
 		}
 		resp, body := get(t, mux, path)
 		if resp.StatusCode != http.StatusOK || len(body) == 0 {

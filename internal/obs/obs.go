@@ -52,7 +52,7 @@
 // # Export
 //
 // Snapshot returns a deterministic point-in-time view; WriteJSON and
-// WriteText serialize it. Handler/Serve expose the JSON form over
+// WriteProm serialize it. Handler/Serve expose the JSON form over
 // HTTP, opted into by the -metrics-addr flag of cmd/funcsim-run and
 // cmd/experiments.
 package obs
@@ -157,10 +157,6 @@ func Reset() SnapshotData { return std.Reset() }
 
 // WriteJSON writes the Default registry's snapshot as JSON.
 func WriteJSON(w io.Writer) error { return std.WriteJSON(w) }
-
-// WriteText writes the Default registry's snapshot as sorted
-// name-value text lines.
-func WriteText(w io.Writer) error { return std.WriteText(w) }
 
 // WriteProm writes the Default registry's snapshot in the Prometheus
 // text exposition format.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -403,8 +402,8 @@ type SnapshotData struct {
 	// Counters, Gauges and Histograms hold both the flat scalar metrics
 	// (plain dotted names) and every vec child, flattened under rendered
 	// series names of the form name{k1="v1",k2="v2"} (label keys in
-	// registration order, values Prometheus-escaped) — so JSON and text
-	// consumers see labeled series without a schema change.
+	// registration order, values Prometheus-escaped) — so JSON consumers
+	// see labeled series without a schema change.
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
@@ -477,36 +476,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// WriteText writes the registry snapshot as sorted "name value" lines,
-// histograms as "name count=N sum=S mean=M p50=... p95=... p99=...",
-// SLO trackers as "slo.<name> ..." summary lines, plus an
-// unconditional "obs.spans_dropped N" line surfacing how many span
-// events fell off the trace ring.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	var lines []string
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, h := range s.Histograms {
-		lines = append(lines, fmt.Sprintf("%s count=%d sum=%.6g mean=%.6g p50=%.6g p95=%.6g p99=%.6g",
-			name, h.Count, h.Sum, h.Mean(), h.P50, h.P95, h.P99))
-	}
-	for name, o := range s.SLOs {
-		lines = append(lines, fmt.Sprintf("slo.%s objective=%.6g window_good=%d window_bad=%d error_rate=%.6g burn_rate=%.6g",
-			name, o.Objective, o.WindowGood, o.WindowBad, o.ErrorRate, o.BurnRate))
-	}
-	lines = append(lines, fmt.Sprintf("obs.spans_dropped %d", s.SpansDropped))
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -200,8 +199,7 @@ func TestWriteTraceParentedTree(t *testing.T) {
 }
 
 // Ring overflow must be surfaced everywhere spans are: the snapshot's
-// SpansDropped field, WriteText's obs.spans_dropped line, and the
-// Chrome envelope's spansDropped extension.
+// SpansDropped field and the Chrome envelope's spansDropped extension.
 func TestSpansDroppedSurfaced(t *testing.T) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)
@@ -211,13 +209,6 @@ func TestSpansDroppedSurfaced(t *testing.T) {
 	}
 	if got := r.Snapshot().SpansDropped; got != 10 {
 		t.Errorf("Snapshot().SpansDropped = %d, want 10", got)
-	}
-	var txt bytes.Buffer
-	if err := r.WriteText(&txt); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(txt.String(), "obs.spans_dropped 10") {
-		t.Errorf("WriteText lacks obs.spans_dropped line:\n%s", txt.String())
 	}
 	var buf bytes.Buffer
 	if _, err := r.WriteTrace(&buf); err != nil {

@@ -16,7 +16,7 @@ import (
 var ErrChaos = errors.New("serve: chaos-injected fault")
 
 // ChaosPolicy is the fault-injection layer the robustness tests and
-// `make serve-smoke` drive the server with. All injection happens
+// the `serve` smoke check drive the server with. All injection happens
 // inside the serving path — the analog models themselves are
 // untouched (use Faults to corrupt the circuit solver itself).
 //

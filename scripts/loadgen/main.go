@@ -1,10 +1,10 @@
 // Command loadgen drives geniex-serve with an open-loop request
 // stream and emits a machine-readable summary: per-status and
 // per-tier counts, retry/shed totals, overall and per-tenant latency
-// percentiles, and the 5xx count the smoke gate asserts on. The
+// percentiles, and the 5xx count the serve smoke check asserts on. The
 // per-tenant view (OK counts + percentiles over 200s) is the
-// client-side mirror of the server's serve.tenant.* metrics;
-// scripts/loadsmoke asserts the two agree. Open-loop means requests fire
+// client-side mirror of the server's serve.tenant.* metrics; the load
+// smoke check asserts the two agree. Open-loop means requests fire
 // on schedule regardless of how many are outstanding — the generator
 // does not back off when the server slows, which is exactly the
 // arrival pattern admission control exists for.
@@ -43,8 +43,8 @@ type summary struct {
 	// Tenants is the client-side per-tenant view: request/OK counts
 	// and latency percentiles over served (200) responses only, so it
 	// is directly comparable with the server's
-	// serve.tenant.latency_seconds{tenant} histograms (loadsmoke
-	// asserts the two views agree).
+	// serve.tenant.latency_seconds{tenant} histograms (the load smoke
+	// check asserts the two views agree).
 	Tenants map[string]tenantSummary `json:"tenants"`
 }
 

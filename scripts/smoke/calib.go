@@ -1,22 +1,7 @@
-// Command calibsmoke is the end-to-end gate for online
-// self-calibration: it puts two identical GENIEx tiers under live MVM
-// traffic — one frozen, one with a background calibrator feeding on
-// the fidelity probe and hot-swapping fine-tuned model versions — and
-// asserts the closed loop actually pays off:
-//
-//   - the calibrated tier's probe rRMSE ends at least 2× lower than
-//     the frozen tier's (the drift scenario is a deliberately
-//     under-trained surrogate, the stand-in for a model whose device
-//     has drifted away from its training data);
-//   - at least one fine-tuned version was published by hot-swap;
-//   - concurrent MVM clients racing the swaps lose zero requests.
-//
-// Run it via `make calib-smoke` (check.sh includes it).
 package main
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,26 +13,25 @@ import (
 	"geniex/internal/xbar"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "calibsmoke: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("calibsmoke: PASS")
-}
-
-// harshXbar is the aggressively non-ideal 8×8 design point the repo's
-// surrogate-quality tests use: distortion large enough that surrogate
-// fidelity is measurable.
-func harshXbar() (xbar.Config, error) {
-	return xbar.NewConfig(8, 8,
+// runCalib puts two identical GENIEx tiers under live MVM traffic — one
+// frozen, one with a background calibrator feeding on the fidelity
+// probe and hot-swapping fine-tuned model versions — and requires the
+// closed loop to pay off:
+//
+//   - the calibrated tier's probe rRMSE ends at least 2× lower than
+//     the frozen tier's (the drift scenario is a deliberately
+//     under-trained surrogate, the stand-in for a model whose device
+//     has drifted away from its training data);
+//   - at least one fine-tuned version was published by hot-swap;
+//   - concurrent MVM clients racing the swaps lose zero requests.
+func runCalib(*harness) error {
+	start := time.Now()
+	// The aggressively non-ideal 8×8 design point the repo's
+	// surrogate-quality tests use: distortion large enough that
+	// surrogate fidelity is measurable.
+	xcfg, err := xbar.NewConfig(8, 8,
 		xbar.WithRon(25e3), xbar.WithOnOffRatio(2),
 		xbar.WithParasitics(500, 100, 25), xbar.WithVsupply(0.5))
-}
-
-func run() error {
-	start := time.Now()
-	xcfg, err := harshXbar()
 	if err != nil {
 		return err
 	}
@@ -55,7 +39,7 @@ func run() error {
 	// The drift scenario: a surrogate trained far too briefly, so its
 	// predictions diverge from the circuit the way a production model
 	// does after the device drifts from its training data.
-	fmt.Println("calibsmoke: training deliberately weak GENIEx surrogate...")
+	fmt.Println("smoke calib: training deliberately weak GENIEx surrogate...")
 	ds, err := core.Generate(xcfg, core.GenOptions{
 		Samples:    120,
 		StreamBits: 2, SliceBits: 2,
@@ -123,9 +107,9 @@ func run() error {
 		Swap: func(m *core.Model) (int64, error) {
 			return calEng.SwapModel(funcsim.GENIEx{Model: m})
 		},
-		// Always-triggered (no SLO/drift gates): the smoke's weak
-		// surrogate is out of spec by construction, and the gate is
-		// about the loop working, not the trigger tuning.
+		// Always-triggered (no SLO/drift gates): the weak surrogate is
+		// out of spec by construction, and the gate is about the loop
+		// working, not the trigger tuning.
 		MinSamples:     48,
 		Steps:          400,
 		DutyFactor:     1,
@@ -141,7 +125,7 @@ func run() error {
 	// the calibrator performs. The "zero dropped requests" gate: every
 	// MVM must succeed.
 	var (
-		stop    atomic.Bool
+		quit    atomic.Bool
 		mvmErrs atomic.Int64
 		mvms    atomic.Int64
 		wg      sync.WaitGroup
@@ -153,7 +137,7 @@ func run() error {
 			defer wg.Done()
 			yf := linalg.NewDense(x.Rows, frozenMat.Out())
 			yc := linalg.NewDense(x.Rows, calMat.Out())
-			for !stop.Load() {
+			for !quit.Load() {
 				if err := frozenMat.MVMInto(yf, x); err != nil {
 					mvmErrs.Add(1)
 					return
@@ -174,11 +158,11 @@ func run() error {
 	for cal.Stats().Published < 2 && time.Now().Before(deadline) {
 		time.Sleep(200 * time.Millisecond)
 	}
-	stop.Store(true)
+	quit.Store(true)
 	wg.Wait()
 
 	st := cal.Stats()
-	fmt.Printf("calibsmoke: %d MVMs under swaps, %s\n", mvms.Load(), st)
+	fmt.Printf("smoke calib: %d MVMs under swaps, %s\n", mvms.Load(), st)
 	if mvmErrs.Load() != 0 {
 		return fmt.Errorf("%d MVMs failed while racing hot-swaps", mvmErrs.Load())
 	}
@@ -198,7 +182,7 @@ func run() error {
 	// its latest published version. The EWMA weighs the last ~20
 	// probes, so a fresh serial burst makes it reflect current
 	// fidelity, not history.
-	fmt.Println("calibsmoke: refreshing probe fidelity gauges...")
+	fmt.Println("smoke calib: refreshing probe fidelity gauges...")
 	for i := 0; i < 120; i++ {
 		if _, err := frozenMat.MVM(x); err != nil {
 			return err
@@ -213,7 +197,7 @@ func run() error {
 
 	frozen := frozenEng.Probe().Stats()
 	calibrated := calEng.Probe().Stats()
-	fmt.Printf("calibsmoke: probe rRMSE EWMA: frozen %.4f (%d solves), calibrated %.4f (%d solves)\n",
+	fmt.Printf("smoke calib: probe rRMSE EWMA: frozen %.4f (%d solves), calibrated %.4f (%d solves)\n",
 		frozen.RRMSEEWMA, frozen.Solved, calibrated.RRMSEEWMA, calibrated.Solved)
 	if frozen.Solved == 0 || calibrated.Solved == 0 {
 		return fmt.Errorf("probes did not solve (frozen %d, calibrated %d)", frozen.Solved, calibrated.Solved)
@@ -225,6 +209,6 @@ func run() error {
 		return fmt.Errorf("calibration did not pay off: frozen rRMSE %.4f < 2× calibrated %.4f",
 			frozen.RRMSEEWMA, calibrated.RRMSEEWMA)
 	}
-	fmt.Printf("calibsmoke: done in %.1fs\n", time.Since(start).Seconds())
+	fmt.Printf("smoke calib: done in %.1fs\n", time.Since(start).Seconds())
 	return nil
 }

@@ -1,0 +1,171 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"regexp"
+	"slices"
+	"sort"
+	"strings"
+)
+
+// chromeTrace is the Chrome trace-event envelope obs.WriteTrace emits.
+type chromeTrace struct {
+	TraceEvents []traceEvent `json:"traceEvents"`
+	// SpansDropped is a pointer so a missing field differs from zero:
+	// the envelope owns the ring's drop count, so a truncated trace is
+	// visibly truncated.
+	SpansDropped *int64 `json:"spansDropped"`
+}
+
+type traceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	Tid  int64          `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// id returns the span_id or parent_id arg, 0 when absent. JSON numbers
+// decode as float64; the IDs are small counters, well inside its
+// exact-integer range.
+func (e traceEvent) id(key string) int64 {
+	f, _ := e.Args[key].(float64)
+	return int64(f)
+}
+
+// checkTrace applies the trace-file rules: the file parses, holds at
+// least one event, every event has a name, a phase and non-negative
+// ts/dur, the envelope's spansDropped is present and non-negative, and
+// every nonzero parent_id resolves to a span_id in the file. The ring
+// evicts oldest-first and parents end after their children, so a
+// retained child's ancestors are retained too. It returns a one-line
+// summary of the trace.
+func checkTrace(data []byte) (string, error) {
+	var tr chromeTrace
+	if err := json.Unmarshal(data, &tr); err != nil {
+		return "", fmt.Errorf("not valid trace JSON: %w", err)
+	}
+	if len(tr.TraceEvents) == 0 {
+		return "", fmt.Errorf("trace holds no events")
+	}
+	if tr.SpansDropped == nil {
+		return "", fmt.Errorf("trace lacks the spansDropped envelope field")
+	}
+	if *tr.SpansDropped < 0 {
+		return "", fmt.Errorf("trace reports negative spansDropped %d", *tr.SpansDropped)
+	}
+	spanIDs := map[int64]bool{}
+	for i, e := range tr.TraceEvents {
+		switch {
+		case e.Name == "":
+			return "", fmt.Errorf("event %d has no name", i)
+		case e.Ph == "":
+			return "", fmt.Errorf("event %d (%s) has no phase", i, e.Name)
+		case e.Ts < 0 || e.Dur < 0:
+			return "", fmt.Errorf("event %d (%s) has negative ts=%g dur=%g", i, e.Name, e.Ts, e.Dur)
+		}
+		spanIDs[e.id("span_id")] = true
+	}
+	parented := 0
+	for i, e := range tr.TraceEvents {
+		if pid := e.id("parent_id"); pid != 0 {
+			if !spanIDs[pid] {
+				return "", fmt.Errorf("event %d (%s) has parent_id %d with no matching span_id", i, e.Name, pid)
+			}
+			parented++
+		}
+	}
+	return fmt.Sprintf("%d events, %d parented, %d dropped",
+		len(tr.TraceEvents), parented, *tr.SpansDropped), nil
+}
+
+// spanChain walks parent links from each xbar.batch.solve span,
+// newest first, and accepts the first complete chain. The chain must
+// pass through tile, MVM and forward spans to a serve.request root on
+// a tenant:* track; spanChain returns its span names and that track.
+//
+// This is deliberately laxer than checkTrace: a 504's serve.request
+// root ends before its background children do, so the ring can evict
+// that root first and leave an older chain broken. A quiesced server's
+// newest chains are complete.
+func spanChain(tr chromeTrace) ([]string, string, error) {
+	type span struct {
+		name        string
+		parent, tid int64
+		ts          float64
+	}
+	spans := map[int64]span{}
+	tracks := map[int64]string{} // tid → thread_name
+	var solves []int64
+	for _, e := range tr.TraceEvents {
+		if e.Ph == "M" && e.Name == "thread_name" {
+			tracks[e.Tid], _ = e.Args["name"].(string)
+			continue
+		}
+		sid := e.id("span_id")
+		if sid == 0 {
+			continue
+		}
+		spans[sid] = span{e.Name, e.id("parent_id"), e.Tid, e.Ts}
+		if e.Name == "xbar.batch.solve" {
+			solves = append(solves, sid)
+		}
+	}
+	if len(solves) == 0 {
+		return nil, "", fmt.Errorf("trace holds no xbar.batch.solve span (circuit tier never served?)")
+	}
+	sort.Slice(solves, func(i, j int) bool { return spans[solves[i]].ts > spans[solves[j]].ts })
+
+	walk := func(sid int64) ([]string, span, error) {
+		var chain []string
+		for cur := sid; len(chain) < 32; {
+			s, ok := spans[cur]
+			if !ok {
+				return nil, span{}, fmt.Errorf("span chain broken at id %d (after %s)", cur, strings.Join(chain, " → "))
+			}
+			chain = append(chain, s.name)
+			if s.parent == 0 {
+				return chain, s, nil
+			}
+			cur = s.parent
+		}
+		return nil, span{}, fmt.Errorf("span chain deeper than 32 (cycle?): %s", strings.Join(chain, " → "))
+	}
+	var lastErr error
+	for _, sid := range solves {
+		chain, root, err := walk(sid)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		for _, want := range []string{"xbar.batch.solve", "funcsim.tile", "funcsim.mvm", "funcsim.forward", "serve.request"} {
+			if !slices.Contains(chain, want) {
+				return nil, "", fmt.Errorf("span chain %v lacks %s", chain, want)
+			}
+		}
+		if root.name != "serve.request" {
+			return nil, "", fmt.Errorf("span chain root is %s, want serve.request (chain %v)", root.name, chain)
+		}
+		track := tracks[root.tid]
+		if !strings.HasPrefix(track, "tenant:") {
+			return nil, "", fmt.Errorf("serve.request root rides track %q, want a tenant:* track", track)
+		}
+		return chain, track, nil
+	}
+	return nil, "", fmt.Errorf("no solve span has a complete parent chain: %w", lastErr)
+}
+
+var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9.eE+-]+|[+-]Inf|NaN)$`)
+
+// promGrammar rejects any line of a Prometheus text exposition that is
+// neither blank, a comment, nor `name[{labels}] value`.
+func promGrammar(text string) error {
+	for i, line := range strings.Split(text, "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") && !promLine.MatchString(line) {
+			return fmt.Errorf("prom line %d is malformed: %q", i+1, line)
+		}
+	}
+	return nil
+}

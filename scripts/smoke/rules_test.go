@@ -1,0 +1,82 @@
+package main
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+)
+
+// goodTrace is a complete solve → serve.request chain on a tenant
+// track, valid under both the trace rules and the chain walk.
+const goodTrace = `{"traceEvents":[
+ {"name":"thread_name","ph":"M","tid":2,"args":{"name":"tenant:a"}},
+ {"name":"xbar.batch.solve","ph":"X","ts":5,"dur":1,"tid":2,"args":{"span_id":5,"parent_id":4}},
+ {"name":"funcsim.tile","ph":"X","ts":4,"dur":3,"tid":2,"args":{"span_id":4,"parent_id":3}},
+ {"name":"funcsim.mvm","ph":"X","ts":3,"dur":5,"tid":2,"args":{"span_id":3,"parent_id":2}},
+ {"name":"funcsim.forward","ph":"X","ts":2,"dur":7,"tid":2,"args":{"span_id":2,"parent_id":1}},
+ {"name":"serve.request","ph":"X","ts":1,"dur":9,"tid":2,"args":{"span_id":1}}
+],"spansDropped":0}`
+
+// edit applies old→new replacement pairs to goodTrace, each of which
+// must match exactly once.
+func edit(t *testing.T, pairs ...string) string {
+	t.Helper()
+	s := goodTrace
+	for i := 0; i < len(pairs); i += 2 {
+		if strings.Count(s, pairs[i]) != 1 {
+			t.Fatalf("edit %q does not match exactly once", pairs[i])
+		}
+		s = strings.Replace(s, pairs[i], pairs[i+1], 1)
+	}
+	return s
+}
+
+// The harness's own rules must accept well-formed input and reject
+// each crafted bad input for the intended reason, so a gate that could
+// no longer fail shows up here.
+func TestRules(t *testing.T) {
+	traceRules := func(s string) error {
+		_, err := checkTrace([]byte(s))
+		return err
+	}
+	chainRule := func(s string) error {
+		var tr chromeTrace
+		if err := json.Unmarshal([]byte(s), &tr); err != nil {
+			return err
+		}
+		_, _, err := spanChain(tr)
+		return err
+	}
+	for _, tc := range []struct {
+		name   string
+		rule   func(string) error
+		input  string
+		reject string // substring of the wanted error; "" means accept
+	}{
+		{"trace/ok", traceRules, goodTrace, ""},
+		{"trace/no events", traceRules, `{"traceEvents":[],"spansDropped":0}`, "no events"},
+		{"trace/no spansDropped", traceRules, edit(t, `,"spansDropped":0`, ``), "lacks the spansDropped"},
+		{"trace/negative ts", traceRules, edit(t, `"ts":1,`, `"ts":-1,`), "negative ts"},
+		{"trace/dangling parent", traceRules, edit(t, `"parent_id":3`, `"parent_id":9`), "no matching span_id"},
+		{"chain/ok", chainRule, goodTrace, ""},
+		{"chain/broken", chainRule, edit(t, `"parent_id":3`, `"parent_id":9`), "chain broken"},
+		{"chain/cycle", chainRule, edit(t, `"span_id":1}`, `"span_id":1,"parent_id":5}`), "cycle"},
+		{"chain/root not serve.request", chainRule, edit(t,
+			`"span_id":1}`, `"span_id":1,"parent_id":6}`,
+			`],"spansDropped"`, `,{"name":"outer","ph":"X","ts":0,"dur":10,"tid":2,"args":{"span_id":6}}],"spansDropped"`),
+			"root is outer"},
+		{"chain/no tenant track", chainRule, edit(t, `tenant:a`, `worker`), "tenant:* track"},
+		{"prom/ok", promGrammar, "# TYPE a_b histogram\na_b_bucket{le=\"+Inf\"} 3\na_b_sum 1.5e-3\n", ""},
+		{"prom/malformed", promGrammar, "# TYPE a counter\na{x=\"1\"}\n", "prom line 2 is malformed"},
+	} {
+		err := tc.rule(tc.input)
+		switch {
+		case tc.reject == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.reject != "" && err == nil:
+			t.Errorf("%s: accepted, want rejection (%s)", tc.name, tc.reject)
+		case tc.reject != "" && !strings.Contains(err.Error(), tc.reject):
+			t.Errorf("%s: rejected for the wrong reason: %v, want %q", tc.name, err, tc.reject)
+		}
+	}
+}
