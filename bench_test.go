@@ -304,13 +304,14 @@ func rrmse(got, ref *linalg.Dense) float64 {
 // case is expected to be ≥2× faster wall-clock; outputs are
 // bit-identical in both.
 //
-// The cold/seeded sub-benchmarks compare Newton start strategies at
-// fixed serial execution: cold rebuilds every solve from a zero state
-// (the pre-cache behaviour) and seeded starts from the cached MNA
-// factorization's direct solve (the default). Each is gated on
-// probe-statistic rRMSE against a cold reference before timing, so the
-// latency numbers compare matched outputs; seeded is expected ≥5×
-// faster than cold in steady state.
+// The cold/seeded sub-benchmarks compare the two rung-0 strategies at
+// fixed serial execution: cold runs Newton–CG from a zero state (the
+// pre-cache behaviour) and seeded starts from the cached MNA
+// factorization's direct solve and chord-iterates on the same factor
+// (the default). Each is gated on probe-statistic rRMSE against a cold
+// reference before timing, so the latency numbers compare matched
+// outputs; check.sh runs both once as that gate. Seeded is expected
+// ≥10× faster than cold in steady state.
 func BenchmarkMVMCircuit(b *testing.B) {
 	const in, out, batch = 16, 16, 4 // 2×2 tile grid at 8×8
 	serialCfg := func() funcsim.Config {

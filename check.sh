@@ -8,6 +8,9 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
+# BenchmarkMVMCircuit fails when seeded circuit MVM output drifts more
+# than 1e-6 rRMSE from cold-start Newton; one iteration runs the gate.
+go test -run '^$' -bench 'BenchmarkMVMCircuit/(cold|seeded)$' -benchtime 1x .
 # perfbench is a nested module the root ./... skips; it imports the
 # solver API, so vet and test it on its own.
 (cd perfbench && go vet ./... && go test ./...)

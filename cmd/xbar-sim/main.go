@@ -114,7 +114,7 @@ func run() error {
 			worstResid = sol.Residual
 		}
 	}
-	fmt.Printf("solved %d workloads (%.1f Newton iters, %.0f CG iters per solve)\n",
+	fmt.Printf("solved %d workloads (%.1f solver updates, %.0f inner CG iterations per solve)\n",
 		*samples, float64(newtonTotal)/float64(*samples), float64(cgTotal)/float64(*samples))
 	fmt.Printf("solver health: %d/%d converged, %d recovered, %d unconverged, %d LU fallbacks, worst KCL residual %.3g\n",
 		converged, *samples, recovered, unconverged, luFallbacks, worstResid)

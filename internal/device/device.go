@@ -6,9 +6,9 @@
 //
 // Both models expose current and small-signal conductance as functions
 // of the branch voltage, which is all the modified-nodal-analysis
-// Newton solver in package xbar needs. Keeping every element
-// two-terminal keeps the Jacobian symmetric positive definite, so the
-// solver can use conjugate gradients.
+// solver in package xbar needs. Keeping every element two-terminal
+// keeps the Jacobian symmetric positive definite, so the solver can
+// factor it by Cholesky and use conjugate gradients.
 package device
 
 import (
@@ -21,11 +21,12 @@ import (
 // Implementations must be odd symmetric (I(-V) = -I(V)) and strictly
 // monotonic so the assembled network has a unique solution.
 type Element interface {
-	// Current returns the branch current at branch voltage v.
-	Current(v float64) float64
-	// Conductance returns dI/dV at branch voltage v. It must be
-	// strictly positive for all finite v.
-	Conductance(v float64) float64
+	// Eval returns the branch current i and the differential
+	// conductance g = dI/dV at branch voltage v, from one evaluation of
+	// the device law: the solver needs both at every device on every
+	// iterate. g is positive wherever the law has not saturated to
+	// floating-point precision.
+	Eval(v float64) (i, g float64)
 }
 
 // RRAMParams are the fitting parameters of the filamentary RRAM
@@ -100,14 +101,16 @@ func (d *RRAM) Gap() float64 { return d.gap }
 // LowBiasConductance returns the conductance at V → 0.
 func (d *RRAM) LowBiasConductance() float64 { return d.scale / d.params.V0 }
 
-// Current implements Element.
-func (d *RRAM) Current(v float64) float64 {
-	return d.scale * math.Sinh(v/d.params.V0)
-}
-
-// Conductance implements Element.
-func (d *RRAM) Conductance(v float64) float64 {
-	return d.scale / d.params.V0 * math.Cosh(v/d.params.V0)
+// Eval implements Element: sinh and cosh of v/V0 from one exponential
+// of |v|/V0, so the current is exactly odd in v.
+func (d *RRAM) Eval(v float64) (i, g float64) {
+	e := math.Exp(math.Abs(v) / d.params.V0)
+	inv := 1 / e
+	i = d.scale * 0.5 * (e - inv)
+	if v < 0 {
+		i = -i
+	}
+	return i, d.scale / d.params.V0 * 0.5 * (e + inv)
 }
 
 // Selector is the two-terminal access-device model: a saturating
@@ -129,15 +132,11 @@ func NewSelector(gon, vsat float64) *Selector {
 	return &Selector{gon: gon, vsat: vsat}
 }
 
-// Current implements Element.
-func (s *Selector) Current(v float64) float64 {
-	return s.gon * s.vsat * math.Tanh(v/s.vsat)
-}
-
-// Conductance implements Element.
-func (s *Selector) Conductance(v float64) float64 {
-	c := math.Cosh(v / s.vsat)
-	return s.gon / (c * c)
+// Eval implements Element: dI/dV = Gon·(1 − tanh²) from the one tanh
+// the current needs.
+func (s *Selector) Eval(v float64) (i, g float64) {
+	t := math.Tanh(v / s.vsat)
+	return s.gon * s.vsat * t, s.gon * (1 - t) * (1 + t)
 }
 
 // Linear is an ideal resistor with fixed conductance. It is the device
@@ -156,8 +155,5 @@ func NewLinear(g float64) Linear {
 	return Linear{G: g}
 }
 
-// Current implements Element.
-func (l Linear) Current(v float64) float64 { return l.G * v }
-
-// Conductance implements Element.
-func (l Linear) Conductance(v float64) float64 { return l.G }
+// Eval implements Element.
+func (l Linear) Eval(v float64) (i, g float64) { return l.G * v, l.G }

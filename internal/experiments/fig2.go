@@ -50,7 +50,7 @@ func (h *solverHealth) note(t *Table) {
 	if h.solves == 0 {
 		return
 	}
-	t.Note("solver health: %d/%d converged, %d recovered, %d unconverged, %d LU fallbacks, %.1f Newton iters/solve, worst KCL residual %.2g",
+	t.Note("solver health: %d/%d converged, %d recovered, %d unconverged, %d LU fallbacks, %.1f solver updates/solve, worst KCL residual %.2g",
 		h.converged, h.solves, h.recovered, h.unconverged, h.luFallbacks,
 		float64(h.newtonIters)/float64(h.solves), h.worstResid)
 }

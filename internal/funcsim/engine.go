@@ -769,7 +769,7 @@ func (m *Matrix) MVM(x *linalg.Dense) (*linalg.Dense, error) {
 
 // MVMContext is MVM with cooperative cancellation: once ctx is done,
 // pending tile tasks are abandoned before they start and in-flight
-// circuit solves abort at their next Newton update. A nil ctx is
+// circuit solves abort at their next solver update. A nil ctx is
 // identical to MVM.
 func (m *Matrix) MVMContext(ctx context.Context, x *linalg.Dense) (*linalg.Dense, error) {
 	out := linalg.NewDense(x.Rows, m.out)

@@ -389,7 +389,7 @@ func (t circuitTile) CurrentsInto(dst, v *linalg.Dense) error {
 }
 
 // CurrentsCtxInto implements ctxTile: the batch solve aborts at the
-// next Newton update once ctx is done, so a revoked serving deadline
+// next solver update once ctx is done, so a revoked serving deadline
 // stops circuit work instead of letting it run to completion.
 func (t circuitTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
 	rep, err := t.solver.SolveReportIntoContext(ctx, dst, v)

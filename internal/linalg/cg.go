@@ -34,15 +34,6 @@ func (e *BreakdownError) Error() string {
 // Is reports sentinel identity so errors.Is(err, ErrBreakdown) works.
 func (e *BreakdownError) Is(target error) bool { return target == ErrBreakdown }
 
-// Preconditioner applies an approximate inverse: PrecondInto computes
-// z ≈ A⁻¹·r without modifying r. The operator must be symmetric
-// positive definite for CG to remain valid. Implementations are
-// typically Factor-once handles (Cholesky, BlockTridiag) wrapped with
-// their own scratch space.
-type Preconditioner interface {
-	PrecondInto(z, r []float64)
-}
-
 // CGOptions controls the conjugate gradient solver.
 type CGOptions struct {
 	// Tol is the relative residual tolerance ‖b−Ax‖/‖b‖. Defaults to
@@ -50,11 +41,6 @@ type CGOptions struct {
 	Tol float64
 	// MaxIter caps the iteration count. Defaults to 4·n if zero.
 	MaxIter int
-	// Precond, when non-nil, replaces the built-in Jacobi (diagonal)
-	// preconditioner. Convergence is still measured on the true
-	// residual, so the tolerance contract is unchanged — a better
-	// preconditioner only changes how fast it is met.
-	Precond Preconditioner
 }
 
 // CGStats describes how a CG solve went, whether or not it succeeded.
@@ -116,25 +102,17 @@ func SolveCG(a *CSR, b, x []float64, ws *CGWorkspace, opt CGOptions) (CGStats, e
 		maxIter = 4 * n
 	}
 
-	// Preconditioner application: the caller-supplied operator when
-	// set, Jacobi otherwise.
-	var inv []float64
-	if opt.Precond == nil {
-		a.Diag(ws.diag)
-		inv = ws.diag
-		for i, d := range inv {
-			if d == 0 {
-				inv[i] = 1 // degenerate row: fall back to identity preconditioning
-			} else {
-				inv[i] = 1 / d
-			}
+	// Jacobi preconditioner: the inverse diagonal.
+	inv := ws.diag
+	a.Diag(inv)
+	for i, d := range inv {
+		if d == 0 {
+			inv[i] = 1 // degenerate row: fall back to identity preconditioning
+		} else {
+			inv[i] = 1 / d
 		}
 	}
 	applyPrecond := func() {
-		if opt.Precond != nil {
-			opt.Precond.PrecondInto(ws.z, ws.r)
-			return
-		}
 		for i := range ws.z {
 			ws.z[i] = inv[i] * ws.r[i]
 		}

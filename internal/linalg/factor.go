@@ -133,13 +133,15 @@ func (c *Cholesky) SolveInto(x, b []float64) {
 		}
 		x[i] = s / row[i]
 	}
-	// Backward: Lᵀ x = y.
+	// Backward: Lᵀ x = y, reading L by rows. Once x[i] is final, row i
+	// of L holds its coefficient in every earlier equation.
 	for i := c.n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < c.n; k++ {
-			s -= c.l.At(k, i) * x[k]
+		row := c.l.Row(i)[:i+1]
+		xi := x[i] / row[i]
+		x[i] = xi
+		for k, lik := range row[:i] {
+			x[k] -= lik * xi
 		}
-		x[i] = s / c.l.At(i, i)
 	}
 }
 

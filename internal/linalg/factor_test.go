@@ -191,50 +191,3 @@ func TestBlockTridiagSolveMatchesDense(t *testing.T) {
 		}
 	}
 }
-
-// cholPrecond adapts a Cholesky factor to the CG Preconditioner
-// interface for the test below.
-type cholPrecond struct{ c *Cholesky }
-
-func (p cholPrecond) PrecondInto(z, r []float64) { p.c.SolveInto(z, r) }
-
-// An exact factorization used as the CG preconditioner must converge
-// in a couple of iterations and still satisfy the true-residual
-// tolerance contract.
-func TestSolveCGWithExactPreconditioner(t *testing.T) {
-	r := NewRNG(44)
-	const n = 24
-	a := randSPD(r, n)
-	var coords []Coord
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			coords = append(coords, Coord{Row: i, Col: j, Val: a.At(i, j)})
-		}
-	}
-	csr := NewCSR(n, coords)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 2*r.Float64() - 1
-	}
-	c, err := FactorCholesky(a.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, n)
-	stats, err := SolveCG(csr, b, x, nil, CGOptions{Tol: 1e-12, Precond: cholPrecond{c}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Converged || stats.Iterations > 3 {
-		t.Fatalf("preconditioned CG: %+v, want convergence in <= 3 iterations", stats)
-	}
-	// The solution must actually solve the system.
-	res := make([]float64, n)
-	csr.MulVec(x, res)
-	for i := range res {
-		res[i] -= b[i]
-	}
-	if rel := Norm2(res) / Norm2(b); rel > 1e-10 {
-		t.Fatalf("relative residual %v after preconditioned CG", rel)
-	}
-}

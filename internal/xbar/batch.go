@@ -453,26 +453,26 @@ func (s *BatchSolver) armFaults(xb *Crossbar, b int) {
 	}
 }
 
-// solveItem solves one batch item, retrying once under the recovery
-// ladder on failure, and writes the currents into dst (zeroed on
-// failure). A cancelled item is recorded as failed without retrying —
-// its caller discards the whole report anyway.
+// solveItem solves one batch item into the instance's reused Solution,
+// retrying once under the recovery ladder on failure, and writes the
+// currents into dst (zeroed on failure). A cancelled item is recorded
+// as failed without retrying — its caller discards the whole report
+// anyway.
 func solveItem(ctx context.Context, xb *Crossbar, v, dst []float64) ItemOutcome {
-	sol, err := xb.solve(ctx, v, xb.cfg.Policy)
-	if err != nil {
+	sol := &xb.sol
+	if err := xb.solve(ctx, v, xb.cfg.Policy, sol); err != nil {
 		if canceled(err) {
 			linalg.Fill(dst, 0)
 			return ItemOutcome{Status: ItemFailed, Err: err}
 		}
 		// Retry once with the ladder forced on — rescues items that
 		// failed under PolicyFailFast or hit a transient solver corner.
-		retrySol, retryErr := xb.solve(ctx, v, PolicyRecover)
-		if retryErr != nil {
+		if err := xb.solve(ctx, v, PolicyRecover, sol); err != nil {
 			linalg.Fill(dst, 0)
-			return ItemOutcome{Status: ItemFailed, Err: retryErr, Retries: 1}
+			return ItemOutcome{Status: ItemFailed, Err: err, Retries: 1}
 		}
-		copy(dst, retrySol.Currents)
-		return outcomeFor(retrySol, ItemRetried, 1)
+		copy(dst, sol.Currents)
+		return outcomeFor(sol, ItemRetried, 1)
 	}
 	copy(dst, sol.Currents)
 	status := ItemOK

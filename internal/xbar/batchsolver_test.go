@@ -220,3 +220,29 @@ func TestMaxStepReportsAppliedStep(t *testing.T) {
 		t.Errorf("MaxStep = %v, want applied step %v (rel err %v, full step %v)", sol.MaxStep, applied, rel, full)
 	}
 }
+
+// A successful batch item allocates nothing: each pooled instance
+// fills its own reused Solution, so a call's allocations (the report
+// and its Outcomes) do not grow with the batch size.
+func TestBatchSolverItemsDoNotAllocate(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BatchWorkers = 1
+	r := linalg.NewRNG(55)
+	s, err := NewBatchSolver(cfg, randomLevels(cfg, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(batch int) float64 {
+		vs := randomBatch(cfg, r, batch)
+		out := linalg.NewDense(batch, cfg.Cols)
+		return testing.AllocsPerRun(10, func() {
+			rep, err := s.SolveReportInto(out, vs)
+			if err != nil || !rep.AllOK() {
+				t.Fatalf("batch %d: %v, %v", batch, err, rep)
+			}
+		})
+	}
+	if small, large := allocs(4), allocs(16); large != small {
+		t.Errorf("allocations per call grow with the batch: %v at 4 items, %v at 16", small, large)
+	}
+}

@@ -2,9 +2,12 @@
 // level. It is the repository's substitute for the paper's HSPICE
 // decks: the same netlist topology (word lines and bit lines with
 // source, sink and wire parasitics; an access device and an RRAM cell
-// at every junction) solved by modified nodal analysis with a
-// Newton–Raphson outer loop and a Jacobi-preconditioned conjugate
-// gradient inner solve.
+// at every junction) solved by modified nodal analysis. The default
+// solve starts from the direct solution of the zero-bias linearized
+// network and iterates on its cached factorization (the chord method,
+// v ← v − J₀⁻¹·F(v)); damped Newton–Raphson with a Jacobi-preconditioned
+// conjugate-gradient inner solve, then source stepping, are the
+// recovery ladder behind it.
 //
 // Three models of the same crossbar are exposed:
 //
@@ -72,25 +75,26 @@ func ParsePolicy(s string) (SolverPolicy, error) {
 	return 0, fmt.Errorf("xbar: unknown solver policy %q (want recover, failfast or besteffort)", s)
 }
 
-// SolverStart selects the starting point of the circuit solver's
-// Newton iteration. The zero value is StartSeeded: the per-programming
-// MNA factorization solves the linearized network at the programmed
-// operating point and Newton starts there instead of from flat zero.
-// The seed is a pure function of the programmed conductances and the
-// drive vector — it is exactly the first cold Newton iterate, computed
-// directly instead of by CG — so the default path stays bit-reproducible
+// SolverStart selects how the circuit solver's first rung runs. The
+// zero value is StartSeeded: the per-programming MNA factorization
+// solves the linearized network at the programmed operating point, and
+// the chord iteration on the same factor takes it from there instead
+// of Newton from flat zero. The seed is a pure function of the
+// programmed conductances and the drive vector — it is exactly the
+// first cold Newton iterate, computed directly instead of by CG — and
+// so is every chord update, so the default path stays bit-reproducible
 // at any worker count.
 type SolverStart int
 
 const (
-	// StartSeeded (the default) starts Newton from the factorized
-	// linear solve at the programmed operating point. Deterministic:
-	// results depend only on (conductances, drive), never on solve
-	// history or scheduling.
+	// StartSeeded (the default) starts from the factorized linear solve
+	// at the programmed operating point and iterates on that factor.
+	// Deterministic: results depend only on (conductances, drive),
+	// never on solve history or scheduling.
 	StartSeeded SolverStart = iota
-	// StartCold starts Newton from the flat zero state, the
+	// StartCold runs Newton–CG from the flat zero state, the
 	// pre-factorization behaviour. No factorization is built or used;
-	// kept for benchmarks and bit-compatibility with historical runs.
+	// it is the reference the seeded path is checked against.
 	StartCold
 )
 
@@ -144,8 +148,9 @@ type Config struct {
 	// value (PolicyRecover) runs the recovery ladder.
 	Policy SolverPolicy
 
-	// Start selects the Newton starting point; the zero value
-	// (StartSeeded) uses the per-programming factorization seed.
+	// Start selects how the first rung runs; the zero value
+	// (StartSeeded) seeds from and chord-iterates on the
+	// per-programming factorization.
 	Start SolverStart
 
 	// BatchWorkers bounds the goroutines a batch solve fans out across.
@@ -205,7 +210,7 @@ func WithLinearDevices() Option { return func(c *Config) { c.NonLinear = false }
 // WithPolicy sets the solver's non-convergence policy.
 func WithPolicy(p SolverPolicy) Option { return func(c *Config) { c.Policy = p } }
 
-// WithStart sets the solver's Newton starting point (seeded or cold).
+// WithStart sets how the solver's first rung runs (seeded or cold).
 func WithStart(s SolverStart) Option { return func(c *Config) { c.Start = s } }
 
 // WithBatchWorkers bounds the goroutines a batch solve fans out

@@ -2,6 +2,7 @@ package xbar
 
 import (
 	"fmt"
+	"math"
 
 	"geniex/internal/device"
 	"geniex/internal/linalg"
@@ -18,32 +19,33 @@ type Crossbar struct {
 	sel  device.Element   // access device, shared by all cells
 	cell []device.Element // RRAM per cell, row-major
 
+	// The Newton rungs' Jacobian: coords holds every stamp in the
+	// fixed order pattern was built from. The wire, source and sink
+	// stamps never change; kcl rewrites the device stamps, which start
+	// at devOff, eight per cell.
 	pattern *linalg.Pattern
 	coords  []linalg.Coord
+	devOff  int
 	ws      *linalg.CGWorkspace
-	volt    []float64 // node voltages; the Newton iterate
-	rhs     []float64
+	volt    []float64 // node voltages; the iterate
+	rhs     []float64 // drive injection plus companion sources (Newton rungs)
 	delta   []float64
 	prev    []float64 // iterate before the last Newton update
 	step    []float64 // last full Newton step (for damped backtracking)
-	res     []float64 // KCL residual scratch
+	res     []float64 // KCL violation F at volt
 	best    []float64 // lowest-residual iterate (best-effort reporting)
+	sol     Solution  // the batch path's reused result
 
-	// newton iteration controls
+	// iteration controls
 	maxNewton int
 	tolV      float64
 
 	// Per-programming factorization cache (see factor.go). fact is
 	// built lazily on the first non-cold solve after a Program and
-	// invalidated by the next one; factScr is this instance's scratch;
-	// precond wraps both for the inner CG solves. activePrecond is
-	// non-nil only during the seeded rung-0 attempt — recovery rungs
-	// keep the legacy Jacobi path.
-	fact          *opFactor
-	factScr       *factorScratch
-	factErr       bool // factor build failed; cold-start until reprogrammed
-	precond       *factorPrecond
-	activePrecond *factorPrecond
+	// invalidated by the next one; factScr is this instance's scratch.
+	fact    *opFactor
+	factScr *factorScratch
+	factErr bool // factor build failed; cold-start until reprogrammed
 
 	// faults is the active test-only fault-injection plan (usually nil).
 	faults *FaultPlan
@@ -94,9 +96,9 @@ func New(cfg Config) (*Crossbar, error) {
 	if err := x.Program(g); err != nil {
 		return nil, err
 	}
-	// Assemble once to freeze the sparsity pattern; subsequent Newton
-	// iterations only update values.
-	x.buildCoords(make([]float64, n))
+	// Freeze the sparsity pattern once; Newton updates only rewrite
+	// device values.
+	x.buildCoords()
 	x.pattern = linalg.NewPattern(n, x.coords)
 	return x, nil
 }
@@ -160,12 +162,10 @@ func (x *Crossbar) Program(g *linalg.Dense) error {
 	// invalidates the operating-point factorization.
 	if x.fact != nil {
 		x.fact = nil
-		x.precond = nil
 		if obs.Enabled() {
 			mFactorInvalidations.Inc()
 		}
 	}
-	x.activePrecond = nil
 	x.factErr = false
 	return nil
 }
@@ -202,23 +202,19 @@ func (x *Crossbar) adoptFactor(f *opFactor) {
 	if x.factScr == nil {
 		x.factScr = newFactorScratch(x.cfg)
 	}
-	x.precond = &factorPrecond{f: f, ws: x.factScr}
 }
 
 // Conductances returns a copy of the programmed conductance matrix.
 func (x *Crossbar) Conductances() *linalg.Dense { return x.g.Clone() }
 
-// buildCoords assembles the Newton-linearized conductance stamp for
-// the current node voltage estimate volt, filling x.coords and x.rhs.
-// The triplet order is deterministic so a Pattern can reuse it.
-func (x *Crossbar) buildCoords(volt []float64) {
+// buildCoords lays out the MNA stamp triplets in a fixed order: the
+// word-line and bit-line wire segments, the source and sink
+// resistances — constant conductances — then eight device entries per
+// cell, selector (row–mid) before RRAM (mid–column), whose values kcl
+// writes at each Newton iterate.
+func (x *Crossbar) buildCoords() {
 	cfg := x.cfg
 	x.coords = x.coords[:0]
-	linalg.Fill(x.rhs, 0)
-	gw := 1 / cfg.Rwire
-	gsrc := 1 / cfg.Rsource
-	gsnk := 1 / cfg.Rsink
-
 	stamp2 := func(g float64, an, bn int) {
 		x.coords = append(x.coords,
 			linalg.Coord{Row: an, Col: an, Val: g},
@@ -227,55 +223,113 @@ func (x *Crossbar) buildCoords(volt []float64) {
 			linalg.Coord{Row: bn, Col: an, Val: -g},
 		)
 	}
-
-	// Word-line wire segments.
+	gw := 1 / cfg.Rwire
 	for i := 0; i < cfg.Rows; i++ {
 		for j := 0; j+1 < cfg.Cols; j++ {
 			stamp2(gw, x.rNode(i, j), x.rNode(i, j+1))
 		}
 	}
-	// Bit-line wire segments.
 	for j := 0; j < cfg.Cols; j++ {
 		for i := 0; i+1 < cfg.Rows; i++ {
 			stamp2(gw, x.cNode(i, j), x.cNode(i+1, j))
 		}
 	}
-	// Source resistances: Norton equivalent of the word-line driver.
-	// The drive voltage enters through the RHS during Solve.
+	// The word-line driver is a Norton source: gsrc on the diagonal,
+	// gsrc·v_i injected at the row head. Bit lines sink to virtual
+	// ground through Rsink.
 	for i := 0; i < cfg.Rows; i++ {
 		n := x.rNode(i, 0)
-		x.coords = append(x.coords, linalg.Coord{Row: n, Col: n, Val: gsrc})
+		x.coords = append(x.coords, linalg.Coord{Row: n, Col: n, Val: 1 / cfg.Rsource})
 	}
-	// Sink resistances to virtual ground at the bottom of each column.
 	for j := 0; j < cfg.Cols; j++ {
 		n := x.cNode(cfg.Rows-1, j)
-		x.coords = append(x.coords, linalg.Coord{Row: n, Col: n, Val: gsnk})
+		x.coords = append(x.coords, linalg.Coord{Row: n, Col: n, Val: 1 / cfg.Rsink})
 	}
-	// Devices: selector between row and mid node, RRAM between mid and
-	// column node. Newton companion model: the element behaves as a
-	// conductance g = dI/dV at the present branch voltage plus a
-	// current source Ieq = I(v0) − g·v0.
+	x.devOff = len(x.coords)
 	for i := 0; i < cfg.Rows; i++ {
 		for j := 0; j < cfg.Cols; j++ {
-			rn, mn, cn := x.rNode(i, j), x.mNode(i, j), x.cNode(i, j)
-			x.stampElement(x.sel, rn, mn, volt)
-			x.stampElement(x.cell[i*cfg.Cols+j], mn, cn, volt)
+			stamp2(0, x.rNode(i, j), x.mNode(i, j))
+			stamp2(0, x.mNode(i, j), x.cNode(i, j))
 		}
 	}
 }
 
-func (x *Crossbar) stampElement(e device.Element, an, bn int, volt []float64) {
-	v0 := volt[an] - volt[bn]
-	g := e.Conductance(v0)
-	ieq := e.Current(v0) - g*v0
-	x.coords = append(x.coords,
-		linalg.Coord{Row: an, Col: an, Val: g},
-		linalg.Coord{Row: bn, Col: bn, Val: g},
-		linalg.Coord{Row: an, Col: bn, Val: -g},
-		linalg.Coord{Row: bn, Col: an, Val: -g},
-	)
-	x.rhs[an] -= ieq
-	x.rhs[bn] += ieq
+// kcl evaluates the network at the iterate x.volt under the drive
+// vector v, node by node from the wire, source, sink and device
+// currents. It writes the KCL violation F — the net current leaving
+// each node — into x.res and returns ‖F‖/‖rhs‖, where rhs is the drive
+// injection plus the Newton companion sources I(v₀) − g(v₀)·v₀ of
+// every device at the iterate (‖F‖ alone when rhs vanishes). F equals
+// J·v − rhs for the Jacobian J at the iterate, so the ratio is the
+// relative residual of the linearized system, and it is the one
+// acceptance measure of every rung. With stamp set, kcl also loads
+// that system for a Newton update: J into x.pattern and rhs into
+// x.rhs.
+func (x *Crossbar) kcl(v []float64, stamp bool) float64 {
+	cfg := x.cfg
+	R, C := cfg.Rows, cfg.Cols
+	RC := R * C
+	gw := 1 / cfg.Rwire
+	gsrc := 1 / cfg.Rsource
+	gsnk := 1 / cfg.Rsink
+	volt, res := x.volt, x.res
+	var f2, b2 float64
+	for i := 0; i < R; i++ {
+		for j := 0; j < C; j++ {
+			k := i*C + j
+			r, m, c := k, RC+k, 2*RC+k
+			vs, vd := volt[r]-volt[m], volt[m]-volt[c]
+			is, gs := x.sel.Eval(vs)
+			id, gd := x.cell[k].Eval(vd)
+			qs, qd := is-gs*vs, id-gd*vd // companion sources
+
+			fr, br := is, -qs
+			if j > 0 {
+				fr += gw * (volt[r] - volt[r-1])
+			} else {
+				fr += gsrc * (volt[r] - v[i])
+				br += gsrc * v[i]
+			}
+			if j+1 < C {
+				fr += gw * (volt[r] - volt[r+1])
+			}
+			fm, bm := id-is, qs-qd
+			fc, bc := -id, qd
+			if i > 0 {
+				fc += gw * (volt[c] - volt[c-C])
+			}
+			if i+1 < R {
+				fc += gw * (volt[c] - volt[c+C])
+			} else {
+				fc += gsnk * volt[c]
+			}
+			res[r], res[m], res[c] = fr, fm, fc
+			f2 += fr*fr + fm*fm + fc*fc
+			b2 += br*br + bm*bm + bc*bc
+			if stamp {
+				x.rhs[r], x.rhs[m], x.rhs[c] = br, bm, bc
+				d := x.coords[x.devOff+8*k : x.devOff+8*k+8]
+				d[0].Val, d[1].Val, d[2].Val, d[3].Val = gs, gs, -gs, -gs
+				d[4].Val, d[5].Val, d[6].Val, d[7].Val = gd, gd, -gd, -gd
+			}
+		}
+	}
+	if x.faults != nil && x.faults.NaNConductance {
+		// Injected corruption: the selector of cell (0, 0) has a NaN
+		// conductance, which reaches both F and the Jacobian.
+		res[0] = math.NaN()
+		f2 = math.NaN()
+		if stamp {
+			x.coords[x.devOff].Val = math.NaN()
+		}
+	}
+	if stamp {
+		x.pattern.Update(x.coords)
+	}
+	if b2 == 0 {
+		return math.Sqrt(f2)
+	}
+	return math.Sqrt(f2) / math.Sqrt(b2)
 }
 
 // NodeVoltage reports the solved voltage of an internal node; kind is

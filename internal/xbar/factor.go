@@ -26,11 +26,10 @@ import (
 // immutable after construction and safe to share across a BatchSolver
 // pool — per-instance scratch lives in factorScratch.
 //
-// It serves two roles: solving the linearized system at the programmed
-// operating point to seed Newton (replacing the flat-zero cold start —
-// the seed equals the first cold Newton iterate, computed directly),
-// and preconditioning the inner CG solves of the remaining Newton
-// updates.
+// It serves two roles in the seeded rung 0: solving the linearized
+// system at the programmed operating point for the seed (the first
+// cold Newton iterate, computed directly), and the chord iteration
+// from there, v ← v − J₀⁻¹·F(v), one back-substitution per update.
 type opFactor struct {
 	rows, cols int
 	gsrc       float64
@@ -71,12 +70,12 @@ func (x *Crossbar) buildFactor() (*opFactor, error) {
 		rows:  R,
 		cols:  C,
 		gsrc:  1 / cfg.Rsource,
-		gsel:  x.sel.Conductance(0),
 		gcell: make([]float64, R*C),
 		gs:    make([]float64, R*C),
 	}
+	_, f.gsel = x.sel.Eval(0)
 	for k, cell := range x.cell {
-		gc := cell.Conductance(0)
+		_, gc := cell.Eval(0)
 		f.gcell[k] = gc
 		f.gs[k] = f.gsel * gc / (f.gsel + gc)
 	}
@@ -211,16 +210,3 @@ func (f *opFactor) seedInto(volt, v []float64, ws *factorScratch) {
 	}
 	f.solveInto(volt, ws.b, ws)
 }
-
-// factorPrecond adapts an opFactor to linalg.Preconditioner: M = J₀,
-// the exact Jacobian at the operating point. J₀ is SPD (it is the
-// conductance Laplacian plus positive source/sink terms), and stays
-// close to the Jacobian at nearby iterates, so the inner CG solves of
-// the seeded Newton rung converge in a handful of iterations instead
-// of O(√cond) Jacobi-preconditioned ones.
-type factorPrecond struct {
-	f  *opFactor
-	ws *factorScratch
-}
-
-func (p *factorPrecond) PrecondInto(z, r []float64) { p.f.solveInto(z, r, p.ws) }

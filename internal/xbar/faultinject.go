@@ -16,16 +16,18 @@ import (
 // FaultPlan describes which failures to force. The zero value injects
 // nothing.
 type FaultPlan struct {
-	// FailAttempts forces the first N ladder attempts (0 = plain
-	// Newton, 1 = damped Newton, 2 = source stepping) to report
-	// divergence even if they actually converged. FailAttempts=1
-	// proves the damped rung rescues the solve, 2 proves source
-	// stepping does, 3 makes the whole ladder fail.
+	// FailAttempts forces the first N ladder attempts (0 = rung 0:
+	// chord when seeded, plain Newton when cold; 1 = damped Newton,
+	// 2 = source stepping) to report divergence even if they actually
+	// converged. FailAttempts=1 proves the damped rung rescues the
+	// solve, 2 proves source stepping does, 3 makes the whole ladder
+	// fail.
 	FailAttempts int `json:"fail_attempts,omitempty"`
-	// CGBreakdownAt forces the inner linear solve of the given
-	// (1-based) Newton update to report a CG breakdown, exercising the
-	// direct-LU fallback. It applies to every ladder attempt of every
-	// solve the plan covers.
+	// CGBreakdownAt forces the inner CG solve of the given (1-based)
+	// Newton update to report a breakdown, exercising the direct-LU
+	// fallback. It applies to every ladder attempt that runs CG — a
+	// cold rung 0, the damped rung, source stepping — of every solve
+	// the plan covers; the seeded chord rung runs no CG.
 	CGBreakdownAt int `json:"cg_breakdown_at,omitempty"`
 	// BacktrackEvery forces the damped rung to backtrack every Newton
 	// update once (halving the step) even when the KCL residual did not
@@ -33,13 +35,15 @@ type FaultPlan struct {
 	// damped-step accounting (Solution.MaxStep must report the applied
 	// half-length step, and the stall test must compare it).
 	BacktrackEvery bool `json:"backtrack_every,omitempty"`
-	// NaNConductance poisons one assembled Jacobian stamp with NaN,
-	// simulating a corrupted conductance. No rung can rescue this; the
-	// solver must detect it and fail loudly instead of returning NaN
-	// currents.
+	// NaNConductance poisons one device conductance with NaN in every
+	// KCL evaluation, so the residual and the Jacobian stamps of every
+	// rung carry it, simulating a corrupted conductance. No rung can
+	// rescue this; the solver must detect it and fail loudly instead of
+	// returning NaN currents.
 	NaNConductance bool `json:"nan_conductance,omitempty"`
-	// MaxNewton overrides the Newton iteration budget when positive,
-	// letting tests force genuine iteration-exhaustion stalls cheaply.
+	// MaxNewton overrides the per-rung update budget (chord or Newton)
+	// when positive, letting tests force genuine iteration-exhaustion
+	// stalls cheaply.
 	MaxNewton int `json:"max_newton,omitempty"`
 	// Items restricts the plan to these batch item indices during
 	// BatchSolve; nil applies it to every item (and to direct Solve
@@ -98,7 +102,7 @@ func (c Config) WithFaults(p *FaultPlan) Config {
 func (c Config) Faults() *FaultPlan { return c.faults }
 
 // setFaults swaps the active plan on an existing crossbar, adjusting
-// the Newton budget override. BatchSolve uses this to arm the plan only
+// the update budget override. BatchSolve uses this to arm the plan only
 // for the batch items it covers.
 func (x *Crossbar) setFaults(p *FaultPlan) {
 	x.faults = p

@@ -15,12 +15,16 @@ var (
 	mSolveFailures  = obs.NewCounter("xbar.solver.failures")
 	mSolveCancelled = obs.NewCounter("xbar.solver.cancelled")
 	mSolveLatency   = obs.NewHistogram("xbar.solver.latency_seconds", obs.LatencyBuckets)
-	mNewtonIters    = obs.NewHistogram("xbar.solver.newton_iters", obs.IterBuckets)
-	mCGIters        = obs.NewHistogram("xbar.solver.cg_iters", obs.IterBuckets)
-	mDampedSteps    = obs.NewCounter("xbar.solver.damped_steps")
-	mCGBreakdowns   = obs.NewCounter("xbar.solver.cg_breakdowns")
-	mLUFallbacks    = obs.NewCounter("xbar.solver.lu_fallbacks")
-	mUnconverged    = obs.NewCounter("xbar.solver.unconverged")
+	// newton_iters observes Solution.NewtonIters per solve: chord
+	// updates on the seeded rung 0, Newton updates on every other rung.
+	// cg_iters observes the inner CG iterations, which only Newton
+	// rungs run.
+	mNewtonIters  = obs.NewHistogram("xbar.solver.newton_iters", obs.IterBuckets)
+	mCGIters      = obs.NewHistogram("xbar.solver.cg_iters", obs.IterBuckets)
+	mDampedSteps  = obs.NewCounter("xbar.solver.damped_steps")
+	mCGBreakdowns = obs.NewCounter("xbar.solver.cg_breakdowns")
+	mLUFallbacks  = obs.NewCounter("xbar.solver.lu_fallbacks")
+	mUnconverged  = obs.NewCounter("xbar.solver.unconverged")
 
 	// Rescue-rung counters: a categorical histogram over which ladder
 	// rung produced each accepted solution.
@@ -31,8 +35,8 @@ var (
 
 	// Factorization-cache counters: builds/invalidations follow the
 	// Program lifecycle, and reuses counts seeded solves — each one
-	// replaces the first cold Newton update with a direct factorized
-	// solve and preconditions the rest with the cached factor.
+	// seeds rung 0 by a direct factorized solve and runs its chord
+	// updates on the same cached factor.
 	mFactorBuilds        = obs.NewCounter("xbar.solver.factor.builds")
 	mFactorInvalidations = obs.NewCounter("xbar.solver.factor.invalidations")
 	mFactorBuildFailures = obs.NewCounter("xbar.solver.factor.build_failures")

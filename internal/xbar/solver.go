@@ -12,8 +12,8 @@ import (
 )
 
 const (
-	// defaultMaxNewton is the Newton iteration budget per ladder
-	// attempt.
+	// defaultMaxNewton is the iteration budget per ladder attempt:
+	// chord updates on the seeded rung 0, Newton iterations elsewhere.
 	defaultMaxNewton = 60
 	// kclTol is the relative KCL residual below which an iterate is
 	// accepted as converged regardless of step size.
@@ -41,11 +41,11 @@ var ErrNewtonDiverged = errors.New("xbar: Newton solver did not converge")
 // NewtonDivergedError reports a failed circuit solve with the
 // diagnostics needed to understand and reproduce it.
 type NewtonDivergedError struct {
-	// Iters is the total number of Newton updates spent across all
-	// recovery attempts.
+	// Iters is the total number of iterate updates (chord or Newton)
+	// spent across all recovery attempts.
 	Iters int
-	// MaxStep is the max |Δv| (volts) of the last applied Newton
-	// update (the accepted, possibly damped, step).
+	// MaxStep is the max |Δv| (volts) of the last applied update (the
+	// accepted, possibly damped, step).
 	MaxStep float64
 	// Residual is the final relative KCL residual.
 	Residual float64
@@ -85,32 +85,35 @@ type Solution struct {
 	// (watts) — by conservation, also the total dissipated in the
 	// array, since the bit lines terminate at ground.
 	Power float64
-	// NewtonIters is the number of Newton updates used, summed across
-	// recovery attempts.
+	// NewtonIters is the number of iterate updates used, summed across
+	// recovery attempts: chord updates on the seeded rung 0, Newton
+	// updates on every other rung.
 	NewtonIters int
-	// CGIters is the total number of inner CG iterations.
+	// CGIters is the total number of inner CG iterations. Only the
+	// Newton rungs run CG, so a solve accepted at the seeded rung 0
+	// reports 0.
 	CGIters int
 
 	// Converged reports whether the solver met its tolerances. It is
 	// false only under PolicyBestEffort — the other policies return an
 	// error instead of an unconverged solution.
 	Converged bool
-	// Residual is the final relative KCL residual ‖J·v − rhs‖/‖rhs‖ —
-	// the physical nodal current imbalance of the reported solution.
+	// Residual is the final relative KCL residual ‖F‖/‖rhs‖ — the
+	// physical nodal current imbalance of the reported solution against
+	// the drive injection plus the devices' companion sources.
 	Residual float64
-	// MaxStep is the max |Δv| (volts) of the last *applied* Newton
-	// update: when the damped rung backtracks, this is the accepted
-	// shortened step, not the full-length Newton direction.
+	// MaxStep is the max |Δv| (volts) of the last *applied* update:
+	// when the damped rung backtracks, this is the accepted shortened
+	// step, not the full-length Newton direction.
 	MaxStep float64
 	// Recovery names the ladder rung that produced the solution: ""
-	// (plain Newton), "damped", "source-step", or "best-effort" when
-	// nothing converged under PolicyBestEffort.
+	// (rung 0: chord from the seed, or plain Newton from a cold
+	// start), "damped", "source-step", or "best-effort" when nothing
+	// converged under PolicyBestEffort.
 	Recovery string
-	// Seeded reports that Newton started from the factorized linear
-	// solve at the programmed operating point instead of flat zero.
-	// Each seeded start replaces exactly one Newton update (the first
-	// cold one computes the same linear solve, by CG) plus its inner
-	// iterations.
+	// Seeded reports that rung 0 started from the factorized linear
+	// solve at the programmed operating point and iterated on that
+	// factor (chord), instead of running Newton from flat zero.
 	Seeded bool
 	// DampedSteps counts backtracked Newton steps.
 	DampedSteps int
@@ -132,18 +135,21 @@ type Solution struct {
 // PolicyBestEffort a failed ladder returns the lowest-residual iterate
 // with Converged=false instead of an error.
 func (x *Crossbar) Solve(v []float64) (*Solution, error) {
-	return x.solve(nil, v, x.cfg.Policy)
+	return x.SolveContext(nil, v)
 }
 
-// SolveContext is Solve under cooperative cancellation: the Newton
-// iteration checks ctx between updates and aborts — mid-ladder, before
-// the next linear solve — as soon as the context is done, returning an
+// SolveContext is Solve under cooperative cancellation: every rung
+// checks ctx before each update and aborts — mid-ladder, before the
+// next linear solve — as soon as the context is done, returning an
 // error that matches ctx.Err() under errors.Is. A nil ctx behaves like
 // Solve. Cancellation is how serving deadlines actually stop circuit
-// work instead of letting an abandoned request keep burning CG
-// iterations.
+// work instead of letting an abandoned request keep iterating.
 func (x *Crossbar) SolveContext(ctx context.Context, v []float64) (*Solution, error) {
-	return x.solve(ctx, v, x.cfg.Policy)
+	sol := &Solution{}
+	if err := x.solve(ctx, v, x.cfg.Policy, sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
 }
 
 // canceled reports whether err stems from context cancellation or
@@ -153,157 +159,143 @@ func canceled(err error) bool {
 }
 
 // solve validates the drive vector, runs the recovery ladder under an
-// explicit policy (BatchSolve retries override the configured one) and
-// records the solve in the obs registry. ctx may be nil (no
-// cancellation).
-func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy) (*Solution, error) {
+// explicit policy (BatchSolve retries override the configured one)
+// into sol and records the solve in the obs registry. ctx may be nil
+// (no cancellation). On error sol holds no result.
+func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) error {
 	cfg := x.cfg
 	if len(v) != cfg.Rows {
-		return nil, fmt.Errorf("xbar: Solve with %d inputs on %d rows", len(v), cfg.Rows)
+		return fmt.Errorf("xbar: Solve with %d inputs on %d rows", len(v), cfg.Rows)
 	}
 	for i, vi := range v {
 		if vi < -1e-12 || vi > cfg.Vsupply*(1+1e-9) {
-			return nil, fmt.Errorf("xbar: input %d voltage %g outside [0, %g]", i, vi, cfg.Vsupply)
+			return fmt.Errorf("xbar: input %d voltage %g outside [0, %g]", i, vi, cfg.Vsupply)
 		}
 	}
 	start := obs.Now()
 	region := obs.StartRegion("xbar.solve")
-	sol, err := x.runLadder(ctx, v, policy)
+	err := x.runLadder(ctx, v, policy, sol)
 	region.End()
 	if err != nil && canceled(err) {
 		if obs.Enabled() {
 			mSolveCancelled.Inc()
 		}
-		return nil, err // cancellation is not a solver failure; skip recordSolve
+		return err // cancellation is not a solver failure; skip recordSolve
 	}
 	if obs.Enabled() {
 		recordSolve(sol, err, start)
 	}
-	return sol, err
+	return err
 }
 
-// runLadder is the uninstrumented recovery ladder: plain Newton →
-// damped Newton → source stepping, with best-effort reporting under
-// PolicyBestEffort. A cancelled ctx aborts the ladder immediately —
+// rungs names the ladder's attempts in order, as NewtonDivergedError
+// lists them; recoveries is what Solution.Recovery reports for each.
+var (
+	rungs      = [...]string{"newton", "damped", "source-step"}
+	recoveries = [...]string{"", "damped", "source-step"}
+)
+
+// runLadder is the uninstrumented recovery ladder: rung 0 (chord from
+// the factorized seed, or plain Newton from a cold start) → damped
+// Newton → source stepping, with best-effort reporting under
+// PolicyBestEffort. It fills the caller's sol, keeping the capacity of
+// sol.Currents. A cancelled ctx aborts the ladder immediately —
 // recovery rungs are never attempted for a caller that has gone away.
-func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPolicy) (*Solution, error) {
-	sol := &Solution{}
-	var attempts []string
+func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) error {
+	*sol = Solution{Currents: sol.Currents}
 	var cause error
 	bestResid := math.Inf(1)
-	haveBest := false
-
-	// record applies the fault-injection attempt gate and tracks the
-	// lowest-residual iterate for best-effort reporting.
-	record := func(ok bool, attempt int, name string) bool {
-		if ok && x.faults != nil && attempt < x.faults.FailAttempts {
+	for rung := range rungs {
+		var ok bool
+		var err error
+		switch rung {
+		case 0:
+			ok, err = x.rung0(ctx, v, policy, sol)
+		case 1:
+			// Damped Newton from a cold start: steps that increase the
+			// KCL residual are backtracked along the Newton direction.
+			// Far from the operating point (saturated selectors) the
+			// Jacobian is no longer close to J₀, so the recovery rungs
+			// are a different strategy from rung 0, not a retry of it.
+			linalg.Fill(x.volt, 0)
+			ok, err = x.newtonIterate(ctx, v, true, policy, sol)
+		case 2:
+			// Source stepping: ramp the drive to its target in stages,
+			// warm-starting each from the previous one.
+			ok, err = x.sourceStep(ctx, v, policy, sol)
+		}
+		if err != nil && canceled(err) {
+			return err
+		}
+		if err != nil && cause == nil {
+			cause = err
+		}
+		if ok && x.faults != nil && rung < x.faults.FailAttempts {
 			ok = false // injected divergence: discard the result
 			sol.Converged = false
 		}
-		attempts = append(attempts, name)
-		if !ok && !math.IsNaN(sol.Residual) && sol.Residual < bestResid {
+		if ok {
+			x.finish(v, sol, recoveries[rung])
+			return nil
+		}
+		if !math.IsNaN(sol.Residual) && sol.Residual < bestResid {
 			bestResid = sol.Residual
 			copy(x.best, x.volt)
-			haveBest = true
 		}
-		return ok
-	}
-
-	// Rung 0: plain Newton. The starting point follows Config.Start —
-	// the factorized operating-point seed by default, flat zero under
-	// StartCold — and the cached factorization preconditions the inner
-	// CG solves whenever it is available.
-	x.startRung0(v, sol)
-	ok, err := x.newtonIterate(ctx, v, false, policy, sol)
-	// Recovery rungs keep the legacy cold-start Jacobi-CG path: their
-	// value is being a *different* strategy from the one that just
-	// failed, and the Jacobian far from the operating point (saturated
-	// selectors, source-stepping continuation) is no longer close to J₀.
-	x.activePrecond = nil
-	if err != nil && canceled(err) {
-		return nil, err
-	}
-	if record(ok, 0, "newton") {
-		return x.finish(v, sol, ""), nil
-	}
-	cause = err
-	if policy == PolicyFailFast {
-		if err != nil {
-			return nil, err
+		if policy == PolicyFailFast {
+			if err != nil {
+				return err
+			}
+			return x.diverged(sol, rung+1, cause)
 		}
-		return nil, x.diverged(sol, attempts, cause)
 	}
-
-	// Rung 1: damped Newton — same cold start, but steps that increase
-	// the KCL residual are backtracked along the Newton direction.
-	linalg.Fill(x.volt, 0)
-	ok, err = x.newtonIterate(ctx, v, true, policy, sol)
-	if err != nil && canceled(err) {
-		return nil, err
-	}
-	if err != nil && cause == nil {
-		cause = err
-	}
-	if record(ok, 1, "damped") {
-		return x.finish(v, sol, "damped"), nil
-	}
-
-	// Rung 2: source stepping — ramp the drive to its target in stages,
-	// warm-starting each stage from the previous one. Continuation
-	// keeps every stage inside Newton's convergence basin.
-	ok, err = x.sourceStep(ctx, v, policy, sol)
-	if err != nil && canceled(err) {
-		return nil, err
-	}
-	if err != nil && cause == nil {
-		cause = err
-	}
-	if record(ok, 2, "source-step") {
-		return x.finish(v, sol, "source-step"), nil
-	}
-
-	if policy == PolicyBestEffort && haveBest {
+	if policy == PolicyBestEffort && !math.IsInf(bestResid, 1) {
 		copy(x.volt, x.best)
 		sol.Converged = false
 		sol.Residual = bestResid
-		return x.finish(v, sol, "best-effort"), nil
+		x.finish(v, sol, "best-effort")
+		return nil
 	}
-	return nil, x.diverged(sol, attempts, cause)
+	return x.diverged(sol, len(rungs), cause)
 }
 
-// startRung0 loads the rung-0 Newton starting point into x.volt per
-// Config.Start and arms the factorization preconditioner for the
-// attempt. With no factorization available (StartCold, or a build
-// failure) it falls back to the legacy flat-zero start.
-func (x *Crossbar) startRung0(v []float64, sol *Solution) {
-	x.activePrecond = nil
+// rung0 is the ladder's first attempt. With the cached factorization
+// (StartSeeded) it starts from the factorized seed and runs the chord
+// iteration on the same factor; without one (StartCold, or a failed
+// build) it runs plain Newton from flat zero.
+func (x *Crossbar) rung0(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) (bool, error) {
 	f := x.ensureFactor()
 	if f == nil {
 		linalg.Fill(x.volt, 0)
-		return
+		return x.newtonIterate(ctx, v, false, policy, sol)
 	}
-	x.activePrecond = x.precond
 	f.seedInto(x.volt, v, x.factScr)
 	sol.Seeded = true
+	return x.chordIterate(ctx, v, f, sol)
 }
 
-func (x *Crossbar) diverged(sol *Solution, attempts []string, cause error) error {
+// diverged builds the failure report after the first tried rungs.
+func (x *Crossbar) diverged(sol *Solution, tried int, cause error) error {
 	return &NewtonDivergedError{
 		Iters:    sol.NewtonIters,
 		MaxStep:  sol.MaxStep,
 		Residual: sol.Residual,
-		Attempts: attempts,
+		Attempts: append([]string(nil), rungs[:tried]...),
 		Cause:    cause,
 	}
 }
 
-// finish extracts currents and power from the solved node voltages.
-func (x *Crossbar) finish(v []float64, sol *Solution, recovery string) *Solution {
+// finish extracts currents and power from the solved node voltages,
+// reusing the capacity of sol.Currents.
+func (x *Crossbar) finish(v []float64, sol *Solution, recovery string) {
 	cfg := x.cfg
 	sol.Recovery = recovery
 	gsnk := 1 / cfg.Rsink
 	gsrc := 1 / cfg.Rsource
-	sol.Currents = make([]float64, cfg.Cols)
+	if cap(sol.Currents) < cfg.Cols {
+		sol.Currents = make([]float64, cfg.Cols)
+	}
+	sol.Currents = sol.Currents[:cfg.Cols]
 	for j := 0; j < cfg.Cols; j++ {
 		sol.Currents[j] = gsnk * x.volt[x.cNode(cfg.Rows-1, j)]
 	}
@@ -311,46 +303,73 @@ func (x *Crossbar) finish(v []float64, sol *Solution, recovery string) *Solution
 	for i := 0; i < cfg.Rows; i++ {
 		sol.Power += v[i] * (v[i] - x.volt[x.rNode(i, 0)]) * gsrc
 	}
-	return sol
 }
 
-// assemble linearizes the network at the current x.volt and loads the
-// source injections, leaving the Jacobian in x.pattern and the RHS in
-// x.rhs.
-func (x *Crossbar) assemble(v []float64) {
-	x.buildCoords(x.volt)
-	gsrc := 1 / x.cfg.Rsource
-	for i := 0; i < x.cfg.Rows; i++ {
-		x.rhs[x.rNode(i, 0)] += gsrc * v[i]
-	}
-	if x.faults != nil && x.faults.NaNConductance && len(x.coords) > 0 {
-		x.coords[0].Val = math.NaN()
-	}
-	x.pattern.Update(x.coords)
+// accepted is the acceptance test shared by every rung: the relative
+// KCL residual meets kclTol, or the last applied step has vanished and
+// the residual still meets the looser kclOK.
+func (x *Crossbar) accepted(resid, lastStep float64) bool {
+	return resid <= kclTol || (lastStep < x.tolV && resid <= kclOK)
 }
 
-// kclResidual measures the nodal current imbalance of the current
-// iterate against the freshly assembled system: ‖J·v − rhs‖ relative
-// to ‖rhs‖. With the Newton companion model this is exactly the KCL
-// violation of the non-linear network at x.volt.
-func (x *Crossbar) kclResidual() float64 {
-	x.pattern.Matrix().MulVec(x.volt, x.res)
-	for i := range x.res {
-		x.res[i] -= x.rhs[i]
+// ctxErr reports a done ctx (nil means no cancellation) as the error
+// that aborts a rung before its next update.
+func ctxErr(ctx context.Context, update int) error {
+	if ctx == nil {
+		return nil
 	}
-	rnorm := linalg.Norm2(x.res)
-	bnorm := linalg.Norm2(x.rhs)
-	if bnorm == 0 {
-		return rnorm
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("xbar: solve cancelled at update %d: %w", update, err)
 	}
-	return rnorm / bnorm
+	return nil
+}
+
+// chordIterate is the seeded rung 0: the chord (simplified Newton)
+// iteration v ← v − J₀⁻¹·F(v) from the seed already in x.volt, where
+// J₀ is the factored zero-bias Jacobian. Each update is one KCL
+// evaluation and one back-substitution — no assembly and no CG. The
+// iteration converges linearly at the rate J₀ approximates the
+// Jacobian along the path, so it hands over to the recovery ladder as
+// soon as an update fails to halve the relative residual (saturated
+// devices) or the update budget runs out.
+func (x *Crossbar) chordIterate(ctx context.Context, v []float64, f *opFactor, sol *Solution) (bool, error) {
+	prevResid := math.Inf(1)
+	lastStep := math.Inf(1)
+	for update := 0; ; update++ {
+		if err := ctxErr(ctx, update); err != nil {
+			return false, err
+		}
+		resid := x.kcl(v, false)
+		sol.Residual = resid
+		if update > 0 {
+			sol.MaxStep = lastStep
+		}
+		if x.accepted(resid, lastStep) {
+			sol.Converged = true
+			return true, nil
+		}
+		if !(resid <= prevResid/2) || update == x.maxNewton {
+			return false, nil
+		}
+		f.solveInto(x.res, x.res, x.factScr)
+		var maxStep float64
+		for n, d := range x.res {
+			x.volt[n] -= d
+			if d = math.Abs(d); d > maxStep {
+				maxStep = d
+			}
+		}
+		lastStep = maxStep
+		prevResid = resid
+		sol.NewtonIters++
+	}
 }
 
 // newtonIterate runs (optionally damped) Newton from the current
 // contents of x.volt — callers choose the starting point — toward the
-// drive vector v. It reports convergence; a non-nil error means the
-// attempt aborted on a linear-solver failure that the LU fallback
-// could not rescue.
+// drive vector v, solving each update by Jacobi-preconditioned CG. It
+// reports convergence; a non-nil error means the attempt aborted on a
+// linear-solver failure that the LU fallback could not rescue.
 func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, policy SolverPolicy, sol *Solution) (bool, error) {
 	prevResid := math.Inf(1)
 	// lastStep is the max |Δv| of the last *applied* update — after a
@@ -367,13 +386,10 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 		// Cooperative cancellation: one cheap Err check per Newton
 		// update, so a revoked deadline stops the solve before its next
 		// linear system instead of after the whole ladder.
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return false, fmt.Errorf("xbar: solve cancelled at Newton update %d: %w", update, cerr)
-			}
+		if err := ctxErr(ctx, update); err != nil {
+			return false, err
 		}
-		x.assemble(v)
-		resid := x.kclResidual()
+		resid := x.kcl(v, true)
 		forced := x.faults != nil && x.faults.BacktrackEvery && scale == 1 && !math.IsInf(fullStep, 1)
 		if damped && (resid > prevResid || forced) && scale > minDamping {
 			// The last step increased the KCL residual: retreat to a
@@ -393,7 +409,7 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 		} else {
 			sol.MaxStep = lastStep
 		}
-		if resid <= kclTol || (lastStep < x.tolV && resid <= kclOK) {
+		if x.accepted(resid, lastStep) {
 			sol.Converged = true
 			return true, nil
 		}
@@ -412,11 +428,7 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 		if x.faults != nil && x.faults.CGBreakdownAt == update {
 			err = &linalg.BreakdownError{Iteration: 1, PAP: -1} // injected
 		} else {
-			opt := linalg.CGOptions{Tol: 1e-12}
-			if x.activePrecond != nil {
-				opt.Precond = x.activePrecond
-			}
-			stats, err = linalg.SolveCG(x.pattern.Matrix(), x.rhs, x.delta, x.ws, opt)
+			stats, err = linalg.SolveCG(x.pattern.Matrix(), x.rhs, x.delta, x.ws, linalg.CGOptions{Tol: 1e-12})
 		}
 		sol.CGIters += stats.Iterations
 		sol.NewtonIters++

@@ -40,7 +40,8 @@ func faultedSolve(t *testing.T, cfg Config, g *linalg.Dense, v []float64, p *Fau
 }
 
 // A clean solve at the nominal design point must converge on the
-// ladder's first rung with a physically meaningful KCL residual.
+// ladder's first rung — chord updates on the cached factor, so no CG —
+// with a physically meaningful KCL residual.
 func TestSolveReportsConvergence(t *testing.T) {
 	cfg := smallConfig()
 	r := linalg.NewRNG(20)
@@ -54,8 +55,9 @@ func TestSolveReportsConvergence(t *testing.T) {
 	if !(sol.Residual >= 0) || sol.Residual > 1e-6 {
 		t.Errorf("KCL residual %v not in [0, 1e-6]", sol.Residual)
 	}
-	if sol.NewtonIters <= 0 || sol.CGIters <= 0 {
-		t.Errorf("missing iteration counts: newton=%d cg=%d", sol.NewtonIters, sol.CGIters)
+	if !sol.Seeded || sol.NewtonIters <= 0 || sol.CGIters != 0 {
+		t.Errorf("seeded=%v newton=%d cg=%d, want a seeded chord solve with updates and no CG",
+			sol.Seeded, sol.NewtonIters, sol.CGIters)
 	}
 	if sol.LUFallbacks != 0 || sol.CGBreakdowns != 0 {
 		t.Errorf("clean solve reported fallbacks: lu=%d breakdowns=%d", sol.LUFallbacks, sol.CGBreakdowns)
@@ -122,7 +124,8 @@ func TestSourceStepRungRescues(t *testing.T) {
 
 // Rung 3 (orthogonal to the ladder): a CG breakdown inside a Newton
 // update must be rescued by the direct-LU fallback without failing the
-// attempt.
+// attempt. The seeded rung 0 runs no CG, so the forced rung-0 failure
+// lands the breakdown in the damped rung.
 func TestLUFallbackRescuesCGBreakdown(t *testing.T) {
 	cfg := smallConfig()
 	r := linalg.NewRNG(23)
@@ -130,12 +133,13 @@ func TestLUFallbackRescuesCGBreakdown(t *testing.T) {
 	v := randomDrive(cfg, r)
 	want := cleanSolve(t, cfg, g, v)
 
-	sol, err := faultedSolve(t, cfg, g, v, &FaultPlan{CGBreakdownAt: 1})
+	sol, err := faultedSolve(t, cfg, g, v, &FaultPlan{CGBreakdownAt: 1, FailAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Converged {
-		t.Fatal("solve with injected CG breakdown did not converge")
+	if !sol.Converged || sol.Recovery != "damped" {
+		t.Fatalf("solve with injected CG breakdown: converged=%v recovery=%q, want converged via damped",
+			sol.Converged, sol.Recovery)
 	}
 	if sol.CGBreakdowns < 1 {
 		t.Errorf("CGBreakdowns = %d, want >= 1", sol.CGBreakdowns)
@@ -151,10 +155,11 @@ func TestLUFallbackRescuesCGBreakdown(t *testing.T) {
 }
 
 // PolicyFailFast must surface the CG breakdown as an error instead of
-// silently falling back.
+// silently falling back. Only a cold rung 0 runs CG.
 func TestFailFastSurfacesCGBreakdown(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Policy = PolicyFailFast
+	cfg.Start = StartCold
 	r := linalg.NewRNG(24)
 	_, err := faultedSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r), &FaultPlan{CGBreakdownAt: 1})
 	if err == nil {
@@ -286,6 +291,24 @@ func TestNewtonStallDetected(t *testing.T) {
 	}
 	if !sol.Converged || sol.Residual > 1e-6 {
 		t.Errorf("hard problem: converged=%v residual=%v", sol.Converged, sol.Residual)
+	}
+}
+
+// Where J₀ stops describing the network — deeply saturated selectors
+// at a doubled supply — the chord rung must stop contracting and hand
+// over to the damped rung within a few updates instead of spending its
+// whole budget.
+func TestChordHandsOverToDamped(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Vsupply = 0.5
+	cfg.SelectorVsat = 0.02
+	r := linalg.NewRNG(28)
+	sol := cleanSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r))
+	if !sol.Converged || sol.Recovery != "damped" {
+		t.Fatalf("converged=%v recovery=%q, want convergence through the damped rung", sol.Converged, sol.Recovery)
+	}
+	if sol.NewtonIters >= 20 {
+		t.Errorf("%d updates across the ladder, want < 20", sol.NewtonIters)
 	}
 }
 

@@ -21,7 +21,7 @@ var (
 
 // obsHistograms are the histograms a geniex-mode run with the fidelity
 // probe must populate: the surrogate's training data comes from
-// circuit solves (Newton iterations), the evaluation runs the tile
+// circuit solves (solver updates), the evaluation runs the tile
 // pipeline, and the probe shadow-solves sampled tiles into the
 // divergence histogram.
 var obsHistograms = []string{
