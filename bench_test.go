@@ -117,8 +117,9 @@ func benchmarkCircuitSolve(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkGENIExForward measures batched surrogate inference with a
-// cached conductance context (the functional simulator's hot path).
+// BenchmarkGENIExForward measures batched surrogate inference with
+// cached voltage and conductance contexts (the functional simulator's
+// hot path, PredictVGInto); it must report 0 allocs/op.
 func BenchmarkGENIExForward(b *testing.B) {
 	cfg := xbar.DefaultConfig()
 	cfg.Rows, cfg.Cols = 16, 16
@@ -131,14 +132,17 @@ func BenchmarkGENIExForward(b *testing.B) {
 	for i := range g.Data {
 		g.Data[i] = cfg.ConductanceFromLevel(rng.Float64())
 	}
-	ctx := model.NewGContext(g)
+	gc := model.NewGContext(g)
 	v := linalg.NewDense(64, 16)
 	for i := range v.Data {
 		v.Data[i] = cfg.Vsupply * rng.Float64()
 	}
+	vc := model.NewVContext(v)
+	dst := linalg.NewDense(v.Rows, cfg.Cols)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.PredictWithContext(v, ctx)
+		model.PredictVGInto(dst, vc, gc)
 	}
 }
 
@@ -260,7 +264,8 @@ func BenchmarkMVMIdealProbed(b *testing.B) {
 }
 
 // BenchmarkMVMGENIEx measures the surrogate-model pipeline with the
-// shared per-block voltage context and pooled prediction workspaces.
+// shared per-block voltage contexts, refilled in place; the steady
+// state must report 0 allocs/op.
 func BenchmarkMVMGENIEx(b *testing.B) {
 	cfg := funcsim.DefaultConfig()
 	cfg.Xbar.Rows, cfg.Xbar.Cols = 16, 16

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full repository gate (`make check` runs it): formatting, vet, build,
+# Full repository gate, run as ./check.sh: formatting, vet, build,
 # tests, the race detector on the concurrency-bearing solver packages,
 # and the end-to-end smoke checks in scripts/smoke.
 set -eux

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"geniex/internal/linalg"
@@ -189,6 +190,130 @@ func TestPredictWithContextMatchesNetForward(t *testing.T) {
 			if math.Abs(fast.At(b, j)-want) > 1e-9*(1+math.Abs(want)) {
 				t.Fatalf("context path (%d,%d) = %v, reference %v", b, j, fast.At(b, j), want)
 			}
+		}
+	}
+}
+
+// PredictVGInto's fused gather must equal, bit for bit, the two-pass
+// form it replaced: ReLU into a hidden matrix, a zero-skipping ikj
+// product with W2, then the rescale. Hidden units are driven to
+// pre-activations of exactly 0, negative values and NaN, which the
+// gather must drop just as ReLU and the zero skip do.
+func TestPredictVGIntoMatchesTwoPass(t *testing.T) {
+	for _, cols := range []int{5, 16} {
+		for _, hidden := range []int{7, 300} {
+			cfg := xbar.DefaultConfig()
+			cfg.Rows, cfg.Cols = 4, cols
+			m, err := NewModel(cfg, hidden, uint64(cols*1000+hidden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := linalg.NewRNG(uint64(hidden))
+			w1, b1 := m.L1.Weight.W, m.L1.Bias.W.Data
+			for j := 0; j < hidden; j++ {
+				switch j % 5 {
+				case 0: // h = 0 exactly: no input reaches unit j
+					for i := 0; i < w1.Rows; i++ {
+						w1.Set(i, j, 0)
+					}
+					b1[j] = 0
+				case 1:
+					b1[j] = -100
+				default:
+					b1[j] = 0.5 * r.Norm()
+				}
+			}
+			b1[hidden-1] = math.NaN()
+			for i := range m.L2.Bias.W.Data {
+				m.L2.Bias.W.Data[i] = r.Norm()
+			}
+			m.FRMin, m.FRMax = 0.9, 1.05
+
+			g := linalg.NewDense(cfg.Rows, cfg.Cols)
+			for i := range g.Data {
+				g.Data[i] = cfg.Goff() + r.Float64()*(cfg.Gon()-cfg.Goff())
+			}
+			v := linalg.NewDense(6, cfg.Rows)
+			for i := range v.Data {
+				v.Data[i] = cfg.Vsupply * r.Float64()
+			}
+			vc, gc := m.NewVContext(v), m.NewGContext(g)
+			got := linalg.NewDense(v.Rows, cols)
+			m.PredictVGInto(got, vc, gc)
+
+			hid := linalg.NewDense(v.Rows, hidden)
+			for s := 0; s < v.Rows; s++ {
+				for j := range hid.Row(s) {
+					if h := vc.base.At(s, j) + gc.bias[j]; h > 0 {
+						hid.Set(s, j, h)
+					}
+				}
+			}
+			want := linalg.NewDense(v.Rows, cols)
+			for s := 0; s < v.Rows; s++ {
+				row := want.Row(s)
+				for k, hv := range hid.Row(s) {
+					if hv == 0 {
+						continue
+					}
+					for j, wv := range m.L2.Weight.W.Row(k) {
+						row[j] += hv * wv
+					}
+				}
+				span := m.FRMax - m.FRMin
+				for j := range row {
+					row[j] = m.FRMin + (row[j]+m.L2.Bias.W.Data[j])*span
+				}
+			}
+			var zero, neg int
+			for s := 0; s < v.Rows; s++ {
+				for j := 0; j < hidden; j++ {
+					switch h := vc.base.At(s, j) + gc.bias[j]; {
+					case h == 0:
+						zero++
+					case h < 0:
+						neg++
+					}
+				}
+			}
+			if zero == 0 || neg == 0 {
+				t.Fatalf("cols=%d hidden=%d: %d zero and %d negative pre-activations, want some of each", cols, hidden, zero, neg)
+			}
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("cols=%d hidden=%d: fR[%d] = %v, two-pass %v", cols, hidden, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// LoadModel must reject a decodable model that would panic or predict
+// NaN ratios, naming what is wrong.
+func TestLoadModelRejectsInconsistentModels(t *testing.T) {
+	cfg := testConfig()
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(m *Model)
+	}{
+		{"hidden disagrees with layers", "L1", func(m *Model) { m.Hidden = 8 }},
+		{"no L2 bias", "L2 has no bias", func(m *Model) { m.L2.Bias, m.L2.UseBias = nil, false }},
+		{"NaN weight", "not finite", func(m *Model) { m.L1.Weight.W.Data[3] = math.NaN() }},
+		{"empty label window", "label window", func(m *Model) { m.FRMax = m.FRMin }},
+	} {
+		m, err := NewModel(cfg, 16, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(m)
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModel(&buf); err == nil {
+			t.Errorf("%s: LoadModel accepted the model", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -202,10 +202,11 @@ func (m *Model) PredictInto(dst, v []float64, g *linalg.Dense) {
 // GContext caches the conductance-dependent part of the first layer.
 // The hidden pre-activation is h = Vn·W1v + Gn·W1g + b1; for a fixed
 // crossbar tile the term Gn·W1g + b1 is constant, so the functional
-// simulator computes it once per (tile, slice) and then evaluates
-// whole batches of input streams with a single Rows×Hidden matmul.
-// This caching is what makes end-to-end DNN evaluation through GENIEx
-// tractable on a CPU.
+// simulator computes it once per (tile, slice). A batch of input
+// streams then costs one Rows×Hidden matmul for its VContext, shared
+// by every tile that sees the batch, plus PredictVGInto's one add per
+// hidden unit and output-layer gather. This caching is what makes
+// end-to-end DNN evaluation through GENIEx tractable on a CPU.
 type GContext struct {
 	bias []float64 // Hidden values: Gn·W1g + b1
 }
@@ -239,83 +240,99 @@ func (m *Model) NewGContext(g *linalg.Dense) *GContext {
 // is constant across every conductance context, so the functional
 // simulator computes it once per input block and reuses it across all
 // the tile slices (different GContexts) that see the same voltages.
-// A VContext is immutable after creation and safe to share across
-// goroutines — it replaces an identity-keyed memo inside Model whose
-// shared mutable state both serialized and thrashed under concurrent
-// tile evaluation.
+// A filled VContext is read-only and safe to share across goroutines;
+// its owner may refill it (VContextInto) once no reader is left, which
+// is how the funcsim pipeline keeps steady-state MVMs allocation-free.
+// The zero value is an empty context ready for VContextInto.
 type VContext struct {
 	rows int
+	vn   *linalg.Dense // batch×Rows normalized voltages
 	base *linalg.Dense // batch×Hidden: Vn·W1v
 }
 
 // NewVContext precomputes the hidden-layer contribution of a voltage
-// batch (batch×Rows, physical units).
+// batch (batch×Rows, physical units). It delegates to VContextInto
+// with a fresh context.
 func (m *Model) NewVContext(v *linalg.Dense) *VContext {
+	vc := &VContext{}
+	m.VContextInto(vc, v)
+	return vc
+}
+
+// VContextInto refills vc with the hidden-layer contribution of a
+// voltage batch, reusing its buffers; they regrow only when the batch
+// or the model's Hidden is larger than any vc has held.
+func (m *Model) VContextInto(vc *VContext, v *linalg.Dense) {
 	if v.Cols != m.Cfg.Rows {
 		panic(fmt.Sprintf("core: VContext with %d inputs for %d rows", v.Cols, m.Cfg.Rows))
 	}
 	n := v.Rows
-	vn := linalg.NewDense(n, m.Cfg.Rows)
+	vc.rows = n
+	vc.vn = linalg.GrowDense(vc.vn, n, m.Cfg.Rows)
 	for s := 0; s < n; s++ {
-		m.normalizeV(vn.Row(s), v.Row(s))
+		m.normalizeV(vc.vn.Row(s), v.Row(s))
 	}
-	// W1 rows [0, Rows) hold the V block.
-	w1v := linalg.NewDenseFrom(m.Cfg.Rows, m.Hidden, m.L1.Weight.W.Data[:m.Cfg.Rows*m.Hidden])
-	base := linalg.NewDense(n, m.Hidden)
-	linalg.MatMulSerialInto(base, vn, w1v)
-	return &VContext{rows: n, base: base}
-}
-
-// PredictWorkspace holds the scratch buffers of one in-flight
-// prediction. It is NOT safe for concurrent use — callers give each
-// goroutine its own workspace (zero value ready) and PredictVGInto
-// then performs no allocations in steady state.
-type PredictWorkspace struct {
-	hidden *linalg.Dense
-}
-
-func (ws *PredictWorkspace) hiddenFor(rows, cols int) *linalg.Dense {
-	if ws.hidden == nil || cap(ws.hidden.Data) < rows*cols {
-		ws.hidden = linalg.NewDense(rows, cols)
-		return ws.hidden
-	}
-	ws.hidden.Rows, ws.hidden.Cols = rows, cols
-	ws.hidden.Data = ws.hidden.Data[:rows*cols]
-	return ws.hidden
+	// W1 rows [0, Rows) hold the V block; a stack view of them keeps
+	// the refill allocation-free.
+	w1v := linalg.Dense{Rows: m.Cfg.Rows, Cols: m.Hidden, Data: m.L1.Weight.W.Data[:m.Cfg.Rows*m.Hidden]}
+	vc.base = linalg.GrowDense(vc.base, n, m.Hidden)
+	linalg.MatMulSerialInto(vc.base, vc.vn, &w1v)
 }
 
 // PredictVGInto evaluates fR for a cached voltage batch against a
 // cached conductance context, writing the physical (denormalized)
-// ratios into dst (batch×Cols). It touches no shared mutable state:
-// concurrent calls on one Model are safe as long as each passes its
-// own workspace and dst.
-func (m *Model) PredictVGInto(dst *linalg.Dense, vc *VContext, gc *GContext, ws *PredictWorkspace) {
+// ratios into dst (batch×Cols). The output layer is one gather pass
+// per row: ReLU(base + bias) keeps the hidden units with h > 0 (NaN
+// and h ≤ 0 dropped, as ReLU zeroes them and the W2 product skips
+// them), and linalg.GatherMulAdd accumulates their W2 rows, so the
+// batch×Hidden hidden matrix is never written and dst equals the
+// two-pass ReLU-then-matmul form bit for bit. It allocates nothing
+// and touches no shared mutable state: concurrent calls on one Model
+// are safe as long as each passes its own dst.
+func (m *Model) PredictVGInto(dst *linalg.Dense, vc *VContext, gc *GContext) {
 	n := vc.rows
-	if dst.Rows != n || dst.Cols != m.Cfg.Cols {
-		panic(fmt.Sprintf("core: predict into %dx%d, want %dx%d", dst.Rows, dst.Cols, n, m.Cfg.Cols))
+	cols := m.Cfg.Cols
+	if dst.Rows != n || dst.Cols != cols {
+		panic(fmt.Sprintf("core: predict into %dx%d, want %dx%d", dst.Rows, dst.Cols, n, cols))
 	}
-	// Hidden = ReLU(base + gc.bias).
-	hidden := ws.hiddenFor(n, m.Hidden)
-	for s := 0; s < n; s++ {
-		brow := vc.base.Row(s)
-		row := hidden.Row(s)
-		for j := range row {
-			h := brow[j] + gc.bias[j]
-			if h > 0 {
-				row[j] = h
-			} else {
-				row[j] = 0
-			}
-		}
-	}
-	linalg.MatMulSerialInto(dst, hidden, m.L2.Weight.W)
+	var off [linalg.GatherChunk]int
+	var val [linalg.GatherChunk]float64
+	w2 := m.L2.Weight.W.Data
+	b2 := m.L2.Bias.W.Data[:cols]
+	bias := gc.bias[:m.Hidden]
 	span := m.FRMax - m.FRMin
 	for s := 0; s < n; s++ {
+		brow := vc.base.Row(s)[:m.Hidden]
 		row := dst.Row(s)
 		for j := range row {
-			row[j] = m.FRMin + (row[j]+m.L2.Bias.W.Data[j])*span
+			row[j] = 0
+		}
+		for j0 := 0; j0 < m.Hidden; j0 += linalg.GatherChunk {
+			j1 := min(j0+linalg.GatherChunk, m.Hidden)
+			cnt := 0
+			for j := j0; j < j1; j++ {
+				h := brow[j] + bias[j]
+				// Write every entry, keep the active units: h > 0
+				// is data-dependent, so a branch would mispredict.
+				off[cnt] = j * cols
+				val[cnt] = h
+				cnt += active(h)
+			}
+			linalg.GatherMulAdd(row, off[:cnt], val[:cnt], w2)
+		}
+		for j := range row {
+			row[j] = m.FRMin + (row[j]+b2[j])*span
 		}
 	}
+}
+
+// active is 1 for a hidden pre-activation ReLU passes (h > 0) and 0
+// otherwise, NaN included.
+func active(h float64) int {
+	if h > 0 {
+		return 1
+	}
+	return 0
 }
 
 // PredictWithContext evaluates fR for a batch of voltage vectors
@@ -332,10 +349,9 @@ func (m *Model) PredictWithContext(v *linalg.Dense, ctx *GContext) *linalg.Dense
 // into dst (batch × Cols). It is safe for concurrent use; callers
 // evaluating the same voltage batch against many conductance contexts
 // should build one VContext and call PredictVGInto instead, which also
-// skips the per-call voltage-context and workspace allocations.
+// skips the per-call voltage-context allocation.
 func (m *Model) PredictWithContextInto(dst, v *linalg.Dense, ctx *GContext) {
-	vc := m.NewVContext(v)
-	m.PredictVGInto(dst, vc, ctx, &PredictWorkspace{})
+	m.PredictVGInto(dst, m.NewVContext(v), ctx)
 }
 
 // NonIdealCurrents predicts the non-ideal output currents for one
@@ -364,14 +380,80 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadModel deserializes a model written by Save.
+// LoadModel deserializes a model written by Save. It rejects a model
+// whose layers disagree with its design point or Hidden, or that holds
+// a non-finite weight or label window, naming the first mismatch: such
+// a file would otherwise panic in prediction or predict NaN ratios.
 func LoadModel(r io.Reader) (*Model, error) {
 	var m *Model
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
+	if err := m.validate(); err != nil {
+		return nil, fmt.Errorf("core: load model: %w", err)
+	}
 	return m, nil
 }
+
+// validate checks a decoded model's shapes and values.
+func (m *Model) validate() error {
+	if m == nil {
+		return fmt.Errorf("no model")
+	}
+	if err := m.Cfg.Validate(); err != nil {
+		return err
+	}
+	if m.Hidden <= 0 {
+		return fmt.Errorf("%d hidden units", m.Hidden)
+	}
+	in := m.Cfg.Rows + m.Cfg.Rows*m.Cfg.Cols
+	if err := checkLayer("L1", m.L1, in, m.Hidden); err != nil {
+		return err
+	}
+	if err := checkLayer("L2", m.L2, m.Hidden, m.Cfg.Cols); err != nil {
+		return err
+	}
+	if !isFinite(m.FRMin) || !isFinite(m.FRMax) || m.FRMin >= m.FRMax {
+		return fmt.Errorf("label window [%g, %g] is not a finite, non-empty range", m.FRMin, m.FRMax)
+	}
+	return nil
+}
+
+// checkLayer checks that l is an in×out layer with an out-long bias
+// and only finite parameters.
+func checkLayer(name string, l *nn.Linear, in, out int) error {
+	if l == nil {
+		return fmt.Errorf("%s missing", name)
+	}
+	if l.In != in || l.Out != out {
+		return fmt.Errorf("%s is declared %d×%d, want %d×%d", name, l.In, l.Out, in, out)
+	}
+	if err := checkParam(name+" weight", l.Weight, in, out); err != nil {
+		return err
+	}
+	if !l.UseBias {
+		return fmt.Errorf("%s has no bias", name)
+	}
+	return checkParam(name+" bias", l.Bias, 1, out)
+}
+
+func checkParam(name string, p *nn.Param, rows, cols int) error {
+	if p == nil || p.W == nil {
+		return fmt.Errorf("%s missing", name)
+	}
+	w := p.W
+	if w.Rows != rows || w.Cols != cols || len(w.Data) != rows*cols {
+		return fmt.Errorf("%s is %d×%d with %d values, want %d×%d", name, w.Rows, w.Cols, len(w.Data), rows, cols)
+	}
+	for i, v := range w.Data {
+		if !isFinite(v) {
+			return fmt.Errorf("%s[%d] = %g is not finite", name, i, v)
+		}
+	}
+	return nil
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // SaveFile writes the model to the named file.
 func (m *Model) SaveFile(path string) error {

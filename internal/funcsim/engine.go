@@ -536,7 +536,11 @@ type inputBlock struct {
 	vb       *linalg.Dense // batch·ka × n stream voltages
 	digitSum []int64       // per (b, k): Σ_i digit
 	any      bool          // any non-zero digit at all
-	vctx     *core.VContext
+	// vctx is the block's shared surrogate voltage context: &vc when
+	// the run's model chain has a GENIEx surrogate and the block is
+	// live, nil otherwise. vc's buffers are refilled on every MVM.
+	vctx *core.VContext
+	vc   core.VContext
 }
 
 // runBlock guards the lazily quantized input blocks of one tile row:
@@ -920,7 +924,7 @@ func (m *Matrix) getRun(x *linalg.Dense) *mvmRun {
 		rb.done = false
 		for s := range rb.blocks {
 			blk := &rb.blocks[s]
-			blk.vb = growDense(blk.vb, batch*ka, n)
+			blk.vb = linalg.GrowDense(blk.vb, batch*ka, n)
 			blk.digitSum = growInt64(blk.digitSum, batch*ka)
 			blk.any = false
 			blk.vctx = nil
@@ -929,7 +933,7 @@ func (m *Matrix) getRun(x *linalg.Dense) *mvmRun {
 	for i := range r.tasks {
 		t := &r.tasks[i]
 		t.dot = growInt64(t.dot, batch*mcols)
-		t.curr = growDense(t.curr, batch*ka, mcols)
+		t.curr = linalg.GrowDense(t.curr, batch*ka, mcols)
 	}
 	if w := cfg.Workers; w >= 2 {
 		if cap(r.sem) != w {
@@ -946,11 +950,6 @@ func (m *Matrix) putRun(r *mvmRun) {
 	r.x = nil
 	r.ctx = nil
 	r.ts = nil
-	for i := range r.blocks {
-		for s := range r.blocks[i].blocks {
-			r.blocks[i].blocks[s].vctx = nil
-		}
-	}
 	m.runMu.Lock()
 	m.runs = append(m.runs, r)
 	m.runMu.Unlock()
@@ -963,17 +962,6 @@ func growInt64(s []int64, n int) []int64 {
 		return make([]int64, n)
 	}
 	return s[:n]
-}
-
-// growDense returns d resized to rows×cols, reusing its backing array
-// when capacity allows. Contents are unspecified.
-func growDense(d *linalg.Dense, rows, cols int) *linalg.Dense {
-	need := rows * cols
-	if d == nil || cap(d.Data) < need {
-		return linalg.NewDense(rows, cols)
-	}
-	d.Rows, d.Cols, d.Data = rows, cols, d.Data[:need]
-	return d
 }
 
 // quantizeBlockInto converts one tile row's activation block into the
@@ -1030,7 +1018,8 @@ func (m *Matrix) quantizeBlockInto(rb *runBlock, x *linalg.Dense, tr int, sur *c
 	if sur != nil {
 		for s := range rb.blocks {
 			if blk := &rb.blocks[s]; blk.any {
-				blk.vctx = sur.NewVContext(blk.vb)
+				sur.VContextInto(&blk.vc, blk.vb)
+				blk.vctx = &blk.vc
 			}
 		}
 	}

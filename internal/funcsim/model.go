@@ -198,32 +198,27 @@ type geniexTile struct {
 	g   *linalg.Dense
 	ctx *core.GContext
 
-	// Prediction scratch is pooled per tile so concurrent workers
-	// evaluating the same tile never share a workspace and steady-state
-	// calls allocate nothing.
+	// fR buffers are pooled per tile so concurrent workers evaluating
+	// the same tile never share one and steady-state calls allocate
+	// nothing.
 	mu   sync.Mutex
-	free []*gxScratch
+	free []*linalg.Dense
 }
 
-type gxScratch struct {
-	ws core.PredictWorkspace
-	fr *linalg.Dense
-}
-
-func (t *geniexTile) getScratch() *gxScratch {
+func (t *geniexTile) getFR(rows int) *linalg.Dense {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	var fr *linalg.Dense
 	if n := len(t.free); n > 0 {
-		s := t.free[n-1]
+		fr = t.free[n-1]
 		t.free = t.free[:n-1]
-		return s
 	}
-	return &gxScratch{}
+	t.mu.Unlock()
+	return linalg.GrowDense(fr, rows, t.g.Cols)
 }
 
-func (t *geniexTile) putScratch(s *gxScratch) {
+func (t *geniexTile) putFR(fr *linalg.Dense) {
 	t.mu.Lock()
-	t.free = append(t.free, s)
+	t.free = append(t.free, fr)
 	t.mu.Unlock()
 }
 
@@ -244,11 +239,10 @@ func (t *geniexTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
 		vc = t.m.NewVContext(v)
 	}
 	linalg.MatMulSerialInto(dst, v, t.g) // ideal currents
-	s := t.getScratch()
-	s.fr = growDense(s.fr, v.Rows, t.g.Cols)
-	t.m.PredictVGInto(s.fr, vc, t.ctx, &s.ws)
+	fr := t.getFR(v.Rows)
+	t.m.PredictVGInto(fr, vc, t.ctx)
 	for b := 0; b < dst.Rows; b++ {
-		drow, frow := dst.Row(b), s.fr.Row(b)
+		drow, frow := dst.Row(b), fr.Row(b)
 		for j, r := range frow {
 			if r <= 0 {
 				r = 1
@@ -256,7 +250,7 @@ func (t *geniexTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
 			drow[j] /= r
 		}
 	}
-	t.putScratch(s)
+	t.putFR(fr)
 	return nil
 }
 

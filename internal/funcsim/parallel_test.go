@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"geniex/internal/core"
 	"geniex/internal/linalg"
 	"geniex/internal/obs"
 	"geniex/internal/xbar"
@@ -212,7 +213,7 @@ func TestConcurrentMVMStats(t *testing.T) {
 	}
 }
 
-// The GENIEx fast path (per-block VContext + pooled workspaces) must
+// The GENIEx fast path (per-block VContext + pooled fR buffers) must
 // reproduce the plain per-tile Currents path bit for bit.
 func TestGENIExSharedVContextMatchesDirect(t *testing.T) {
 	cfg := exactConfig(8, 8)
@@ -247,44 +248,52 @@ func TestGENIExSharedVContextMatchesDirect(t *testing.T) {
 	}
 }
 
-// Steady-state ideal-model MVMInto must allocate nothing once the
-// matrix's run pool is warm — in serial mode and through the worker
-// pool, with metrics enabled and disabled (the obs instrumentation's
-// cost contract: no metric op allocates in either state).
+// Steady-state ideal-model and GENIEx MVMInto must allocate nothing
+// once the matrix's run pool is warm — in serial mode and through the
+// worker pool, with metrics enabled and disabled (the obs
+// instrumentation's cost contract: no metric op allocates in either
+// state). GENIEx input blocks refill their voltage contexts in place
+// and its tiles pool their fR buffers.
 func TestIdealMVMIntoSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	for _, enabled := range []bool{true, false} {
-		prev := obs.SetEnabled(enabled)
-		for _, workers := range []int{1, 0} {
-			cfg := exactConfig(8, 8)
-			cfg.Workers = workers
-			eng, err := NewEngine(cfg, Ideal{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, x := testWorkload(68, 20, 12, 4)
-			mat, err := eng.Lower(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := linalg.NewDense(x.Rows, mat.Out())
-			for i := 0; i < 5; i++ { // warm the run pool and the worker pool
-				if err := mat.MVMInto(dst, x); err != nil {
+	sur, err := core.NewModel(exactConfig(8, 8).Xbar, 24, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []Model{Ideal{}, GENIEx{Model: sur}} {
+		for _, enabled := range []bool{true, false} {
+			prev := obs.SetEnabled(enabled)
+			for _, workers := range []int{1, 0} {
+				cfg := exactConfig(8, 8)
+				cfg.Workers = workers
+				eng, err := NewEngine(cfg, model)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := mat.MVMInto(dst, x); err != nil {
+				w, x := testWorkload(68, 20, 12, 4)
+				mat, err := eng.Lower(w)
+				if err != nil {
 					t.Fatal(err)
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("obs=%v workers=%d: steady-state MVMInto allocates %.1f objects per call, want 0",
-					enabled, workers, allocs)
+				dst := linalg.NewDense(x.Rows, mat.Out())
+				for i := 0; i < 5; i++ { // warm the run pool and the worker pool
+					if err := mat.MVMInto(dst, x); err != nil {
+						t.Fatal(err)
+					}
+				}
+				allocs := testing.AllocsPerRun(20, func() {
+					if err := mat.MVMInto(dst, x); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s obs=%v workers=%d: steady-state MVMInto allocates %.1f objects per call, want 0",
+						model.Name(), enabled, workers, allocs)
+				}
 			}
+			obs.SetEnabled(prev)
 		}
-		obs.SetEnabled(prev)
 	}
 }

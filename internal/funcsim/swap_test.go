@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"geniex/internal/core"
 	"geniex/internal/linalg"
 )
 
@@ -117,6 +118,41 @@ func TestSwapModelChangesOutput(t *testing.T) {
 	}
 	if !sameData(y, idealRef) {
 		t.Fatal("swap back did not restore the ideal output bit-for-bit")
+	}
+}
+
+// Swapping between GENIEx surrogates of different Hidden widths: the
+// pooled run's per-block voltage contexts regrow and shrink with the
+// model, and each output matches its model's reference bit for bit.
+func TestSwapModelGENIExHiddenChange(t *testing.T) {
+	cfg := exactConfig(8, 8)
+	var models []Model
+	var refs []*linalg.Dense
+	for _, hidden := range []int{12, 40} {
+		sur, err := core.NewModel(cfg.Xbar, hidden, uint64(hidden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, GENIEx{Model: sur})
+		refs = append(refs, refMVM(t, models[len(models)-1]))
+	}
+	if sameData(refs[0], refs[1]) {
+		t.Fatal("the two surrogates give the same output; the test cannot tell them apart")
+	}
+	eng, mat, x := swappableEngine(t, models[0], 1)
+	for step, i := range []int{0, 1, 0} {
+		if step > 0 {
+			if _, err := eng.SwapModel(models[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		y, err := mat.MVM(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameData(y, refs[i]) {
+			t.Fatalf("step %d: output does not match the Hidden=%d reference", step, models[i].(GENIEx).Model.Hidden)
+		}
 	}
 }
 

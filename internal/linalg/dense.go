@@ -30,6 +30,17 @@ func NewDenseFrom(rows, cols int, data []float64) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: data}
 }
 
+// GrowDense returns d resized to rows×cols, reusing its backing array
+// when capacity allows (d may be nil). Contents are unspecified.
+func GrowDense(d *Dense, rows, cols int) *Dense {
+	need := rows * cols
+	if d == nil || cap(d.Data) < need {
+		return NewDense(rows, cols)
+	}
+	d.Rows, d.Cols, d.Data = rows, cols, d.Data[:need]
+	return d
+}
+
 // At returns the element at (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -113,27 +124,103 @@ func MatMulSerialInto(out, a, b *Dense) {
 	matMulRange(out, a, b, 0, a.Rows)
 }
 
-// matMulRange computes rows [lo,hi) of out = A·B using an ikj loop
-// order, which streams through B rows and is cache-friendly without
-// explicit blocking.
+// GatherChunk is how many kept (offset, value) entries a gathering
+// caller collects on its stack before flushing them through
+// GatherMulAdd. Fixed-size chunks keep the gather allocation-free
+// without bounding the inner dimension.
+const GatherChunk = 256
+
+// GatherMulAdd adds Σₖ val[k]·b[off[k]+c] into out[c] for every
+// c < len(out), with k ascending: out accumulates the rows of b that
+// start at the offsets in off, scaled by val. len(val) must be at
+// least len(off).
+//
+// Eight outputs at a time stay in registers across the whole k loop,
+// then four, then single columns. Each step is the plain acc += v*w
+// the unblocked loops compute, in the same order, so every output is
+// bit-identical to an ikj loop over the same entries (a NaN output
+// stays NaN, though which payload survives an add of two NaNs is the
+// compiler's register choice). The steps must stay unfused: math.FMA
+// rounds once and would change results.
+func GatherMulAdd(out []float64, off []int, val []float64, b []float64) {
+	val = val[:len(off)]
+	n := len(out)
+	c := 0
+	for ; c+8 <= n; c += 8 {
+		o := out[c : c+8 : c+8]
+		a0, a1, a2, a3, a4, a5, a6, a7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
+		for k, v := range val {
+			p := off[k] + c
+			w := b[p : p+8 : p+8]
+			a0 += v * w[0]
+			a1 += v * w[1]
+			a2 += v * w[2]
+			a3 += v * w[3]
+			a4 += v * w[4]
+			a5 += v * w[5]
+			a6 += v * w[6]
+			a7 += v * w[7]
+		}
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	if c+4 <= n {
+		o := out[c : c+4 : c+4]
+		a0, a1, a2, a3 := o[0], o[1], o[2], o[3]
+		for k, v := range val {
+			p := off[k] + c
+			w := b[p : p+4 : p+4]
+			a0 += v * w[0]
+			a1 += v * w[1]
+			a2 += v * w[2]
+			a3 += v * w[3]
+		}
+		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+		c += 4
+	}
+	for ; c < n; c++ {
+		a := out[c]
+		for k, v := range val {
+			a += v * b[off[k]+c]
+		}
+		out[c] = a
+	}
+}
+
+// matMulRange computes rows [lo,hi) of out = A·B. Per row of A it
+// gathers the entries ≠ 0 (NaN kept, ±0 skipped) with the offsets of
+// the B rows they scale, and hands each chunk to GatherMulAdd: the ikj
+// loop with its zero skip, register-blocked over the output row.
 func matMulRange(out, a, b *Dense, lo, hi int) {
 	n := b.Cols
+	var off [GatherChunk]int
+	var val [GatherChunk]float64
 	for i := lo; i < hi; i++ {
 		orow := out.Data[i*n : (i+1)*n]
 		for t := range orow {
 			orow[t] = 0
 		}
 		arow := a.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
+		for k0 := 0; k0 < len(arow); k0 += GatherChunk {
+			piece := arow[k0:min(k0+GatherChunk, len(arow))]
+			cnt := 0
+			for k, av := range piece {
+				// Write every entry, keep the non-zero ones: a
+				// data-dependent branch here mispredicts.
+				off[cnt] = (k0 + k) * n
+				val[cnt] = av
+				cnt += nonZero(av)
 			}
-			brow := b.Data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			GatherMulAdd(orow, off[:cnt], val[:cnt], b.Data)
 		}
 	}
+}
+
+// nonZero is 1 for v ≠ 0 (NaN included) and 0 for ±0.
+func nonZero(v float64) int {
+	if v != 0 {
+		return 1
+	}
+	return 0
 }
 
 // MatMulATB returns Aᵀ·B without materializing the transpose.
@@ -142,30 +229,34 @@ func MatMulATB(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("linalg: MatMulATB %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Cols, b.Cols)
-	// out[k][j] = sum_i a[i][k] b[i][j]. Parallelize over k-ranges by
-	// accumulating per-worker into disjoint output rows: iterate i
-	// outer, k inner restricted to the worker's range.
+	// out[k][j] = Σ_i a[i][k]·b[i][j]: output row k gathers the
+	// non-zero entries of A's column k, rows ascending. Workers own
+	// disjoint ranges of output rows.
 	ParallelFor(a.Cols, func(lo, hi int) {
 		n := b.Cols
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Row(i)
-			brow := b.Data[i*n : (i+1)*n]
-			for k := lo; k < hi; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
+		var off [GatherChunk]int
+		var val [GatherChunk]float64
+		for k := lo; k < hi; k++ {
+			orow := out.Data[k*n : (k+1)*n]
+			for i0 := 0; i0 < a.Rows; i0 += GatherChunk {
+				i1 := min(i0+GatherChunk, a.Rows)
+				cnt := 0
+				for i := i0; i < i1; i++ {
+					av := a.Data[i*a.Cols+k]
+					off[cnt] = i * n
+					val[cnt] = av
+					cnt += nonZero(av)
 				}
-				orow := out.Data[k*n : (k+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+				GatherMulAdd(orow, off[:cnt], val[:cnt], b.Data)
 			}
 		}
 	})
 	return out
 }
 
-// MatMulABT returns A·Bᵀ without materializing the transpose.
+// MatMulABT returns A·Bᵀ without materializing the transpose. Each
+// output is Dot of a row of A with a row of B (no zero skip, k
+// ascending); four of them share one pass over A's row.
 func MatMulABT(a, b *Dense) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: MatMulABT %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -175,7 +266,22 @@ func MatMulABT(a, b *Dense) *Dense {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			orow := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
+			j := 0
+			for ; j+4 <= b.Rows; j += 4 {
+				b0 := b.Row(j)[:len(arow)]
+				b1 := b.Row(j + 1)[:len(arow)]
+				b2 := b.Row(j + 2)[:len(arow)]
+				b3 := b.Row(j + 3)[:len(arow)]
+				var s0, s1, s2, s3 float64
+				for k, av := range arow {
+					s0 += av * b0[k]
+					s1 += av * b1[k]
+					s2 += av * b2[k]
+					s3 += av * b3[k]
+				}
+				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+			}
+			for ; j < b.Rows; j++ {
 				orow[j] = Dot(arow, b.Row(j))
 			}
 		}

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -165,6 +166,140 @@ func TestMatMulVariantsAgree(t *testing.T) {
 				t.Fatalf("ABT mismatch at %d: %v vs %v", i, abt.Data[i], abtRef.Data[i])
 			}
 		}
+	}
+}
+
+// refMatMul is the plain ikj loop with its zero skip (NaN kept, ±0
+// skipped) that MatMul must reproduce bit for bit.
+func refMatMul(a, b *Dense) *Dense {
+	out := NewDense(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		orow := out.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Row(k) {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+// refMatMulATB is Aᵀ·B as the same loop over A's rows, i ascending.
+func refMatMulATB(a, b *Dense) *Dense {
+	out := NewDense(a.Cols, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		brow := b.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			orow := out.Row(k)
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+// refMatMulABT is A·Bᵀ as one Dot per output.
+func refMatMulABT(a, b *Dense) *Dense {
+	out := NewDense(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			out.Set(i, j, Dot(a.Row(i), b.Row(j)))
+		}
+	}
+	return out
+}
+
+// specialDense fills a rows×cols matrix with normals, exact zeros of
+// both signs, and one NaN, +Inf and −Inf each.
+func specialDense(r *RNG, rows, cols int) *Dense {
+	d := NewDense(rows, cols)
+	for i := range d.Data {
+		switch r.Intn(5) {
+		case 0:
+			d.Data[i] = 0
+		case 1:
+			d.Data[i] = math.Copysign(0, -1)
+		default:
+			d.Data[i] = r.Norm()
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d.Data[r.Intn(len(d.Data))] = v
+	}
+	return d
+}
+
+// infDense fills a rows×cols matrix with normals and one +Inf, which
+// turns into NaN wherever a skipped zero of A would multiply it.
+func infDense(r *RNG, rows, cols int) *Dense {
+	d := NewDense(rows, cols)
+	for i := range d.Data {
+		d.Data[i] = r.Norm()
+	}
+	d.Data[r.Intn(len(d.Data))] = math.Inf(1)
+	return d
+}
+
+// sameBits requires got to equal want bit for bit, except that a NaN
+// matches any NaN: when both operands of an add are NaN, which payload
+// survives depends on the register the compiler gives the sum, not on
+// the order of operations, and Go leaves it unspecified.
+func sameBits(t *testing.T, name string, got, want *Dense) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if math.IsNaN(got.Data[i]) && math.IsNaN(want.Data[i]) {
+			continue
+		}
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), reference %v (%#x)", name, i,
+				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+// The register-blocked gather kernel keeps every output's products and
+// their order, so each product equals its unblocked loop bit for bit:
+// output widths 1–19 cover the 8/4/1 tails, an inner dimension of 300
+// crosses a gather chunk, and the last case is large enough for
+// MatMul to fan out across workers.
+func TestMatMulBitIdenticalToReference(t *testing.T) {
+	r := NewRNG(23)
+	type shape struct{ m, k, n int }
+	var shapes []shape
+	for n := 1; n <= 19; n++ {
+		for _, k := range []int{1, 7, 300} {
+			shapes = append(shapes, shape{3, k, n})
+		}
+	}
+	shapes = append(shapes, shape{64, 300, 19})
+	for _, sh := range shapes {
+		name := func(op string) string { return fmt.Sprintf("%s %dx%dx%d", op, sh.m, sh.k, sh.n) }
+		a := specialDense(r, sh.m, sh.k)
+		b := infDense(r, sh.k, sh.n)
+		want := refMatMul(a, b)
+		sameBits(t, name("MatMul"), MatMul(a, b), want)
+		serial := NewDense(sh.m, sh.n)
+		MatMulSerialInto(serial, a, b)
+		sameBits(t, name("MatMulSerialInto"), serial, want)
+
+		// Aᵀ·B: A is k×m here so the inner dimension is k.
+		at := specialDense(r, sh.k, sh.m)
+		bt := infDense(r, sh.k, sh.n)
+		sameBits(t, name("MatMulATB"), MatMulATB(at, bt), refMatMulATB(at, bt))
+
+		// A·Bᵀ: B has n rows, so the output width is n.
+		bn := infDense(r, sh.n, sh.k)
+		sameBits(t, name("MatMulABT"), MatMulABT(a, bn), refMatMulABT(a, bn))
 	}
 }
 
