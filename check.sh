@@ -14,10 +14,12 @@ go test -run '^$' -bench 'BenchmarkMVMCircuit/(cold|seeded)$' -benchtime 1x .
 # perfbench is a nested module the root ./... skips; it imports the
 # solver API, so vet and test it on its own.
 (cd perfbench && go vet ./... && go test ./...)
-# Packages whose MVM/batch/solver code fans out across goroutines.
+# Packages whose MVM/batch/solver code fans out across goroutines,
+# plus the calibrator (hot-swaps models from a background goroutine)
+# and the sweep runner (executes cells concurrently).
 # -short skips the circuit-in-the-loop pipeline tests that are too slow
 # under race instrumentation.
-go test -race -short ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve
+go test -race -short ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve ./internal/calib ./internal/sweep
 go run ./scripts/smoke
 # Tier names resolve only through the funcsim model registry: no Go
 # file may switch on tier-name strings.

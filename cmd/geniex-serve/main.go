@@ -160,7 +160,7 @@ func run() error {
 		// fidSLO is the shared fidelity burn-rate tracker; every probed
 		// tier's samples feed it (good = rRMSE within -slo-rrmse), and
 		// both the distrust gate and the calibration trigger key off
-		// its burn rate rather than raw point gauges.
+		// its burn rate rather than raw point readings.
 		fidSLO *obs.SLO
 	)
 	for i, name := range tierNames {
@@ -282,7 +282,7 @@ func run() error {
 					// Burn-rate trigger: a tuning round is warranted when
 					// the fidelity error budget is burning unsustainably,
 					// or on raw drift past -drift-limit. Replaces the
-					// built-in point-gauge checks.
+					// built-in point-reading checks.
 					slo, limit := fidSLO, *driftLimit
 					calCfg.Trigger = func() bool {
 						if slo.BurnRate() >= 1 {

@@ -29,12 +29,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
-	"strings"
 	"time"
 
 	"geniex/internal/nonideal"
-	"geniex/internal/obs"
 	"geniex/internal/sweep"
 )
 
@@ -82,7 +79,6 @@ func run() error {
 		jobs      = flag.Int("jobs", 0, "concurrent cells (0 = spec's Jobs, else GOMAXPROCS)")
 		printSpec = flag.Bool("print-spec", false, "write the default spec JSON to stdout and exit")
 		cellDelay = flag.Duration("cell-delay", 0, "testing: artificial pause before each executed cell")
-		metrics   = flag.Bool("metrics", false, "print sweep counters at exit")
 	)
 	flag.Parse()
 
@@ -124,22 +120,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *metrics {
-		snap := obs.Snapshot()
-		for _, prefix := range []string{"sweep.", "nonideal."} {
-			names := make([]string, 0, len(snap.Counters))
-			for name := range snap.Counters {
-				if strings.HasPrefix(name, prefix) {
-					names = append(names, name)
-				}
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				fmt.Printf("metric: %s = %d\n", name, snap.Counters[name])
-			}
-		}
-	}
-
 	fmt.Printf("\n%-36s %6s %12s %12s %10s\n", "group", "seeds", "mean_rrmse", "max_rrmse", "degraded")
 	for _, g := range out.Summary.Groups {
 		fmt.Printf("%-36s %6d %12.4g %12.4g %10.3f\n",

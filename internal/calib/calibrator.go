@@ -26,8 +26,8 @@ type Config struct {
 	//	}
 	Swap func(*core.Model) (int64, error)
 	// Probe, when non-nil, feeds the calibrator: its tap captures
-	// shadow-solve pairs, and its EWMA/drift gauges decide when a
-	// tuning round is warranted. With a nil Probe the caller feeds
+	// shadow-solve pairs, and its EWMA and drift (Probe.Stats) decide
+	// when a tuning round is warranted. With a nil Probe the caller feeds
 	// samples through Observe and every sample-triggered check passes.
 	Probe *funcsim.Probe
 
@@ -38,17 +38,17 @@ type Config struct {
 	// SLO is the fidelity objective: a tuning round triggers when the
 	// probe's rRMSE EWMA exceeds it. 0 disables the EWMA trigger.
 	SLO float64
-	// DriftThreshold triggers a round when the probe's drift gauge
+	// DriftThreshold triggers a round when the probe's drift
 	// (EWMA − baseline) exceeds it, once a baseline is recorded. 0
 	// disables the drift trigger. With both triggers disabled every
 	// check passes and rounds are bounded only by MinSamples and the
 	// duty cycle.
 	DriftThreshold float64
-	// Trigger, when non-nil, replaces the built-in gauge checks (SLO /
+	// Trigger, when non-nil, replaces the built-in checks (SLO /
 	// DriftThreshold) entirely: a tuning round is warranted exactly
 	// when it returns true. geniex-serve wires an obs.SLO burn-rate
 	// closure here, so recalibration keys off a windowed error budget
-	// rather than a raw point gauge. Called on the calibrator's worker
+	// rather than a raw point reading. Called on the calibrator's worker
 	// goroutine; must be fast and non-blocking.
 	Trigger func() bool
 	// MinSamples is the fewest reservoir samples a round trains on.
@@ -182,9 +182,7 @@ func New(cfg Config) (*Calibrator, error) {
 // the sample into the reservoir (dropping, never blocking, when
 // contended) and nudges the background worker.
 func (c *Calibrator) Observe(v []float64, g *linalg.Dense, circuit []float64, rrmse float64) {
-	kept := c.res.Add(v, g, circuit, rrmse)
-	mSamplesCaptured.Inc()
-	if !kept {
+	if !c.res.Add(v, g, circuit, rrmse) {
 		return
 	}
 	select {
@@ -194,7 +192,7 @@ func (c *Calibrator) Observe(v []float64, g *linalg.Dense, circuit []float64, rr
 }
 
 // loop is the duty-cycle-bounded worker: woken by captured samples,
-// it checks the gauges and runs at most one tuning round per wake.
+// it checks the triggers and runs at most one tuning round per wake.
 func (c *Calibrator) loop() {
 	defer c.wg.Done()
 	for {
@@ -205,20 +203,19 @@ func (c *Calibrator) loop() {
 			if !c.shouldRound() {
 				continue
 			}
-			if _, err := c.RunRound(); err != nil {
-				mRoundErrors.Inc()
-			}
+			// A round that fails to publish shows in Stats as a round
+			// neither rejected nor published.
+			_, _ = c.RunRound()
 		}
 	}
 }
 
 // shouldRound applies the non-timer triggers: enough samples, outside
-// the duty-cycle cool-down, and the probe gauges (when wired) showing
+// the duty-cycle cool-down, and the probe's statistics (when wired) showing
 // the live model out of spec.
 func (c *Calibrator) shouldRound() bool {
 	if time.Since(c.start).Nanoseconds() < c.cooldownUntil.Load() {
 		c.skipped.Add(1)
-		mRoundsSkipped.Inc()
 		return false
 	}
 	if c.res.Len() < c.cfg.MinSamples {
@@ -226,14 +223,13 @@ func (c *Calibrator) shouldRound() bool {
 	}
 	if !c.triggered() {
 		c.skipped.Add(1)
-		mRoundsSkipped.Inc()
 		return false
 	}
 	return true
 }
 
 // triggered consults the Trigger override when one is installed,
-// otherwise the probe's EWMA/drift gauges. Recalibration is
+// otherwise the probe's EWMA and drift. Recalibration is
 // deliberately signal-driven, not timer-driven: a healthy model is
 // never retrained, no matter how long it runs.
 func (c *Calibrator) triggered() bool {
@@ -275,7 +271,6 @@ func (c *Calibrator) RunRound() (Round, error) {
 		return Round{}, fmt.Errorf("calib: tuning round with an empty reservoir")
 	}
 	roundIdx := c.rounds.Add(1)
-	mRounds.Inc()
 
 	c.curMu.Lock()
 	base := c.current
@@ -285,13 +280,10 @@ func (c *Calibrator) RunRound() (Round, error) {
 	tuned := base.Clone()
 	steps := c.tune(tuned, samples, roundIdx)
 	post := meanRRMSE(tuned, samples, c.floor)
-	mPreRRMSE.Set(int64(pre * 1e6))
-	mPostRRMSE.Set(int64(post * 1e6))
 
 	r := Round{Samples: len(samples), Steps: steps, Pre: pre, Post: post}
 	if post > pre*(1-c.cfg.MinImprovement) {
 		c.rejected.Add(1)
-		mRoundsRejected.Inc()
 		return r, nil
 	}
 	version, err := c.cfg.Swap(tuned)
@@ -303,8 +295,6 @@ func (c *Calibrator) RunRound() (Round, error) {
 	c.curMu.Unlock()
 	c.published.Add(1)
 	c.version.Store(version)
-	mSwaps.Inc()
-	mVersion.Set(version)
 	r.Published, r.Version = true, version
 	return r, nil
 }
@@ -339,7 +329,6 @@ func (c *Calibrator) tune(m *core.Model, samples []Sample, roundIdx int64) int {
 			}
 			tuner.Step(bx, by)
 			steps++
-			mSteps.Inc()
 		}
 	}
 	return steps
@@ -358,7 +347,7 @@ type Stats struct {
 	// Reservoir is the capture side: samples captured/dropped/held.
 	Reservoir ReservoirStats
 	// Rounds counts tuning rounds started; Skipped the wake-ups
-	// refused by the duty cycle or gauges; Rejected the rounds whose
+	// refused by the duty cycle or triggers; Rejected the rounds whose
 	// tuned model failed the improvement bar; Published the hot-swaps.
 	Rounds, Skipped, Rejected, Published int64
 	// Version is the engine model version of the last publish (0

@@ -3,7 +3,7 @@
 // which is exactly a live stream of GENIEx training pairs
 // (V, G) → I_circuit. This package captures that stream into a
 // bounded reservoir, fine-tunes a copy of the GENIEx MLP in the
-// background when the probe's drift gauges say fidelity degraded, and
+// background when the probe's drift says fidelity degraded, and
 // publishes the result as an immutable versioned model through an
 // atomic hot-swap hook (funcsim.Engine.SwapModel). Fidelity becomes a
 // controlled quantity instead of a configuration choice — the
@@ -12,7 +12,7 @@
 // Discipline mirrors the probe's: nothing in the capture path blocks
 // (contended samples are dropped and counted), the fine-tune worker
 // is duty-cycle bounded, and recalibration is triggered by the
-// existing EWMA/drift gauges rather than a timer. Given a fixed
+// probe's EWMA and drift rather than a timer. Given a fixed
 // sample log and round schedule, reservoir contents and fine-tuned
 // weights are bit-reproducible from the configured seed.
 package calib
@@ -150,7 +150,6 @@ func (r *Reservoir) regimeOf(g *linalg.Dense) int {
 func (r *Reservoir) Add(v []float64, g *linalg.Dense, circuit []float64, rrmse float64) bool {
 	if !r.mu.TryLock() {
 		r.dropped.Add(1)
-		mSamplesDropped.Inc()
 		return false
 	}
 	defer r.mu.Unlock()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"geniex/internal/funcsim"
 	"geniex/internal/linalg"
 	"geniex/internal/xbar"
 )
@@ -124,11 +123,6 @@ func sampleNF(cfg xbar.Config, samples int, seed uint64) (nf, ideal, nonideal []
 		nonideal = append(nonideal, nonAll[s]...)
 		health.record(sols[s])
 	}
-	// Publish the circuit-solved NF distribution into the shared
-	// fidelity histograms (funcsim.probe.nf_pos/nf_neg), the same ones
-	// the online probe fills, so Fig. 2 sweeps show up in a metrics
-	// scrape.
-	funcsim.ObserveNF(nf)
 	return nf, ideal, nonideal, health, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"geniex/internal/core"
-	"geniex/internal/funcsim"
 )
 
 func init() {
@@ -56,10 +55,5 @@ func Fig5Point(c *Context, vsupply float64) (analytical, geniex float64, err err
 	}
 	gx := core.Evaluate(model, val)
 	ana := core.Evaluate(core.AnalyticalAdapter{Cfg: cfg}, val)
-	// Record the GENIEx-vs-circuit divergence through the same fidelity
-	// pipeline the online probe feeds, so an offline Fig. 5 run and a
-	// live probed run are read from one funcsim.probe.rrmse catalog
-	// entry.
-	funcsim.ObserveDivergence(gx.RMSENF)
 	return ana.RMSENF, gx.RMSENF, nil
 }

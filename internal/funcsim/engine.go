@@ -397,9 +397,6 @@ func (e *Engine) Lower(w *linalg.Dense) (*Matrix, error) {
 		e.mats = append(e.mats, lm)
 		e.mu.Unlock()
 	}
-	if obs.Enabled() && cfg.Scenario.Enabled() {
-		mDegradedFraction.Set(int64(lm.nonideal.DegradedFraction() * 1e6))
-	}
 	return lm, nil
 }
 
@@ -492,7 +489,6 @@ func (e *Engine) SwapModel(model Model) (int64, error) {
 		}
 		fresh[i] = ts
 	}
-	start := obs.Now()
 	old := make([]*tileSet, len(e.mats))
 	for i, m := range e.mats {
 		old[i] = m.tset.Swap(fresh[i])
@@ -507,11 +503,6 @@ func (e *Engine) SwapModel(model Model) (int64, error) {
 		}
 	}
 	e.model, e.sur, e.version = model, surrogateOf(model), version
-	mModelSwaps.Inc()
-	mModelVersion.Set(version)
-	if obs.Enabled() {
-		mSwapDrainLatency.ObserveSince(start)
-	}
 	return version, nil
 }
 
@@ -637,17 +628,13 @@ func (r *mvmRun) hasFailed() bool {
 
 // execTask is the pool-side wrapper: it releases the in-flight slot,
 // converts panics into run errors (a dead pool worker would hang every
-// later MVM), and signals completion. The active-worker gauge is
-// updated unconditionally (not gated on obs.Enabled) so the paired
-// increment/decrement cannot skew if the flag flips mid-task.
+// later MVM), and signals completion.
 func (r *mvmRun) execTask(idx int) {
-	mActiveWorkers.Add(1)
 	defer func() {
 		if p := recover(); p != nil {
 			r.setErr(fmt.Errorf("funcsim: MVM tile task (%d,%d) panicked: %v",
 				r.tasks[idx].tr, r.tasks[idx].tc, p))
 		}
-		mActiveWorkers.Add(-1)
 		if r.sem != nil {
 			<-r.sem
 		}
@@ -669,7 +656,7 @@ func (r *mvmRun) doTask(idx int) {
 			return
 		}
 	}
-	start := obs.Now()
+	start := time.Now()
 	defer mTileLatency.ObserveSince(start)
 	// Tile spans are traced-request-only: the TraceContext check keeps
 	// the untraced steady state (benchmarks, training) free of the
@@ -803,7 +790,7 @@ func (m *Matrix) MVMIntoContext(ctx context.Context, dst, x *linalg.Dense) error
 	if dst.Rows != x.Rows || dst.Cols != m.out {
 		return fmt.Errorf("funcsim: MVM output is %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, m.out)
 	}
-	mvmStart := obs.Now()
+	mvmStart := time.Now()
 	region := obs.StartRegion("funcsim.mvm")
 	defer region.End()
 	// Traced requests get a "funcsim.mvm" span parenting the per-tile
@@ -835,7 +822,6 @@ func (m *Matrix) MVMIntoContext(ctx context.Context, dst, x *linalg.Dense) error
 				r.sem <- struct{}{}
 			}
 			pool <- mvmTaskRef{run: r, idx: i}
-			mQueueDepth.Set(int64(len(mvmPoolCh)))
 		}
 		r.wg.Wait()
 	}
@@ -867,11 +853,10 @@ func (m *Matrix) MVMIntoContext(ctx context.Context, dst, x *linalg.Dense) error
 	}
 	total.MVMRows = int64(r.batch)
 	m.stats.add(total)
-	if obs.Enabled() {
-		mMVMCalls.Inc()
-		mMVMLatency.ObserveSince(mvmStart)
-		recordMVM(total)
-	}
+	mMVMCalls.Inc()
+	mMVMLatency.ObserveSince(mvmStart)
+	mCrossbarOps.Add(total.CrossbarOps)
+	mMVMRows.Add(total.MVMRows)
 
 	for i, v := range r.accOut {
 		dst.Data[i] = cfg.Acc.Dequantize(v)
@@ -890,14 +875,10 @@ func (m *Matrix) getRun(x *linalg.Dense) *mvmRun {
 		m.runs = m.runs[:n-1]
 	}
 	m.runMu.Unlock()
-	if obs.Enabled() {
-		if r != nil {
-			mFreelistHits.Inc()
-		} else {
-			mFreelistMisses.Inc()
-		}
-	}
-	if r == nil {
+	if r != nil {
+		mFreelistHits.Inc()
+	} else {
+		mFreelistMisses.Inc()
 		r = &mvmRun{m: m}
 		r.blocks = make([]runBlock, m.tileRows)
 		r.tasks = make([]mvmTask, m.tileRows*m.tileCols)

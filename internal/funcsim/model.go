@@ -260,9 +260,7 @@ func (t *geniexTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
 // experiment output. Safe for concurrent use: each field is an obs
 // counter, so a snapshot taken while batches are in flight is
 // per-field consistent (each count is exact) but not cross-field
-// consistent — a concurrent record may be half folded. These counters
-// always count, independent of obs.Enabled, because experiment reports
-// depend on them.
+// consistent — a concurrent record may be half folded.
 type SolverHealth struct {
 	batches, items                          obs.Counter
 	recovered, retried, failed, unconverged obs.Counter
@@ -392,9 +390,6 @@ func (t circuitTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) 
 	}
 	if t.health != nil {
 		t.health.record(rep)
-	}
-	if t.degraded && rep.Failed > 0 && obs.Enabled() {
-		mDegradedItems.Add(int64(rep.Failed))
 	}
 	if !t.degraded {
 		if rep.Failed > 0 {

@@ -3,6 +3,7 @@ package funcsim
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"geniex/internal/linalg"
 	"geniex/internal/nn"
@@ -199,7 +200,7 @@ func (s *Sim) ForwardContext(ctx context.Context, x *linalg.Dense) (*linalg.Dens
 // forwardCtx runs the pass under ctx's trace; residual bodies pass
 // their layer's context, so their spans nest under the residual layer.
 func (s *Sim) forwardCtx(ctx context.Context, x *linalg.Dense) (*linalg.Dense, error) {
-	start := obs.Now()
+	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "funcsim.forward")
 	// End via defer (and after the child below): spans must close on
 	// error and cancellation paths too, or their already-recorded
@@ -210,7 +211,7 @@ func (s *Sim) forwardCtx(ctx context.Context, x *linalg.Dense) (*linalg.Dense, e
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("funcsim: forward cancelled at layer %d: %w", i, cerr)
 		}
-		layerStart := obs.Now()
+		layerStart := time.Now()
 		lctx := ctx
 		var lspan obs.Span
 		if i < len(s.spanNames) {

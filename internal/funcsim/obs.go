@@ -2,93 +2,31 @@ package funcsim
 
 import "geniex/internal/obs"
 
-// Metric handles for the MVM tile pipeline, registered once in the
-// process-wide obs registry. The full catalog is documented in
-// DESIGN.md §7.
+// Metric handles for the MVM tile pipeline and the fidelity probe,
+// registered once in the process-wide obs registry. Each one is read
+// by a test, a smoke check or the benchmark; per-object detail lives
+// in Matrix.Stats, SolverHealth, Matrix.NonIdeal and Probe.Stats. The
+// full catalog is documented in DESIGN.md §7.
 var (
 	mMVMCalls       = obs.NewCounter("funcsim.mvm.calls")
 	mMVMLatency     = obs.NewHistogram("funcsim.mvm.latency_seconds", obs.LatencyBuckets)
 	mTileLatency    = obs.NewHistogram("funcsim.tile.latency_seconds", obs.LatencyBuckets)
-	mQueueDepth     = obs.NewGauge("funcsim.pool.queue_depth")
-	mActiveWorkers  = obs.NewGauge("funcsim.pool.active_workers")
 	mFreelistHits   = obs.NewCounter("funcsim.run.freelist_hits")
 	mFreelistMisses = obs.NewCounter("funcsim.run.freelist_misses")
-	mDegradedItems  = obs.NewCounter("funcsim.circuit.degraded_items")
-	// mDegradedFraction reports the fraction of physical crossbars that
-	// carry at least one stuck cell after the last lowering, in parts
-	// per million (the obs registry stores integers; divide by 1e6).
-	mDegradedFraction = obs.NewGauge("funcsim.tile.degraded_fraction")
-	// Model hot-swap metrics: swaps counts successful SwapModel calls
-	// process-wide, version mirrors the last published model version,
-	// and the drain histogram times publish-to-retire (how long old
-	// versions' in-flight MVMs took to finish). The swap counter and
-	// version gauge always record — operators diagnosing a calibration
-	// loop need them even with obs sampling disabled.
-	mModelSwaps       = obs.NewCounter("funcsim.model.swaps")
-	mModelVersion     = obs.NewGauge("funcsim.model.version")
-	mSwapDrainLatency = obs.NewHistogram("funcsim.model.swap_drain_seconds", obs.LatencyBuckets)
-	mLayerLatency     = obs.NewHistogram("funcsim.forward.layer_seconds", obs.LatencyBuckets)
-	mForwardLatency   = obs.NewHistogram("funcsim.forward.latency_seconds", obs.LatencyBuckets)
+	mLayerLatency   = obs.NewHistogram("funcsim.forward.layer_seconds", obs.LatencyBuckets)
+	mForwardLatency = obs.NewHistogram("funcsim.forward.latency_seconds", obs.LatencyBuckets)
 
-	// Fidelity metrics: the divergence probe (see Probe) and the
-	// experiment harnesses publish emulator-vs-circuit comparisons
-	// here, so "is the emulation still faithful" is answerable from
-	// any metrics snapshot.
-	mProbeSampled  = obs.NewCounter("funcsim.probe.sampled")
-	mProbePaced    = obs.NewCounter("funcsim.probe.paced")
-	mProbeDropped  = obs.NewCounter("funcsim.probe.dropped")
-	mProbeSolved   = obs.NewCounter("funcsim.probe.solved")
-	mProbeFailures = obs.NewCounter("funcsim.probe.solve_failures")
-	mProbeLatency  = obs.NewHistogram("funcsim.probe.latency_seconds", obs.LatencyBuckets)
-	mProbeRRMSE    = obs.NewHistogram("funcsim.probe.rrmse", obs.ExpBuckets(1e-4, 2, 18))
-	mProbeNFPos    = obs.NewHistogram("funcsim.probe.nf_pos", obs.LinearBuckets(0.05, 0.05, 20))
-	mProbeNFNeg    = obs.NewHistogram("funcsim.probe.nf_neg", obs.LinearBuckets(0.05, 0.05, 20))
-	mProbeEWMA     = obs.NewGauge("funcsim.probe.rrmse_ewma_micro")
-	mProbeBaseline = obs.NewGauge("funcsim.probe.baseline_micro")
-	mProbeDrift    = obs.NewGauge("funcsim.probe.drift_micro")
+	// Process-wide mirrors of two per-Matrix hardware-event counters:
+	// every completed MVM folds its crossbar ops and rows here as well
+	// as into its matrix, so a metrics snapshot sees total
+	// architectural work without walking matrices.
+	mCrossbarOps = obs.NewCounter("funcsim.mvm.crossbar_ops")
+	mMVMRows     = obs.NewCounter("funcsim.mvm.rows")
 
-	// Process-wide mirrors of the per-Matrix hardware-event counters:
-	// every completed MVM folds its per-call Stats here as well as into
-	// its matrix, so a metrics snapshot sees total architectural work
-	// without walking matrices.
-	gCrossbarOps    = obs.NewCounter("funcsim.mvm.crossbar_ops")
-	gADCConversions = obs.NewCounter("funcsim.mvm.adc_conversions")
-	gShiftAdds      = obs.NewCounter("funcsim.mvm.shift_adds")
-	gAccOps         = obs.NewCounter("funcsim.mvm.acc_ops")
-	gMVMRows        = obs.NewCounter("funcsim.mvm.rows")
-	gSkippedPasses  = obs.NewCounter("funcsim.mvm.skipped_passes")
+	// Fidelity: the divergence probe (see Probe) counts its successful
+	// shadow-solves and publishes each one's emulator-vs-circuit
+	// relative RMSE of currents, so "is the emulation still faithful"
+	// is answerable from any metrics snapshot.
+	mProbeSolved = obs.NewCounter("funcsim.probe.solved")
+	mProbeRRMSE  = obs.NewHistogram("funcsim.probe.rrmse", obs.ExpBuckets(1e-4, 2, 18))
 )
-
-// ObserveDivergence publishes one emulator-vs-circuit relative-RMSE
-// measurement into the fidelity pipeline (funcsim.probe.rrmse). The
-// online probe uses it per shadow-solve; offline harnesses (the Fig. 5
-// experiment) record their divergence numbers through the same metric
-// so operators read one catalog entry either way.
-func ObserveDivergence(rrmse float64) { mProbeRRMSE.Observe(rrmse) }
-
-// ObserveNF publishes circuit-solved non-ideality factors (Fig. 2's
-// NF = (Iideal−Inonideal)/Iideal, per column) into the fidelity
-// pipeline: positive values land in funcsim.probe.nf_pos, negative
-// values as magnitudes in funcsim.probe.nf_neg; exact zeros (dark
-// columns) are skipped.
-func ObserveNF(nf []float64) {
-	for _, v := range nf {
-		switch {
-		case v > 0:
-			mProbeNFPos.Observe(v)
-		case v < 0:
-			mProbeNFNeg.Observe(-v)
-		}
-	}
-}
-
-// recordMVM folds one completed MVM's event counts into the global
-// registry. Callers gate on obs.Enabled.
-func recordMVM(total Stats) {
-	gCrossbarOps.Add(total.CrossbarOps)
-	gADCConversions.Add(total.ADCConversions)
-	gShiftAdds.Add(total.ShiftAdds)
-	gAccOps.Add(total.AccOps)
-	gMVMRows.Add(total.MVMRows)
-	gSkippedPasses.Add(total.SkippedPasses)
-}

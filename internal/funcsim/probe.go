@@ -21,7 +21,7 @@ import (
 const DefaultProbeQueue = 64
 
 // probeBaselineSolves is how many successful shadow-solves the probe
-// averages into its recorded baseline before the drift gauge arms.
+// averages into its recorded baseline before Stats reports drift.
 const probeBaselineSolves = 16
 
 // probeDutyFactor bounds the shadow-solver's CPU share: after a solve
@@ -39,25 +39,23 @@ const probeDutyFactor = 32
 // programmed conductances, one drive-voltage row, and the analog
 // model's output currents — and shadow-solves the same inputs through
 // the xbar circuit solver on a background goroutine. Each solve
-// publishes, through the process-wide obs registry:
-//
-//   - funcsim.probe.rrmse — relative RMSE of the model's currents
-//     against the circuit solver's (the online analogue of the paper's
-//     Fig. 5 divergence metric),
-//   - funcsim.probe.nf_{pos,neg} — the circuit-solved non-ideality
-//     factor distribution, split by sign per Fig. 2's definition,
-//   - funcsim.probe.{rrmse_ewma,baseline,drift}_micro — a smoothed
-//     divergence level, the baseline recorded from the first solves,
-//     and their difference: the drift gauge an operator alerts on.
+// publishes the relative RMSE of the model's currents against the
+// circuit solver's (the online analogue of the paper's Fig. 5
+// divergence metric) into the funcsim.probe.rrmse histogram and counts
+// itself in funcsim.probe.solved. Stats holds the rest: the outcome
+// counters, a smoothed divergence level (EWMA), the baseline recorded
+// from the first solves, their difference (the drift a calibrator or
+// an operator alerts on), and per-tile RRMSE and non-ideality-factor
+// aggregates split by sign per Fig. 2's definition.
 //
 // Cost contract: the MVM hot path pays one nil check per tile task,
 // one atomic add per sampled decision, and — for the 1-in-N sampled
 // tasks — two row copies into pooled buffers. Nothing on the hot path
 // blocks: samples arriving inside the worker's duty-cycle cool-down
-// are refused (funcsim.probe.paced; see probeDutyFactor), and when
-// the bounded queue (or its job freelist) is exhausted the sample is
-// dropped and funcsim.probe.dropped incremented. All solver work
-// happens on the probe's own goroutine.
+// are refused (counted as paced; see probeDutyFactor), and when the
+// bounded queue (or its job freelist) is exhausted the sample is
+// dropped and counted. All solver work happens on the probe's own
+// goroutine.
 type Probe struct {
 	cfg   xbar.Config
 	rate  int64
@@ -78,10 +76,9 @@ type Probe struct {
 	closeOnce sync.Once
 	done      chan struct{}
 
-	// Per-probe outcome counters (the registry metrics aggregate all
-	// probes in the process; these back Stats for one engine). paced
-	// counts samples refused by the duty-cycle bound, dropped those
-	// shed at a full queue or empty freelist.
+	// Per-probe outcome counters backing Stats. paced counts samples
+	// refused by the duty-cycle bound, dropped those shed at a full
+	// queue or empty freelist.
 	sampled, paced, dropped, solved, failures obs.Counter
 
 	// mu guards the aggregate divergence state below; only the worker
@@ -226,14 +223,12 @@ func (p *Probe) offer(mat, tr, tc, slice int, g *linalg.Dense, blk *inputBlock, 
 		return // all-zero block: nothing the circuit could disagree on
 	}
 	p.sampled.Inc()
-	mProbeSampled.Inc()
 
 	// Duty-cycle bound: refuse the sample while inside the cool-down
 	// the worker set after its last solve (time.Since is monotonic and
 	// allocation-free; this runs only on the 1-in-rate sampled tasks).
 	if time.Since(p.start).Nanoseconds() < p.nextOK.Load() {
 		p.paced.Inc()
-		mProbePaced.Inc()
 		return
 	}
 
@@ -246,7 +241,6 @@ func (p *Probe) offer(mat, tr, tc, slice int, g *linalg.Dense, blk *inputBlock, 
 	p.freeMu.Unlock()
 	if j == nil {
 		p.dropped.Inc()
-		mProbeDropped.Inc()
 		return
 	}
 
@@ -263,7 +257,6 @@ func (p *Probe) offer(mat, tr, tc, slice int, g *linalg.Dense, blk *inputBlock, 
 	default:
 		p.putJob(j)
 		p.dropped.Inc()
-		mProbeDropped.Inc()
 	}
 }
 
@@ -310,25 +303,21 @@ func (p *Probe) solveJob(xb **xbar.Crossbar, j *probeJob) {
 		(*h)(j)
 		return
 	}
-	start := obs.Now()
 	if *xb == nil {
 		n, err := xbar.New(p.cfg)
 		if err != nil {
 			p.failures.Inc()
-			mProbeFailures.Inc()
 			return
 		}
 		*xb = n
 	}
 	if err := (*xb).Program(j.g); err != nil {
 		p.failures.Inc()
-		mProbeFailures.Inc()
 		return
 	}
 	sol, err := (*xb).Solve(j.v)
 	if err != nil {
 		p.failures.Inc()
-		mProbeFailures.Inc()
 		return
 	}
 
@@ -338,9 +327,7 @@ func (p *Probe) solveJob(xb **xbar.Crossbar, j *probeJob) {
 
 	p.solved.Inc()
 	mProbeSolved.Inc()
-	mProbeLatency.ObserveSince(start)
-	ObserveDivergence(rr)
-	ObserveNF(nf)
+	mProbeRRMSE.Observe(rr)
 	p.fold(j, rr, nf)
 	if f := p.onSample.Load(); f != nil {
 		(*f)(rr)
@@ -351,7 +338,7 @@ func (p *Probe) solveJob(xb **xbar.Crossbar, j *probeJob) {
 }
 
 // fold merges one solved probe into the EWMA / baseline / drift state
-// and the per-tile aggregates, then republishes the gauges.
+// and the per-tile aggregates.
 func (p *Probe) fold(j *probeJob, rr float64, nf []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -366,12 +353,7 @@ func (p *Probe) fold(j *probeJob, rr float64, nf []float64) {
 		if p.baselineN >= probeBaselineSolves {
 			p.baseline = p.baselineSum / float64(p.baselineN)
 			p.haveBaseline = true
-			mProbeBaseline.Set(int64(p.baseline * 1e6))
 		}
-	}
-	mProbeEWMA.Set(int64(p.ewma * 1e6))
-	if p.haveBaseline {
-		mProbeDrift.Set(int64((p.ewma - p.baseline) * 1e6))
 	}
 
 	key := probeTileKey{j.mat, j.tr, j.tc}
@@ -394,13 +376,12 @@ func (p *Probe) fold(j *probeJob, rr float64, nf []float64) {
 }
 
 // SetBaseline records an explicit divergence baseline (e.g. replayed
-// from a previous healthy run), overriding the auto-recorded one; the
-// drift gauge reports EWMA − baseline from the next solve on.
+// from a previous healthy run), overriding the auto-recorded one;
+// Stats reports Drift = EWMA − baseline from then on.
 func (p *Probe) SetBaseline(rrmse float64) {
 	p.mu.Lock()
 	p.baseline, p.haveBaseline = rrmse, true
 	p.mu.Unlock()
-	mProbeBaseline.Set(int64(rrmse * 1e6))
 }
 
 // Drain blocks until every queued or in-flight probe has completed, or

@@ -53,7 +53,8 @@ func (s Stats) String() string {
 // and read as a snapshot. The parallel pipeline folds each task's
 // local Stats once per MVM, so the atomic traffic is per-call, not
 // per-op. These counters are per-Matrix (unregistered); MVMInto also
-// mirrors every fold into the process-wide registry (see obs.go).
+// mirrors crossbar ops and rows into the process-wide registry (see
+// obs.go).
 type matrixStats struct {
 	crossbarOps, adcConversions, shiftAdds, accOps, mvmRows, skippedPasses obs.Counter
 }

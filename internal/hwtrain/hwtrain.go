@@ -19,7 +19,6 @@ import (
 	"geniex/internal/funcsim"
 	"geniex/internal/linalg"
 	"geniex/internal/nn"
-	"geniex/internal/obs"
 )
 
 // Options controls hardware-aware fine-tuning.
@@ -108,9 +107,6 @@ func (h *hwLayer) ensureLowered() error {
 	mat, err := h.eng.Lower(h.weights())
 	if err != nil {
 		return err
-	}
-	if obs.Enabled() {
-		mRelowers.Inc()
 	}
 	h.mat = mat
 	h.staleFor = 1
@@ -291,28 +287,20 @@ func FineTune(net *nn.Sequential, eng *funcsim.Engine, set *dataset.Set, opt Opt
 	params := wrapped.Params()
 	optim := nn.NewSGD(params, opt.LR, opt.Momentum, 0)
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		epochStart := obs.Now()
 		set.Batches(opt.BatchSize, opt.Seed+uint64(epoch)*7919, func(x *linalg.Dense, y []int) {
 			if PendingError(wrapped) != nil {
 				return // a tile already failed; stop updating weights
 			}
-			stepStart := obs.Now()
 			nn.ZeroGrad(params)
 			logits := wrapped.Forward(x, true)
 			if PendingError(wrapped) != nil {
-				mPendingErrors.Inc()
 				return // this batch's forward failed: discard it
 			}
 			_, grad := nn.SoftmaxCrossEntropy(logits, y)
 			wrapped.Backward(grad)
 			nn.ClipGradNorm(params, 5)
 			optim.Step()
-			if obs.Enabled() {
-				mSteps.Inc()
-				mStepLatency.ObserveSince(stepStart)
-			}
 		})
-		mEpochLatency.ObserveSince(epochStart)
 		if err := PendingError(wrapped); err != nil {
 			return err
 		}

@@ -75,7 +75,7 @@ func (e Env) clamp(g float64) float64 {
 // any worker count.
 type Component interface {
 	// Kind is the stable identifier used by the JSON envelope and the
-	// nonideal.applied.* metric names. Lower_snake, unique.
+	// Report.PerKind keys. Lower_snake, unique.
 	Kind() string
 	// Validate reports whether the parameters are meaningful.
 	Validate() error

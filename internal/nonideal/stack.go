@@ -54,7 +54,7 @@ type Report struct {
 	// perturbed by two components counts twice.
 	Touched int `json:"touched"`
 	// Stuck counts cells forced to a rail by stuck-at faults — the
-	// hard-fault population behind the degraded-tile metrics.
+	// hard-fault population behind DegradedFraction.
 	Stuck int `json:"stuck"`
 	// Tiles and DegradedTiles count applications and applications that
 	// injected at least one stuck cell. One application = one physical
@@ -137,7 +137,6 @@ func (s Stack) Apply(g *linalg.Dense, env Env, seed uint64, t float64) (Report, 
 		if c.Kind() == KindStuckAt {
 			rep.Stuck += touched
 		}
-		observeApplied(c.Kind(), touched)
 	}
 	if rep.Stuck > 0 {
 		rep.DegradedTiles = 1

@@ -17,9 +17,8 @@ const OverflowLabel = "_overflow"
 // combinations one vec will intern. The cap exists because label
 // values are caller-controlled strings (tenant names arrive on the
 // wire): without a bound, a hostile or misconfigured client could
-// grow the registry without limit. 64 comfortably covers the in-repo
-// dimensions (tenants in a load test, fidelity tiers, outcomes) while
-// keeping worst-case snapshot cost trivial.
+// grow the registry without limit. 64 comfortably covers the tenants
+// of a load test while keeping worst-case snapshot cost trivial.
 const DefaultMaxSeries = 64
 
 // labelsDroppedName is the per-registry counter of vec resolutions
@@ -41,11 +40,11 @@ type vecChild[M any] struct {
 	metric *M
 }
 
-// vec is the shared core of CounterVec/GaugeVec/HistogramVec: a name,
-// a fixed ordered label-key list, and a map of interned children.
-// With is the only hot-ish path: a read-locked map hit returning the
+// vec is the generic core of HistogramVec: a name, a fixed ordered
+// label-key list, and a map of interned children. With is the only
+// hot-ish path: a read-locked map hit returning the
 // pre-existing child. Callers that care about the 0 allocs/op
-// contract resolve handles once (per tenant, per tier) and keep them,
+// contract resolve handles once (per tenant) and keep them,
 // exactly like scalar metric handles; With itself does not allocate
 // on the hit path.
 type vec[M any] struct {
@@ -167,60 +166,6 @@ func escapeLabelValue(v string) string {
 		}
 	}
 	return b.String()
-}
-
-// CounterVec is a family of Counters keyed by a fixed set of label
-// keys. Resolve children with With and keep the handles; the children
-// are ordinary Counters with the full allocation-free contract.
-type CounterVec struct {
-	v *vec[Counter]
-}
-
-// With returns the child counter for the given label values (one per
-// key, in registration order), interning it on first use.
-func (cv *CounterVec) With(values ...string) *Counter { return cv.v.with(values) }
-
-// Name returns the vec's metric name.
-func (cv *CounterVec) Name() string { return cv.v.name }
-
-// Keys returns a copy of the vec's label keys in registration order.
-func (cv *CounterVec) Keys() []string { return append([]string(nil), cv.v.keys...) }
-
-func (cv *CounterVec) capture(dst map[string]int64, clear bool) {
-	cv.v.each(func(values []string, c *Counter) {
-		name := seriesName(cv.v.name, cv.v.keys, values)
-		if clear {
-			dst[name] = c.Swap()
-		} else {
-			dst[name] = c.Load()
-		}
-	})
-}
-
-// GaugeVec is a family of Gauges keyed by a fixed set of label keys.
-type GaugeVec struct {
-	v *vec[Gauge]
-}
-
-// With returns the child gauge for the given label values, interning
-// it on first use.
-func (gv *GaugeVec) With(values ...string) *Gauge { return gv.v.with(values) }
-
-// Name returns the vec's metric name.
-func (gv *GaugeVec) Name() string { return gv.v.name }
-
-// Keys returns a copy of the vec's label keys in registration order.
-func (gv *GaugeVec) Keys() []string { return append([]string(nil), gv.v.keys...) }
-
-func (gv *GaugeVec) capture(dst map[string]int64, clear bool) {
-	gv.v.each(func(values []string, g *Gauge) {
-		name := seriesName(gv.v.name, gv.v.keys, values)
-		if clear {
-			dst[name] = g.v.Swap(0)
-		} else {
-			dst[name] = g.Load()
-		}
-	})
 }
 
 // HistogramVec is a family of Histograms (sharing one bucket layout)

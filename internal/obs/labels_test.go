@@ -12,28 +12,30 @@ import (
 // flatten children under rendered name{k="v"} series keys.
 func TestVecWithInternsChildren(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVec("vec.requests", "tenant", "outcome")
-	a := cv.With("acme", "ok")
-	if b := cv.With("acme", "ok"); b != a {
+	hv := r.HistogramVec("vec.requests", []float64{1}, "tenant", "outcome")
+	a := hv.With("acme", "ok")
+	if b := hv.With("acme", "ok"); b != a {
 		t.Error("same label values resolved to different children")
 	}
-	if b := cv.With("acme", "error"); b == a {
+	if b := hv.With("acme", "error"); b == a {
 		t.Error("distinct label values resolved to the same child")
 	}
-	a.Add(3)
-	cv.With("acme", "error").Inc()
+	for i := 0; i < 3; i++ {
+		a.Observe(0.5)
+	}
+	hv.With("acme", "error").Observe(0.5)
 
 	s := r.Snapshot()
-	if got := s.Counters[`vec.requests{tenant="acme",outcome="ok"}`]; got != 3 {
-		t.Errorf("ok series = %d, want 3", got)
+	if got := s.Histograms[`vec.requests{tenant="acme",outcome="ok"}`].Count; got != 3 {
+		t.Errorf("ok series count = %d, want 3", got)
 	}
-	if got := s.Counters[`vec.requests{tenant="acme",outcome="error"}`]; got != 1 {
-		t.Errorf("error series = %d, want 1", got)
+	if got := s.Histograms[`vec.requests{tenant="acme",outcome="error"}`].Count; got != 1 {
+		t.Errorf("error series count = %d, want 1", got)
 	}
-	if got, want := cv.Name(), "vec.requests"; got != want {
+	if got, want := hv.Name(), "vec.requests"; got != want {
 		t.Errorf("Name() = %q, want %q", got, want)
 	}
-	if got := cv.Keys(); len(got) != 2 || got[0] != "tenant" || got[1] != "outcome" {
+	if got := hv.Keys(); len(got) != 2 || got[0] != "tenant" || got[1] != "outcome" {
 		t.Errorf("Keys() = %v", got)
 	}
 }
@@ -43,24 +45,24 @@ func TestVecWithInternsChildren(t *testing.T) {
 // key (and the text exposition) stays parseable.
 func TestVecLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
-	gv := r.GaugeVec("vec.esc", "who")
-	gv.With(`a"b\c` + "\n").Set(7)
+	hv := r.HistogramVec("vec.esc", []float64{1}, "who")
+	hv.With(`a"b\c` + "\n").Observe(0.5)
 	s := r.Snapshot()
 	want := `vec.esc{who="a\"b\\c\n"}`
-	if got := s.Gauges[want]; got != 7 {
-		t.Errorf("escaped series missing: snapshot gauges = %v", s.Gauges)
+	if got := s.Histograms[want].Count; got != 1 {
+		t.Errorf("escaped series missing: snapshot histograms = %v", s.Histograms)
 	}
 }
 
 func TestVecWithArityPanics(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVec("vec.arity", "a", "b")
+	hv := r.HistogramVec("vec.arity", []float64{1}, "a", "b")
 	defer func() {
 		if recover() == nil {
 			t.Error("wrong label-value count: expected panic")
 		}
 	}()
-	cv.With("only-one")
+	hv.With("only-one")
 }
 
 // Past maxSeries distinct combinations, every novel resolution must
@@ -68,31 +70,33 @@ func TestVecWithArityPanics(t *testing.T) {
 // registry's obs.labels.dropped counter once per redirected With.
 func TestVecCardinalityOverflow(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVec("vec.capped", "tenant")
-	cv.v.maxSeries = 2
-	cv.With("a").Inc()
-	cv.With("b").Inc()
+	hv := r.HistogramVec("vec.capped", []float64{1}, "tenant")
+	hv.v.maxSeries = 2
+	hv.With("a").Observe(0.5)
+	hv.With("b").Observe(0.5)
 
-	ov := cv.With("c")
-	if ov2 := cv.With("d"); ov2 != ov {
+	ov := hv.With("c")
+	if ov2 := hv.With("d"); ov2 != ov {
 		t.Error("overflow resolutions returned different children")
 	}
 	// Overflow combinations are never interned, so re-resolving "c"
 	// counts as dropped again.
-	if ov3 := cv.With("c"); ov3 != ov {
+	if ov3 := hv.With("c"); ov3 != ov {
 		t.Error("repeat overflow resolution returned a different child")
 	}
-	ov.Add(3)
+	for i := 0; i < 3; i++ {
+		ov.Observe(0.5)
+	}
 
 	s := r.Snapshot()
-	if got := s.Counters[`vec.capped{tenant="_overflow"}`]; got != 3 {
-		t.Errorf("overflow series = %d, want 3", got)
+	if got := s.Histograms[`vec.capped{tenant="_overflow"}`].Count; got != 3 {
+		t.Errorf("overflow series count = %d, want 3", got)
 	}
 	if got := s.Counters[labelsDroppedName]; got != 3 {
 		t.Errorf("%s = %d, want 3 (one per redirected With)", labelsDroppedName, got)
 	}
 	// Interned children resolve without touching the dropped counter.
-	cv.With("a").Inc()
+	hv.With("a").Observe(0.5)
 	if got := r.Snapshot().Counters[labelsDroppedName]; got != 3 {
 		t.Errorf("interned resolution bumped dropped counter to %d", got)
 	}
@@ -103,9 +107,7 @@ func TestVecCardinalityOverflow(t *testing.T) {
 // part of the race gate).
 func TestVecConcurrentWithAndObserve(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVec("vec.conc", "tenant")
-	cv.v.maxSeries = 4
-	hv := r.HistogramVec("vec.conc.lat", []float64{1, 2, 4}, "tenant")
+	hv := r.HistogramVec("vec.conc", []float64{1, 2, 4}, "tenant")
 	hv.v.maxSeries = 4
 
 	const goroutines, perG, tenants = 16, 1000, 8
@@ -116,7 +118,6 @@ func TestVecConcurrentWithAndObserve(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				tenant := fmt.Sprintf("t%d", (id+j)%tenants)
-				cv.With(tenant).Inc()
 				hv.With(tenant).Observe(float64(j % 5))
 			}
 		}(i)
@@ -124,18 +125,9 @@ func TestVecConcurrentWithAndObserve(t *testing.T) {
 	wg.Wait()
 
 	s := r.Snapshot()
-	var counted int64
-	for name, v := range s.Counters {
-		if strings.HasPrefix(name, "vec.conc{") {
-			counted += v
-		}
-	}
-	if want := int64(goroutines * perG); counted != want {
-		t.Errorf("counter observations across children = %d, want %d", counted, want)
-	}
 	var observed int64
 	for name, h := range s.Histograms {
-		if strings.HasPrefix(name, "vec.conc.lat{") {
+		if strings.HasPrefix(name, "vec.conc{") {
 			observed += h.Count
 		}
 	}
@@ -148,8 +140,8 @@ func TestVecConcurrentWithAndObserve(t *testing.T) {
 	if s.Counters[labelsDroppedName] == 0 {
 		t.Error("no drops recorded despite tenants exceeding the cap")
 	}
-	if _, ok := s.Counters[`vec.conc{tenant="_overflow"}`]; !ok {
-		t.Error("overflow counter series missing from snapshot")
+	if _, ok := s.Histograms[`vec.conc{tenant="_overflow"}`]; !ok {
+		t.Error("overflow histogram series missing from snapshot")
 	}
 }
 
@@ -157,13 +149,10 @@ func TestVecConcurrentWithAndObserve(t *testing.T) {
 // kept handle must not allocate, preserving the hot-path contract.
 func TestVecChildOpsDoNotAllocate(t *testing.T) {
 	r := NewRegistry()
-	c := r.CounterVec("vec.alloc.c", "tenant").With("acme")
-	g := r.GaugeVec("vec.alloc.g", "tenant").With("acme")
 	h := r.HistogramVec("vec.alloc.h", LatencyBuckets, "tenant").With("acme")
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Inc()
-		g.Set(2)
 		h.Observe(1e-4)
+		h.ObserveExemplar(1e-4, 7)
 	})
 	if allocs != 0 {
 		t.Errorf("child metric ops allocate %.1f objects per run, want 0", allocs)

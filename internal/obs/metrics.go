@@ -119,13 +119,8 @@ func (h *Histogram) ObserveExemplar(x float64, trace int64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since start (from Now). A
-// zero start means instrumentation was disabled when the measurement
-// began; it is skipped.
+// ObserveSince records the seconds elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) {
-	if start.IsZero() || !enabled.Load() {
-		return
-	}
 	h.Observe(time.Since(start).Seconds())
 }
 

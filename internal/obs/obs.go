@@ -1,7 +1,7 @@
 // Package obs is the repository's unified observability layer: a
 // dependency-free metrics-and-tracing registry shared by the circuit
 // solver (package xbar), the functional simulator (package funcsim)
-// and hardware-aware retraining (package hwtrain).
+// and the serving frontend (package serve).
 //
 // # Model
 //
@@ -13,6 +13,9 @@
 //   - Histogram: fixed upper-bound buckets of atomic counts plus an
 //     exact count and sum, for value distributions (Newton iterations)
 //     and, through ObserveSince, monotonic-clock latencies.
+//
+// A HistogramVec is a family of Histograms keyed by label values (the
+// per-tenant serve latency), capped at DefaultMaxSeries children.
 //
 // Metrics live in a Registry under stable dotted names (the catalog is
 // documented in DESIGN.md §7). The package-level functions operate on
@@ -28,15 +31,15 @@
 //
 // # Cost contract
 //
-// Instrumentation is built to sit inside the steady-state MVM loop:
+// Instrumentation is always on and is built to sit inside the
+// steady-state MVM loop:
 //
-//   - No metric operation allocates, enabled or disabled. Counters,
-//     gauges and histogram observations are a handful of atomic ops;
-//     span events write into preallocated ring slots.
-//   - The global Enabled flag gates the operations that are not free —
-//     reading the monotonic clock (Now returns the zero Time when
-//     disabled, and ObserveSince treats a zero start as "skip"), span
-//     recording, and runtime/trace regions.
+//   - No metric operation allocates. Counters, gauges and histogram
+//     observations are a handful of atomic ops; span events write into
+//     preallocated ring slots.
+//   - Every registered series is read by a test, a smoke check or the
+//     benchmark (the catalog rule in scripts/smoke enforces this), so
+//     each atomic update on the hot path pays for itself.
 //   - Handles are resolved once, at package init (registration takes a
 //     lock; the hot path never does).
 //
@@ -63,38 +66,7 @@ import (
 	"net/http"
 	rtrace "runtime/trace"
 	"sync/atomic"
-	"time"
 )
-
-// enabled is the global instrumentation switch. It defaults to on:
-// metric updates are allocation-free atomics, so the steady-state cost
-// of leaving them enabled is a few nanoseconds per event. Disabling
-// additionally skips clock reads and span recording.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enabled reports whether instrumentation is globally enabled. The
-// check is a single atomic load, cheap enough for any hot path.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled flips the global instrumentation switch and returns the
-// previous state. Metric values are retained across disable/enable.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Now returns the current time when instrumentation is enabled and the
-// zero Time when it is disabled. Pair it with Histogram.ObserveSince,
-// which treats a zero start as "disabled, skip":
-//
-//	start := obs.Now()
-//	... work ...
-//	latencyHist.ObserveSince(start)
-func Now() time.Time {
-	if !enabled.Load() {
-		return time.Time{}
-	}
-	return time.Now()
-}
 
 // Default is the process-wide registry every in-repo instrumentation
 // site registers into.
@@ -116,20 +88,6 @@ func NewGauge(name string) *Gauge { return std.Gauge(name) }
 // Default registry.
 func NewHistogram(name string, bounds []float64) *Histogram {
 	return std.Histogram(name, bounds)
-}
-
-// NewCounterVec returns (creating if needed) the named counter vec of
-// the Default registry, keyed by the given label keys. Resolve
-// children once with With and keep the handles, exactly like scalar
-// metrics.
-func NewCounterVec(name string, keys ...string) *CounterVec {
-	return std.CounterVec(name, keys...)
-}
-
-// NewGaugeVec returns (creating if needed) the named gauge vec of the
-// Default registry.
-func NewGaugeVec(name string, keys ...string) *GaugeVec {
-	return std.GaugeVec(name, keys...)
 }
 
 // NewHistogramVec returns (creating if needed) the named histogram
@@ -181,13 +139,12 @@ func Serve(addr string, withPprof bool) (string, error) { return std.Serve(addr,
 // Region is inert; End on it is a no-op.
 type Region struct{ r *rtrace.Region }
 
-// StartRegion opens a runtime/trace region named name when both obs
-// instrumentation and runtime tracing are enabled; otherwise it
-// returns an inert Region. The disabled path is two atomic loads and
-// no allocations, so the hook can sit inside the steady-state MVM
-// loop.
+// StartRegion opens a runtime/trace region named name when runtime
+// tracing is enabled; otherwise it returns an inert Region. The
+// untraced path is one atomic load and no allocations, so the hook can
+// sit inside the steady-state MVM loop.
 func StartRegion(name string) Region {
-	if !enabled.Load() || !rtrace.IsEnabled() {
+	if !rtrace.IsEnabled() {
 		return Region{}
 	}
 	return Region{r: rtrace.StartRegion(context.Background(), name)}

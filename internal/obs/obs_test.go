@@ -162,42 +162,6 @@ func TestResetSwapSemantics(t *testing.T) {
 	}
 }
 
-func TestEnabledGatesTimers(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	if !Now().IsZero() {
-		t.Error("Now() while disabled should be the zero Time")
-	}
-	r := NewRegistry()
-	h := r.Histogram("lat", LatencyBuckets)
-	h.ObserveSince(Now())
-	h.ObserveSince(time.Now().Add(-time.Second)) // non-zero start, but disabled
-	if h.Count() != 0 {
-		t.Errorf("disabled ObserveSince recorded %d observations", h.Count())
-	}
-	recordSpan(r, "op")
-	if spans := r.Spans(); len(spans) != 0 {
-		t.Errorf("disabled span recorded %d spans", len(spans))
-	}
-
-	SetEnabled(true)
-	start := Now()
-	if start.IsZero() {
-		t.Fatal("Now() while enabled returned zero")
-	}
-	h.ObserveSince(start)
-	if h.Count() != 1 {
-		t.Errorf("enabled ObserveSince recorded %d observations, want 1", h.Count())
-	}
-	// A span opened while enabled but ended after a disable is dropped.
-	_, sp := r.StartSpan(context.Background(), "late")
-	SetEnabled(false)
-	sp.End()
-	if spans := r.Spans(); len(spans) != 0 {
-		t.Errorf("span ended while disabled recorded %d spans", len(spans))
-	}
-}
-
 func TestSpanRing(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < traceRingSize+10; i++ {
@@ -265,7 +229,7 @@ func TestMetricOpsDoNotAllocate(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		g.Set(3)
-		start := Now()
+		start := time.Now()
 		h.Observe(1e-5)
 		h.ObserveSince(start)
 		sp.End()

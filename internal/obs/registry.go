@@ -11,12 +11,12 @@ import (
 
 // ErrDuplicateName is wrapped by every Try* registration method when a
 // metric name is already registered as a different kind (counter vs
-// gauge vs histogram vs vec vs SLO) or with a different shape
-// (histogram bounds, vec label keys). Re-registering the same name
-// with the same kind and shape is NOT an error: it idempotently
+// gauge vs histogram vs histogram vec vs SLO) or with a different
+// shape (histogram bounds, vec label keys). Re-registering the same
+// name with the same kind and shape is NOT an error: it idempotently
 // returns the existing instance, so hot-swapped components and tests
 // can re-register safely. The panicking registration methods
-// (Counter, Histogram, CounterVec, ...) panic with this error's
+// (Counter, Histogram, HistogramVec, ...) panic with this error's
 // message in the conflict cases.
 var ErrDuplicateName = errors.New("obs: duplicate metric name")
 
@@ -41,8 +41,6 @@ type Registry struct {
 	// kinds maps every registered name to its metric kind, backing the
 	// cross-kind duplicate-name check (see ErrDuplicateName).
 	kinds         map[string]string
-	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
 	histogramVecs map[string]*HistogramVec
 	slos          map[string]*SLO
 	trace         eventRing
@@ -59,8 +57,6 @@ func NewRegistry() *Registry {
 		gauges:        map[string]*Gauge{},
 		histograms:    map[string]*Histogram{},
 		kinds:         map[string]string{},
-		counterVecs:   map[string]*CounterVec{},
-		gaugeVecs:     map[string]*GaugeVec{},
 		histogramVecs: map[string]*HistogramVec{},
 		slos:          map[string]*SLO{},
 	}
@@ -191,74 +187,6 @@ func sameBounds(name string, have, want []float64) error {
 		}
 	}
 	return nil
-}
-
-// TryCounterVec returns the named counter vec with the given label
-// keys, creating it on first use. Identical re-registration is
-// idempotent; mismatched keys or a cross-kind name conflict return an
-// error wrapping ErrDuplicateName.
-func (r *Registry) TryCounterVec(name string, keys ...string) (*CounterVec, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.claimLocked(name, "counter_vec"); err != nil {
-		return nil, err
-	}
-	if cv, ok := r.counterVecs[name]; ok {
-		if err := sameKeys(name, cv.v.keys, keys); err != nil {
-			return nil, err
-		}
-		return cv, nil
-	}
-	dropped, err := r.counterLocked(labelsDroppedName)
-	if err != nil {
-		return nil, err
-	}
-	cv := &CounterVec{v: newVec(name, keys, dropped, func() *Counter { return &Counter{} })}
-	r.counterVecs[name] = cv
-	return cv, nil
-}
-
-// CounterVec returns the named counter vec, creating it on first use;
-// it panics where TryCounterVec returns an error.
-func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
-	cv, err := r.TryCounterVec(name, keys...)
-	if err != nil {
-		panic(err)
-	}
-	return cv
-}
-
-// TryGaugeVec returns the named gauge vec with the given label keys,
-// creating it on first use, under the TryCounterVec contract.
-func (r *Registry) TryGaugeVec(name string, keys ...string) (*GaugeVec, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.claimLocked(name, "gauge_vec"); err != nil {
-		return nil, err
-	}
-	if gv, ok := r.gaugeVecs[name]; ok {
-		if err := sameKeys(name, gv.v.keys, keys); err != nil {
-			return nil, err
-		}
-		return gv, nil
-	}
-	dropped, err := r.counterLocked(labelsDroppedName)
-	if err != nil {
-		return nil, err
-	}
-	gv := &GaugeVec{v: newVec(name, keys, dropped, func() *Gauge { return &Gauge{} })}
-	r.gaugeVecs[name] = gv
-	return gv, nil
-}
-
-// GaugeVec returns the named gauge vec, creating it on first use; it
-// panics where TryGaugeVec returns an error.
-func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
-	gv, err := r.TryGaugeVec(name, keys...)
-	if err != nil {
-		panic(err)
-	}
-	return gv
 }
 
 // TryHistogramVec returns the named histogram vec (every child shares
@@ -394,16 +322,16 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 // identical registry state always yields an identical snapshot (and
 // identical JSON — map keys marshal sorted).
 type SnapshotData struct {
-	Enabled bool `json:"enabled"`
 	// EpochUnixNano is the registry's creation wall time; span Start
 	// values are epoch-anchored (see Event), so Start−EpochUnixNano is
 	// the span's offset into the run.
 	EpochUnixNano int64 `json:"epoch_unix_nano"`
-	// Counters, Gauges and Histograms hold both the flat scalar metrics
-	// (plain dotted names) and every vec child, flattened under rendered
-	// series names of the form name{k1="v1",k2="v2"} (label keys in
-	// registration order, values Prometheus-escaped) — so JSON consumers
-	// see labeled series without a schema change.
+	// Counters, Gauges and Histograms hold the flat scalar metrics
+	// under plain dotted names; Histograms also holds every histogram
+	// vec child, flattened under a rendered series name of the form
+	// name{k1="v1",k2="v2"} (label keys in registration order, values
+	// Prometheus-escaped), so JSON consumers see labeled series without
+	// a schema change.
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
@@ -429,7 +357,6 @@ func (r *Registry) capture(clear bool) SnapshotData {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := SnapshotData{
-		Enabled:       Enabled(),
 		EpochUnixNano: r.epochNano,
 		Counters:      make(map[string]int64, len(r.counters)),
 		Gauges:        make(map[string]int64, len(r.gauges)),
@@ -451,12 +378,6 @@ func (r *Registry) capture(clear bool) SnapshotData {
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.snapshot(clear)
-	}
-	for _, cv := range r.counterVecs {
-		cv.capture(s.Counters, clear)
-	}
-	for _, gv := range r.gaugeVecs {
-		gv.capture(s.Gauges, clear)
 	}
 	for _, hv := range r.histogramVecs {
 		hv.capture(s.Histograms, clear)

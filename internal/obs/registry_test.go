@@ -19,8 +19,6 @@ func TestTryRegistrationCrossKindErrors(t *testing.T) {
 	}{
 		{"gauge", func() error { _, err := r.TryGauge("taken"); return err }},
 		{"histogram", func() error { _, err := r.TryHistogram("taken", []float64{1}); return err }},
-		{"counter_vec", func() error { _, err := r.TryCounterVec("taken", "k"); return err }},
-		{"gauge_vec", func() error { _, err := r.TryGaugeVec("taken", "k"); return err }},
 		{"histogram_vec", func() error { _, err := r.TryHistogramVec("taken", []float64{1}, "k"); return err }},
 		{"slo", func() error { _, err := r.TrySLO("taken", SLOConfig{Objective: 0.9}); return err }},
 	}
@@ -57,8 +55,6 @@ func TestRegistrationPanicsOnConflict(t *testing.T) {
 	}
 	mustPanic("Gauge", func() { r.Gauge("taken") })
 	mustPanic("Histogram", func() { r.Histogram("taken", []float64{1}) })
-	mustPanic("CounterVec", func() { r.CounterVec("taken", "k") })
-	mustPanic("GaugeVec", func() { r.GaugeVec("taken", "k") })
 	mustPanic("HistogramVec", func() { r.HistogramVec("taken", []float64{1}, "k") })
 	mustPanic("SLO", func() { r.SLO("taken", SLOConfig{Objective: 0.9}) })
 }
@@ -72,11 +68,6 @@ func TestRegistrationIdempotentSameShape(t *testing.T) {
 	c2, err := r.TryCounter("idem.c")
 	if err != nil || c2 != c1 {
 		t.Errorf("counter re-registration: got %p err %v, want %p", c2, err, c1)
-	}
-	cv1, _ := r.TryCounterVec("idem.cv", "tenant", "outcome")
-	cv2, err := r.TryCounterVec("idem.cv", "tenant", "outcome")
-	if err != nil || cv2 != cv1 {
-		t.Errorf("counter vec re-registration: got %p err %v, want %p", cv2, err, cv1)
 	}
 	hv1, _ := r.TryHistogramVec("idem.hv", []float64{1, 2}, "tier")
 	hv2, err := r.TryHistogramVec("idem.hv", []float64{1, 2}, "tier")
@@ -95,15 +86,14 @@ func TestRegistrationIdempotentSameShape(t *testing.T) {
 // the data, so it must surface ErrDuplicateName.
 func TestRegistrationShapeMismatchErrors(t *testing.T) {
 	r := NewRegistry()
-	r.CounterVec("shape.cv", "tenant", "outcome")
-	if _, err := r.TryCounterVec("shape.cv", "tenant"); !errors.Is(err, ErrDuplicateName) {
+	r.HistogramVec("shape.hv", []float64{1, 2}, "tenant", "outcome")
+	if _, err := r.TryHistogramVec("shape.hv", []float64{1, 2}, "tenant"); !errors.Is(err, ErrDuplicateName) {
 		t.Errorf("key-count mismatch: err = %v, want ErrDuplicateName", err)
 	}
-	if _, err := r.TryCounterVec("shape.cv", "tenant", "tier"); !errors.Is(err, ErrDuplicateName) {
+	if _, err := r.TryHistogramVec("shape.hv", []float64{1, 2}, "tenant", "tier"); !errors.Is(err, ErrDuplicateName) {
 		t.Errorf("key-name mismatch: err = %v, want ErrDuplicateName", err)
 	}
-	r.HistogramVec("shape.hv", []float64{1, 2}, "tier")
-	if _, err := r.TryHistogramVec("shape.hv", []float64{1, 3}, "tier"); !errors.Is(err, ErrDuplicateName) {
+	if _, err := r.TryHistogramVec("shape.hv", []float64{1, 3}, "tenant", "outcome"); !errors.Is(err, ErrDuplicateName) {
 		t.Errorf("vec bounds mismatch: err = %v, want ErrDuplicateName", err)
 	}
 	r.Histogram("shape.h", []float64{1, 2})

@@ -61,7 +61,7 @@ var spanIDs atomic.Int64
 
 // Span is an open span started by StartSpan. The zero Span is inert:
 // End on it is a no-op, so call sites can unconditionally defer End
-// even when tracing is disabled or the request is untraced.
+// even when the request is untraced.
 type Span struct {
 	reg    *Registry
 	name   string
@@ -79,10 +79,9 @@ func (s Span) TraceID() int64 { return s.trace }
 func (s Span) SpanID() int64 { return s.id }
 
 // End records the completed span into its registry's trace ring.
-// Safe on the zero Span; skipped when instrumentation was disabled
-// between start and end.
+// Safe on the zero Span.
 func (s Span) End() {
-	if s.reg == nil || s.start.IsZero() || !enabled.Load() {
+	if s.reg == nil {
 		return
 	}
 	s.reg.trace.record(Event{
@@ -99,9 +98,7 @@ func (s Span) End() {
 // StartSpan opens a child span named name under ctx's trace,
 // allocating a fresh trace when ctx carries none. It returns a
 // derived context carrying the new span as the parent for further
-// children, plus the open Span; record it with End. When
-// instrumentation is disabled the original context and an inert Span
-// come back and nothing is allocated.
+// children, plus the open Span; record it with End.
 //
 // Cost note: the traced path allocates one context value per span.
 // Interior layers that sit on 0 allocs/op hot paths therefore gate on
@@ -122,9 +119,6 @@ func (r *Registry) StartRootSpan(ctx context.Context, name, track string) (conte
 func (r *Registry) startSpan(ctx context.Context, name, track string) (context.Context, Span) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if !enabled.Load() {
-		return ctx, Span{}
 	}
 	parent := TraceFromContext(ctx)
 	trace := parent.Trace

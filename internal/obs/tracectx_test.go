@@ -44,8 +44,6 @@ func TestTraceFromContextDoesNotAllocate(t *testing.T) {
 // innermost open span, and End must record the completed tree into
 // the ring with consistent trace/span/parent IDs.
 func TestStartSpanParenting(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	r := NewRegistry()
 
 	ctx, root := r.StartRootSpan(context.Background(), "serve.request", "tenant:acme")
@@ -91,10 +89,9 @@ func TestStartSpanParenting(t *testing.T) {
 }
 
 // A span started without an enclosing trace allocates a fresh trace
-// ID, so standalone operations still group their own subtrees.
+// ID, so standalone operations still group their own subtrees. The
+// zero Span is inert: End on it records nothing.
 func TestStartSpanAllocatesTrace(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	r := NewRegistry()
 	ctx, sp := r.StartSpan(context.Background(), "op")
 	if sp.TraceID() == 0 {
@@ -104,27 +101,9 @@ func TestStartSpanAllocatesTrace(t *testing.T) {
 		t.Errorf("context trace = %d, want %d", tc.Trace, sp.TraceID())
 	}
 	sp.End()
-}
-
-// Disabled instrumentation must short-circuit: same context back, an
-// inert span whose End records nothing, and zero-value Spans are
-// always safe to End.
-func TestStartSpanDisabled(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	r := NewRegistry()
-	ctx := context.Background()
-	got, sp := r.StartSpan(ctx, "op")
-	if got != ctx {
-		t.Error("disabled StartSpan derived a new context")
-	}
-	if sp.TraceID() != 0 || sp.SpanID() != 0 {
-		t.Errorf("disabled span ids = %d/%d, want 0/0", sp.TraceID(), sp.SpanID())
-	}
-	sp.End()
-	(Span{}).End() // zero Span: inert by contract
-	if spans := r.Spans(); len(spans) != 0 {
-		t.Errorf("disabled span recorded %d events", len(spans))
+	(Span{}).End()
+	if spans := r.Spans(); len(spans) != 1 {
+		t.Errorf("ring holds %d spans after one End and a zero-Span End, want 1", len(spans))
 	}
 }
 
@@ -132,8 +111,6 @@ func TestStartSpanDisabled(t *testing.T) {
 // parent_id args and emit the root's track as thread_name metadata on
 // the trace's row.
 func TestWriteTraceParentedTree(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	r := NewRegistry()
 	ctx, root := r.StartRootSpan(context.Background(), "serve.request", "tenant:acme")
 	_, child := r.StartSpan(ctx, "funcsim.forward")
@@ -201,8 +178,6 @@ func TestWriteTraceParentedTree(t *testing.T) {
 // Ring overflow must be surfaced everywhere spans are: the snapshot's
 // SpansDropped field and the Chrome envelope's spansDropped extension.
 func TestSpansDroppedSurfaced(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	r := NewRegistry()
 	for i := 0; i < traceRingSize+10; i++ {
 		recordSpan(r, "op")

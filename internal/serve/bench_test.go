@@ -43,8 +43,8 @@ func benchRequest(b *testing.B, s *Server, body []byte) {
 
 // BenchmarkServeFlat is the per-request baseline: the anonymous
 // ("default" tenant) request path, whose per-request metric work is
-// dominated by the flat counters and histograms the server has always
-// kept.
+// the flat outcome counters plus the default tenant's latency
+// histogram.
 func BenchmarkServeFlat(b *testing.B) {
 	s := benchServer(b)
 	// The pad field keeps the request bytes comparable with the
@@ -61,11 +61,11 @@ func BenchmarkServeFlat(b *testing.B) {
 
 // BenchmarkServeLabeled drives the same path with explicit rotating
 // tenant names, exercising the dimensional layer in full: per-tenant
-// handle-cache lookups plus the pre-resolved vec children observed on
-// every outcome. The contract (held by review against
-// BenchmarkServeFlat) is that the labeled path costs no more than ~5%
-// over the flat baseline — label resolution happens once per tenant,
-// not per request.
+// handle-cache lookups plus each tenant's pre-resolved latency
+// histogram. The contract (held by review against BenchmarkServeFlat)
+// is that the labeled path costs no more than ~5% over the flat
+// baseline — label resolution happens once per tenant, not per
+// request.
 func BenchmarkServeLabeled(b *testing.B) {
 	s := benchServer(b)
 	bodies := make([][]byte, 8)

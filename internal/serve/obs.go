@@ -15,11 +15,10 @@ package serve
 import "geniex/internal/obs"
 
 // Metric handles for the serving frontend, registered once in the
-// process-wide obs registry. Per-tier latency histograms are
-// registered per Server in NewServer (their names depend on the
-// configured tiers).
+// process-wide obs registry. The typed outcome counters (ok, rejected,
+// timeout, exhausted, bad_input) count each request once, by its
+// terminal outcome.
 var (
-	mRequests  = obs.NewCounter("serve.requests")
 	mOK        = obs.NewCounter("serve.ok")
 	mRejected  = obs.NewCounter("serve.rejected")  // 429 at admission
 	mTimeout   = obs.NewCounter("serve.timeout")   // 504 deadline exceeded
@@ -41,30 +40,13 @@ var (
 	mQueueDepth = obs.NewGauge("serve.queue_depth")
 	mInFlight   = obs.NewGauge("serve.inflight")
 
-	mLatency = obs.NewHistogram("serve.latency_seconds", obs.LatencyBuckets)
-)
-
-// Dimensional (label-vec) handles. Children are resolved once per
-// tenant (cached on the tenantQueue) and once per tier (arrays built
-// in NewServer), so the request path touches only pre-resolved
-// scalar handles — the same 0-allocation contract as the flat
-// metrics. Tenant names are caller-controlled, so the vecs' built-in
-// cardinality cap applies: past it, new tenants aggregate into the
-// "_overflow" series and obs.labels.dropped counts the redirections.
-var (
-	// serve.tenant.requests{tenant,outcome}: terminal outcomes per
-	// tenant. Outcomes: ok, rejected, timeout, exhausted. (bad_input
-	// is not attributed: malformed JSON carries no trustworthy tenant.)
-	vTenantRequests = obs.NewCounterVec("serve.tenant.requests", "tenant", "outcome")
-	// serve.tenant.latency_seconds{tenant}: end-to-end request latency
-	// of 200 responses per tenant.
+	// serve.tenant.latency_seconds{tenant}: end-to-end latency of 200
+	// responses per tenant, each observation carrying the request's
+	// trace ID as its bucket exemplar. Children are resolved once per
+	// tenant and cached on the tenantQueue, so the request path touches
+	// only a pre-resolved handle. Tenant names are caller-controlled,
+	// so the vec's cardinality cap applies: past it, new tenants
+	// aggregate into the "_overflow" series and obs.labels.dropped
+	// counts the redirections.
 	vTenantLatency = obs.NewHistogramVec("serve.tenant.latency_seconds", obs.LatencyBuckets, "tenant")
-	// serve.tier.latency_seconds{tier}: per-attempt execution latency
-	// by fidelity tier (replaces the former dynamic
-	// serve.tier.<name>.latency_seconds names).
-	vTierLatency = obs.NewHistogramVec("serve.tier.latency_seconds", obs.LatencyBuckets, "tier")
-	// serve.tier.shed{tier,reason}: ladder shed decisions by tier and
-	// reason (overload, drift, breaker, error), the dimensional
-	// counterpart of the flat serve.shed.* counters.
-	vTierShed = obs.NewCounterVec("serve.tier.shed", "tier", "reason")
 )

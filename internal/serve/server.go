@@ -35,7 +35,7 @@ func (f RunnerFunc) ForwardContext(ctx context.Context, x *linalg.Dense) (*linal
 // ladder never sheds past it, so it should be the cheap, reliable
 // model (analytical or ideal).
 type Tier struct {
-	// Name annotates responses and metric names; must be unique.
+	// Name annotates responses; must be unique.
 	Name string
 	// Runner executes the tier.
 	Runner Runner
@@ -44,9 +44,9 @@ type Tier struct {
 	// load. Ignored on the floor tier.
 	ShedAt float64
 	// Distrust, when non-nil, reports that this tier's fidelity is
-	// currently not trusted (the PR 5 probe drift gauge is the
-	// intended source); the ladder then sheds past it. Ignored on the
-	// floor tier.
+	// currently not trusted (the fidelity probe's drift or SLO burn
+	// rate is the intended source); the ladder then sheds past it.
+	// Ignored on the floor tier.
 	Distrust func() bool
 	// Version, when non-nil, reports the tier's current model version
 	// (funcsim.Engine.ModelVersion is the intended source for tiers
@@ -143,8 +143,6 @@ type Server struct {
 	sem      chan struct{} // in-flight slots
 	queued   atomic.Int64  // admitted but not yet executing, all tenants
 	breakers []*Breaker
-	tierLat  []*obs.Histogram
-	tierShed []tierShedSet
 	// slo, when armed (Config.LatencyTarget/LatencyObjective), tracks
 	// the serve latency objective as a windowed burn rate.
 	slo *obs.SLO
@@ -162,8 +160,8 @@ type Server struct {
 }
 
 // tenantQueue tracks one tenant's share of the admission queue plus
-// the tenant's pre-resolved dimensional metric handles, so the
-// request path never resolves vec children.
+// the tenant's pre-resolved latency histogram, so the request path
+// never resolves vec children.
 type tenantQueue struct {
 	queued atomic.Int64
 	// track is the trace display row for this tenant's requests
@@ -171,18 +169,9 @@ type tenantQueue struct {
 	// strings.
 	track string
 	lat   *obs.Histogram
-	// Terminal-outcome counters (children of serve.tenant.requests).
-	okC, rejectedC, timeoutC, exhaustedC *obs.Counter
 }
 
-// tierShedSet holds one tier's pre-resolved shed-reason counters
-// (children of serve.tier.shed).
-type tierShedSet struct {
-	overload, drift, breaker, err *obs.Counter
-}
-
-// NewServer validates cfg, applies defaults, and registers the
-// per-tier latency histograms.
+// NewServer validates cfg and applies defaults.
 func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.Tiers) == 0 {
 		return nil, errors.New("serve: config needs at least one tier")
@@ -205,21 +194,12 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		sem:        make(chan struct{}, cfg.MaxInFlight),
 		breakers:   make([]*Breaker, len(cfg.Tiers)),
-		tierLat:    make([]*obs.Histogram, len(cfg.Tiers)),
-		tierShed:   make([]tierShedSet, len(cfg.Tiers)),
 		maxVersion: make([]atomic.Int64, len(cfg.Tiers)),
 		tenants:    map[string]*tenantQueue{},
 		rng:        linalg.NewRNG(cfg.Seed),
 	}
-	for i, t := range cfg.Tiers {
+	for i := range cfg.Tiers {
 		s.breakers[i] = NewBreaker(cfg.BreakerTrip, cfg.BreakerCooldown)
-		s.tierLat[i] = vTierLatency.With(t.Name)
-		s.tierShed[i] = tierShedSet{
-			overload: vTierShed.With(t.Name, "overload"),
-			drift:    vTierShed.With(t.Name, "drift"),
-			breaker:  vTierShed.With(t.Name, "breaker"),
-			err:      vTierShed.With(t.Name, "error"),
-		}
 	}
 	if cfg.LatencyTarget > 0 && cfg.LatencyObjective > 0 {
 		s.slo = obs.NewSLO("serve.latency", obs.SLOConfig{
@@ -317,12 +297,8 @@ func (s *Server) tenant(name string) *tenantQueue {
 	t, ok = s.tenants[name]
 	if !ok {
 		t = &tenantQueue{
-			track:      "tenant:" + name,
-			lat:        vTenantLatency.With(name),
-			okC:        vTenantRequests.With(name, "ok"),
-			rejectedC:  vTenantRequests.With(name, "rejected"),
-			timeoutC:   vTenantRequests.With(name, "timeout"),
-			exhaustedC: vTenantRequests.With(name, "exhausted"),
+			track: "tenant:" + name,
+			lat:   vTenantLatency.With(name),
 		}
 		s.tenants[name] = t
 	}
@@ -395,7 +371,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	mRequests.Inc()
 	start := time.Now()
 
 	var req InferRequest
@@ -412,11 +387,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	tq := s.tenant(req.Tenant)
 
+	// Cap the requested deadline in milliseconds, before converting: a
+	// huge deadline_ms would overflow the Duration product.
 	deadline := s.cfg.Deadline
 	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
+		deadline = s.cfg.MaxDeadline
+		if req.DeadlineMS <= s.cfg.MaxDeadline.Milliseconds() {
+			deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
@@ -436,19 +413,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	y, tier, shed, retries, err := s.execute(ctx, x)
 	elapsed := time.Since(start)
-	if obs.Enabled() {
-		// The exemplar ties the latency bucket — in particular the slow
-		// tail — to this request's trace ID, so a scrape can jump from
-		// a bad percentile straight to the span tree in /trace.
-		mLatency.ObserveExemplar(elapsed.Seconds(), span.TraceID())
-	}
 	switch {
 	case err == nil:
 		mOK.Inc()
-		tq.okC.Inc()
-		if obs.Enabled() {
-			tq.lat.ObserveExemplar(elapsed.Seconds(), span.TraceID())
-		}
+		// The exemplar ties the latency bucket — in particular the slow
+		// tail — to this request's trace ID, so a scrape can jump from
+		// a bad percentile straight to the span tree in /trace.
+		tq.lat.ObserveExemplar(elapsed.Seconds(), span.TraceID())
 		s.sloObserve(start, true)
 		writeJSON(w, http.StatusOK, InferResponse{
 			Tier:          s.cfg.Tiers[tier].Name,
@@ -461,12 +432,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		})
 	case canceled(err):
 		mTimeout.Inc()
-		tq.timeoutC.Inc()
 		s.sloObserve(start, false)
 		writeRetryable(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error(), s.retryAfterHint())
 	default:
 		mExhausted.Inc()
-		tq.exhaustedC.Inc()
 		s.sloObserve(start, false)
 		writeRetryable(w, http.StatusServiceUnavailable, err.Error(), s.retryAfterHint())
 	}
@@ -515,7 +484,6 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, tq *tenantQue
 	if tq.queued.Add(1) > int64(s.cfg.TenantQueue) {
 		tq.queued.Add(-1)
 		mRejected.Inc()
-		tq.rejectedC.Inc()
 		s.sloObserve(start, false)
 		writeRetryable(w, http.StatusTooManyRequests, "tenant queue full", s.cfg.Deadline/2)
 		return nil, false
@@ -544,7 +512,6 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, tq *tenantQue
 	case <-ctx.Done():
 		dequeue()
 		mTimeout.Inc()
-		tq.timeoutC.Inc()
 		s.sloObserve(start, false)
 		writeRetryable(w, http.StatusGatewayTimeout, "deadline exceeded in admission queue", s.retryAfterHint())
 		return nil, false
@@ -566,19 +533,16 @@ func (s *Server) execute(ctx context.Context, x *linalg.Dense) (y *linalg.Dense,
 			if t := &s.cfg.Tiers[i]; t.ShedAt > 0 && s.loadFactor() >= t.ShedAt {
 				mShed.Inc()
 				mShedOverload.Inc()
-				s.tierShed[i].overload.Inc()
 				shed++
 				continue
 			} else if t.Distrust != nil && t.Distrust() {
 				mShed.Inc()
 				mShedDrift.Inc()
-				s.tierShed[i].drift.Inc()
 				shed++
 				continue
 			} else if !s.breakers[i].Allow() {
 				mShed.Inc()
 				mShedBreaker.Inc()
-				s.tierShed[i].breaker.Inc()
 				shed++
 				continue
 			}
@@ -596,7 +560,6 @@ func (s *Server) execute(ctx context.Context, x *linalg.Dense) (y *linalg.Dense,
 		if !floor {
 			mShed.Inc()
 			mShedError.Inc()
-			s.tierShed[i].err.Inc()
 			shed++
 		}
 	}
@@ -611,9 +574,7 @@ func (s *Server) runTier(ctx context.Context, i int, x *linalg.Dense, rng *linal
 	b := s.breakers[i]
 	retries := 0
 	for attempt := 0; ; attempt++ {
-		start := obs.Now()
 		y, err := s.attempt(ctx, i, x)
-		s.tierLat[i].ObserveSince(start)
 		if err == nil {
 			b.Success()
 			return y, retries, nil

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -117,6 +118,8 @@ func TestInferBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	badInput := obs.NewCounter("serve.bad_input")
+	b0 := badInput.Load()
 	for name, req := range map[string]InferRequest{
 		"empty":       {},
 		"empty-row":   {Inputs: [][]float64{{}}},
@@ -131,6 +134,9 @@ func TestInferBadInput(t *testing.T) {
 	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader([]byte("{"))))
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status %d, want 400", w.Code)
+	}
+	if d := badInput.Load() - b0; d != 5 {
+		t.Errorf("serve.bad_input advanced by %d, want 5", d)
 	}
 }
 
@@ -203,6 +209,8 @@ func TestDeadline504AndNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	timeout := obs.NewCounter("serve.timeout")
+	t0 := timeout.Load()
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		req := inferReq(1)
@@ -213,6 +221,9 @@ func TestDeadline504AndNoGoroutineLeak(t *testing.T) {
 		}
 		assertRetryAfter(t, w, bad)
 	}
+	if d := timeout.Load() - t0; d != 10 {
+		t.Errorf("serve.timeout advanced by %d, want 10", d)
+	}
 	runtime.GC()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > baseline+2 {
@@ -220,6 +231,49 @@ func TestDeadline504AndNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d now vs %d baseline", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A client deadline past MaxDeadline is capped at MaxDeadline,
+// including the values from 9,223,372,036,855 ms up whose conversion
+// to a Duration overflows int64 (into a negative or sub-millisecond
+// deadline).
+func TestHugeDeadlineCapped(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		got time.Time
+	)
+	record := RunnerFunc(func(ctx context.Context, x *linalg.Dense) (*linalg.Dense, error) {
+		d, _ := ctx.Deadline()
+		mu.Lock()
+		got = d
+		mu.Unlock()
+		return x, nil
+	})
+	s, err := NewServer(Config{Tiers: []Tier{{Name: "ideal", Runner: record}}, In: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxDeadline := s.Config().MaxDeadline
+	for _, ms := range []int64{maxDeadline.Milliseconds() + 1, 9223372036855, 18446744073710, math.MaxInt64} {
+		req := inferReq(1)
+		req.DeadlineMS = ms
+		before := time.Now()
+		w, _, bad := postInfer(t, s, req)
+		after := time.Now()
+		if w.Code != http.StatusOK {
+			t.Errorf("deadline_ms %d: status %d body %+v, want 200", ms, w.Code, bad)
+			continue
+		}
+		mu.Lock()
+		d := got
+		mu.Unlock()
+		// Capped means exactly MaxDeadline from the handler's start,
+		// which lies between before and after.
+		if d.Before(before.Add(maxDeadline)) || d.After(after.Add(maxDeadline)) {
+			t.Errorf("deadline_ms %d: deadline %v after request start, want %v",
+				ms, d.Sub(before), maxDeadline)
+		}
 	}
 }
 
@@ -302,12 +356,17 @@ func TestNonTransientShedsWithoutRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shedError := obs.NewCounter("serve.shed.error")
+	e0 := shedError.Load()
 	w, resp, _ := postInfer(t, s, inferReq(1))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
 	if resp.Tier != "ideal" || resp.Retries != 0 || resp.Shed != 1 {
 		t.Errorf("expected retry-free shed, got %+v", resp)
+	}
+	if d := shedError.Load() - e0; d != 1 {
+		t.Errorf("serve.shed.error advanced by %d, want 1", d)
 	}
 }
 
@@ -628,4 +687,57 @@ func TestTierVersionMonotonic(t *testing.T) {
 	if bytes.Contains(w.Body.Bytes(), []byte("tier_version")) {
 		t.Errorf("versionless tier serialized tier_version: %s", w.Body.String())
 	}
+}
+
+// FuzzInfer posts arbitrary bodies to /v1/infer on a server whose tier
+// returns its input at once. Whatever the body, the server must not
+// panic and must answer with a typed outcome: 200 with one output row
+// per input row, or 400/429/503/504 with an ErrorResponse body.
+func FuzzInfer(f *testing.F) {
+	for _, seed := range []string{
+		`{"tenant":"acme","inputs":[[1,2,3],[4,5,6]]}`,
+		``,
+		`{"inputs":[]}`,
+		`{"inputs":[[1,2,3],[1]]}`,
+		`{"inputs":[[1,2]]}`,
+		`{`,
+		`{"inputs":[[1,2,3]],"deadline_ms":10001}`,
+		`{"inputs":[[1,2,3]],"deadline_ms":9223372036855}`,
+		`{"inputs":[[1,2,3]],"deadline_ms":18446744073710}`,
+		`{"inputs":[[1,2,3]],"deadline_ms":9223372036854775807}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, err := NewServer(Config{Tiers: []Tier{{Name: "ideal", Runner: RunnerFunc(passthrough)}}, In: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK:
+			// The server decodes the first JSON value of the body; so
+			// does this check.
+			var req InferRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("200 for an undecodable body: %v", err)
+			}
+			var resp InferResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("malformed 200 body %q: %v", w.Body.String(), err)
+			}
+			if len(resp.Outputs) != len(req.Inputs) {
+				t.Fatalf("200 with %d output rows for %d input rows", len(resp.Outputs), len(req.Inputs))
+			}
+		case http.StatusBadRequest, http.StatusTooManyRequests,
+			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			var bad ErrorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &bad); err != nil || bad.Error == "" {
+				t.Fatalf("status %d with body %q, want an ErrorResponse", w.Code, w.Body.String())
+			}
+		default:
+			t.Fatalf("untyped status %d, body %q", w.Code, w.Body.String())
+		}
+	})
 }

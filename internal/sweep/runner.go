@@ -16,16 +16,8 @@ import (
 	"geniex/internal/funcsim"
 	"geniex/internal/linalg"
 	"geniex/internal/nonideal"
-	"geniex/internal/obs"
 	"geniex/internal/quant"
 	"geniex/internal/xbar"
-)
-
-// Sweep progress counters in the process-wide obs registry.
-var (
-	mCellsExecuted = obs.NewCounter("sweep.cells.executed")
-	mCellsSkipped  = obs.NewCounter("sweep.cells.skipped")
-	mCellsFailed   = obs.NewCounter("sweep.cells.failed")
 )
 
 // Options configures one Run.
@@ -110,7 +102,6 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Outcome, error) {
 				return nil, fmt.Errorf("sweep: corrupt checkpoint %s: %w", path, err)
 			}
 			out.Skipped++
-			mCellsSkipped.Inc()
 			out.Results = append(out.Results, r)
 			opt.logf("sweep: skip %s (checkpointed)", c.ID())
 			continue
@@ -211,7 +202,6 @@ func (r *runner) execute(ctx context.Context, c Cell) {
 		r.mu.Lock()
 		r.out.Failures = append(r.out.Failures, Failure{ID: c.ID(), Err: err.Error()})
 		r.mu.Unlock()
-		mCellsFailed.Inc()
 		r.opt.logf("sweep: FAIL %s: %v", c.ID(), err)
 		return
 	}
@@ -219,7 +209,6 @@ func (r *runner) execute(ctx context.Context, c Cell) {
 		r.mu.Lock()
 		r.out.Failures = append(r.out.Failures, Failure{ID: c.ID(), Err: err.Error()})
 		r.mu.Unlock()
-		mCellsFailed.Inc()
 		r.opt.logf("sweep: FAIL %s: %v", c.ID(), err)
 		return
 	}
@@ -227,7 +216,6 @@ func (r *runner) execute(ctx context.Context, c Cell) {
 	r.out.Executed++
 	r.out.Results = append(r.out.Results, res)
 	r.mu.Unlock()
-	mCellsExecuted.Inc()
 	r.opt.logf("sweep: done %s rrmse=%.4g degraded=%.3f", c.ID(), res.RRMSE, res.DegradedFraction)
 }
 

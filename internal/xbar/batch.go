@@ -347,7 +347,6 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 	if out.Rows != vs.Rows || out.Cols != cfg.Cols {
 		return nil, fmt.Errorf("xbar: BatchSolve output is %dx%d, want %dx%d", out.Rows, out.Cols, vs.Rows, cfg.Cols)
 	}
-	start := obs.Now()
 	region := obs.StartRegion("xbar.batch")
 	defer region.End()
 	// One parented span per batch call (not per item): a traced request
@@ -438,9 +437,7 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 	for _, o := range rep.Outcomes {
 		rep.tally(o)
 	}
-	if obs.Enabled() {
-		recordBatch(rep, start)
-	}
+	recordBatch(rep)
 	return rep, nil
 }
 

@@ -118,24 +118,21 @@ func TestSolveContextDeadlineExceeded(t *testing.T) {
 func TestSolveCancellationCounters(t *testing.T) {
 	xb := cancelTestCrossbar(t)
 	v := cancelTestInput(xb)
-	prev := obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 
-	solves0 := mSolves.Load()
-	fail0 := mSolveFailures.Load()
-	cancel0 := mSolveCancelled.Load()
+	before := obs.Snapshot().Counters
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := xb.SolveContext(ctx, v); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
-	if d := mSolves.Load() - solves0; d != 0 {
+	after := obs.Snapshot().Counters
+	if d := after["xbar.solver.solves"] - before["xbar.solver.solves"]; d != 0 {
 		t.Errorf("solve counter advanced by %d during a cancelled solve", d)
 	}
-	if d := mSolveFailures.Load() - fail0; d != 0 {
+	if d := after["xbar.solver.failures"] - before["xbar.solver.failures"]; d != 0 {
 		t.Errorf("failure counter advanced by %d during a cancelled solve", d)
 	}
-	if d := mSolveCancelled.Load() - cancel0; d != 1 {
+	if d := after["xbar.solver.cancelled"] - before["xbar.solver.cancelled"]; d != 1 {
 		t.Errorf("cancelled counter advanced by %d, want 1", d)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"geniex/internal/device"
 	"geniex/internal/linalg"
-	"geniex/internal/obs"
 )
 
 // Crossbar is a programmed crossbar instance ready to solve MVMs at
@@ -162,9 +161,7 @@ func (x *Crossbar) Program(g *linalg.Dense) error {
 	// invalidates the operating-point factorization.
 	if x.fact != nil {
 		x.fact = nil
-		if obs.Enabled() {
-			mFactorInvalidations.Inc()
-		}
+		mFactorInvalidations.Inc()
 	}
 	x.factErr = false
 	return nil
@@ -182,15 +179,10 @@ func (x *Crossbar) ensureFactor() *opFactor {
 		f, err := x.buildFactor()
 		if err != nil {
 			x.factErr = true
-			if obs.Enabled() {
-				mFactorBuildFailures.Inc()
-			}
 			return nil
 		}
 		x.adoptFactor(f)
-		if obs.Enabled() {
-			mFactorBuilds.Inc()
-		}
+		mFactorBuilds.Inc()
 	}
 	return x.fact
 }

@@ -21,10 +21,8 @@ var (
 	// rungs run.
 	mNewtonIters  = obs.NewHistogram("xbar.solver.newton_iters", obs.IterBuckets)
 	mCGIters      = obs.NewHistogram("xbar.solver.cg_iters", obs.IterBuckets)
-	mDampedSteps  = obs.NewCounter("xbar.solver.damped_steps")
 	mCGBreakdowns = obs.NewCounter("xbar.solver.cg_breakdowns")
 	mLUFallbacks  = obs.NewCounter("xbar.solver.lu_fallbacks")
-	mUnconverged  = obs.NewCounter("xbar.solver.unconverged")
 
 	// Rescue-rung counters: a categorical histogram over which ladder
 	// rung produced each accepted solution.
@@ -39,19 +37,14 @@ var (
 	// updates on the same cached factor.
 	mFactorBuilds        = obs.NewCounter("xbar.solver.factor.builds")
 	mFactorInvalidations = obs.NewCounter("xbar.solver.factor.invalidations")
-	mFactorBuildFailures = obs.NewCounter("xbar.solver.factor.build_failures")
 	mFactorReuses        = obs.NewCounter("xbar.solver.factor.reuses")
 
-	mBatchCalls   = obs.NewCounter("xbar.batch.calls")
-	mBatchItems   = obs.NewCounter("xbar.batch.items")
-	mBatchRetried = obs.NewCounter("xbar.batch.retried")
-	mBatchFailed  = obs.NewCounter("xbar.batch.failed")
-	mBatchLatency = obs.NewHistogram("xbar.batch.latency_seconds", obs.LatencyBuckets)
+	mBatchCalls = obs.NewCounter("xbar.batch.calls")
+	mBatchItems = obs.NewCounter("xbar.batch.items")
 )
 
 // recordSolve folds one completed (or failed) circuit solve into the
-// registry. The caller gates on obs.Enabled so a disabled registry
-// costs one branch per solve.
+// registry.
 func recordSolve(sol *Solution, err error, start time.Time) {
 	mSolves.Inc()
 	mSolveLatency.ObserveSince(start)
@@ -68,12 +61,8 @@ func recordSolve(sol *Solution, err error, start time.Time) {
 	}
 	mNewtonIters.Observe(float64(sol.NewtonIters))
 	mCGIters.Observe(float64(sol.CGIters))
-	mDampedSteps.Add(int64(sol.DampedSteps))
 	mCGBreakdowns.Add(int64(sol.CGBreakdowns))
 	mLUFallbacks.Add(int64(sol.LUFallbacks))
-	if !sol.Converged {
-		mUnconverged.Inc()
-	}
 	switch sol.Recovery {
 	case "":
 		mRungNewton.Inc()
@@ -87,10 +76,7 @@ func recordSolve(sol *Solution, err error, start time.Time) {
 }
 
 // recordBatch folds one BatchSolver call into the registry.
-func recordBatch(rep *BatchReport, start time.Time) {
+func recordBatch(rep *BatchReport) {
 	mBatchCalls.Inc()
 	mBatchItems.Add(int64(len(rep.Outcomes)))
-	mBatchRetried.Add(int64(rep.Retried))
-	mBatchFailed.Add(int64(rep.Failed))
-	mBatchLatency.ObserveSince(start)
 }

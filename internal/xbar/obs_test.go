@@ -80,34 +80,6 @@ func TestSolveRecordsObsMetrics(t *testing.T) {
 	}
 }
 
-// Disabling obs must stop the registry from moving without touching
-// solver behaviour.
-func TestSolveObsDisabled(t *testing.T) {
-	prev := obs.SetEnabled(false)
-	defer obs.SetEnabled(prev)
-	before := obs.Snapshot()
-
-	cfg := DefaultConfig()
-	cfg.Rows, cfg.Cols = 4, 4
-	xb, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := linalg.NewDense(4, 4)
-	linalg.Fill(g.Data, cfg.Gon())
-	if err := xb.Program(g); err != nil {
-		t.Fatal(err)
-	}
-	v := []float64{0.1, 0.1, 0.1, 0.1}
-	if _, err := xb.Solve(v); err != nil {
-		t.Fatal(err)
-	}
-	after := obs.Snapshot()
-	if d := after.Counters["xbar.solver.solves"] - before.Counters["xbar.solver.solves"]; d != 0 {
-		t.Errorf("disabled obs still counted %d solves", d)
-	}
-}
-
 // Batch solves must record item outcomes in the registry.
 func TestBatchRecordsObsMetrics(t *testing.T) {
 	before := obs.Snapshot()

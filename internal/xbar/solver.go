@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 
 	"geniex/internal/linalg"
 	"geniex/internal/obs"
@@ -172,19 +173,15 @@ func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, 
 			return fmt.Errorf("xbar: input %d voltage %g outside [0, %g]", i, vi, cfg.Vsupply)
 		}
 	}
-	start := obs.Now()
+	start := time.Now()
 	region := obs.StartRegion("xbar.solve")
 	err := x.runLadder(ctx, v, policy, sol)
 	region.End()
 	if err != nil && canceled(err) {
-		if obs.Enabled() {
-			mSolveCancelled.Inc()
-		}
+		mSolveCancelled.Inc()
 		return err // cancellation is not a solver failure; skip recordSolve
 	}
-	if obs.Enabled() {
-		recordSolve(sol, err, start)
-	}
+	recordSolve(sol, err, start)
 	return err
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"geniex/internal/linalg"
+	"geniex/internal/obs"
 )
 
 // cleanSolve solves one workload without faults and returns the
@@ -221,9 +222,13 @@ func TestLadderExhaustion(t *testing.T) {
 	}
 
 	cfg.Policy = PolicyBestEffort
+	bestEffort0 := obs.Snapshot().Counters["xbar.solver.rung.best_effort"]
 	sol, err := faultedSolve(t, cfg, g, v, plan)
 	if err != nil {
 		t.Fatalf("PolicyBestEffort errored: %v", err)
+	}
+	if d := obs.Snapshot().Counters["xbar.solver.rung.best_effort"] - bestEffort0; d != 1 {
+		t.Errorf("best-effort rung counter moved by %d, want 1", d)
 	}
 	if sol.Converged {
 		t.Error("best-effort solution claims convergence")

@@ -13,7 +13,8 @@
 //     frozen surrogate, with zero failed MVMs across hot-swaps.
 //   - load: geniex-serve's per-tenant metrics agree with loadgen's
 //     client view, and /trace holds a solve → serve.request chain.
-//   - catalog: every registered obs metric is cataloged in DESIGN.md.
+//   - catalog: every registered obs metric is cataloged in DESIGN.md
+//     and read by a test, a smoke check or perfbench.
 //
 // Run it from the repository root. With no arguments it runs every
 // check; arguments select checks by name:
@@ -176,7 +177,6 @@ func poll(deadline time.Time, interval time.Duration, f func() error) error {
 
 // snapshot mirrors the wire shape of obs.SnapshotData the checks read.
 type snapshot struct {
-	Enabled    bool             `json:"enabled"`
 	Counters   map[string]int64 `json:"counters"`
 	Gauges     map[string]int64 `json:"gauges"`
 	Histograms map[string]struct {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
@@ -168,4 +169,78 @@ func promGrammar(text string) error {
 		}
 	}
 	return nil
+}
+
+// registration is one obs.New* call in program source: the metric
+// kind, the series name (empty when the argument is not a plain string
+// literal) and the file:line it sits at.
+type registration struct {
+	kind, name, at string
+}
+
+var registerRE = regexp.MustCompile(
+	`obs\.New(Counter|Gauge|Histogram|HistogramVec|SLO)\(\s*(?:"([^"\\]*)"\s*[,)])?`)
+
+// findRegistrations returns every obs.New* registration in src, the
+// Go source of the file at path.
+func findRegistrations(path, src string) []registration {
+	var regs []registration
+	for _, m := range registerRE.FindAllStringSubmatchIndex(src, -1) {
+		r := registration{
+			kind: src[m[2]:m[3]],
+			at:   fmt.Sprintf("%s:%d", path, 1+strings.Count(src[:m[0]], "\n")),
+		}
+		if m[4] >= 0 {
+			r.name = src[m[4]:m[5]]
+		}
+		regs = append(regs, r)
+	}
+	return regs
+}
+
+// isReader reports whether the file at path (repo-relative) can read a
+// series: a test file anywhere, or any file of the smoke harness or the
+// benchmark.
+func isReader(path string) bool {
+	path = filepath.ToSlash(path)
+	return strings.HasSuffix(path, "_test.go") ||
+		strings.HasPrefix(path, "scripts/smoke/") || strings.HasPrefix(path, "perfbench/")
+}
+
+// readerRule checks regs against files (repo-relative path → source).
+// Every registration must name its series with a string literal, and
+// every series must be read: its name must appear as "name" or "name{
+// in a reader file (see isReader). SLO trackers are exempt from the
+// read requirement: the ladder's Distrust gate and the calibrator
+// trigger read them through the handle. It returns the number of
+// distinct names the rule checked, SLO trackers excluded.
+func readerRule(regs []registration, files map[string]string) (int, error) {
+	var readers strings.Builder
+	for path, src := range files {
+		if isReader(path) {
+			readers.WriteString(src)
+		}
+	}
+	corpus := readers.String()
+	names := map[string][]string{} // series name → registration sites
+	var bad []string
+	for _, r := range regs {
+		switch {
+		case r.name == "":
+			bad = append(bad, fmt.Sprintf("obs.New%s at %s: name is not a string literal", r.kind, r.at))
+		case r.kind != "SLO":
+			names[r.name] = append(names[r.name], r.at)
+		}
+	}
+	for name, sites := range names {
+		if !strings.Contains(corpus, `"`+name+`"`) && !strings.Contains(corpus, `"`+name+`{`) {
+			bad = append(bad, fmt.Sprintf("%s (registered at %s): never read by a test, a smoke check or perfbench",
+				name, strings.Join(sites, ", ")))
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		return 0, fmt.Errorf("catalog reader rule:\n  %s", strings.Join(bad, "\n  "))
+	}
+	return len(names), nil
 }

@@ -80,3 +80,48 @@ func TestRules(t *testing.T) {
 		}
 	}
 }
+
+// The catalog's reader rule must accept a series read by a test or a
+// smoke check and reject an unread one, one only a longer name reads,
+// and a non-literal registration. The fixtures use demo.* names that
+// no program registers, so this file never counts as a reader of a
+// real series.
+func TestReaderRule(t *testing.T) {
+	const prog = "internal/demo/demo.go"
+	for _, tc := range []struct {
+		name    string
+		program string            // source of prog
+		readers map[string]string // further files, path → source
+		reject  string            // substring of the wanted error; "" means accept
+	}{
+		{"unread", `var c = obs.NewCounter("demo.unread")`,
+			map[string]string{"internal/demo/other.go": `x := "demo.unread"`}, "never read"},
+		{"read in a test file", `var c = obs.NewCounter("demo.ok")`,
+			map[string]string{"internal/demo/demo_test.go": `snap.Counters["demo.ok"]`}, ""},
+		{"labeled read in smoke", `var v = obs.NewHistogramVec("demo.lat", obs.LatencyBuckets, "tenant")`,
+			map[string]string{"scripts/smoke/checks.go": `key := fmt.Sprintf("demo.lat{tenant=%q}", t)`}, ""},
+		{"prefix of a read name", `var c = obs.NewCounter("demo.shed")`,
+			map[string]string{"internal/demo/demo_test.go": `snap.Counters["demo.shed.drift"]`}, "demo.shed (registered"},
+		{"non-literal name", `c := obs.NewCounter("demo.applied." + kind)`,
+			map[string]string{"internal/demo/demo_test.go": `"demo.applied."`}, "not a string literal"},
+		{"SLO exempt", `s := obs.NewSLO("demo.fidelity", obs.SLOConfig{Objective: 0.9})`, nil, ""},
+	} {
+		files := map[string]string{prog: tc.program}
+		for path, src := range tc.readers {
+			files[path] = src
+		}
+		regs := findRegistrations(prog, tc.program)
+		if len(regs) != 1 {
+			t.Fatalf("%s: found %d registrations, want 1", tc.name, len(regs))
+		}
+		_, err := readerRule(regs, files)
+		switch {
+		case tc.reject == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.reject != "" && err == nil:
+			t.Errorf("%s: accepted, want rejection (%s)", tc.name, tc.reject)
+		case tc.reject != "" && !strings.Contains(err.Error(), tc.reject):
+			t.Errorf("%s: rejected for the wrong reason: %v, want %q", tc.name, err, tc.reject)
+		}
+	}
+}
