@@ -358,7 +358,7 @@ func (m Circuit) NewTile(g *linalg.Dense) (Tile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return circuitTile{solver: solver, cols: g.Cols, degraded: m.Degraded, health: m.Health}, nil
+	return &circuitTile{solver: solver, cols: g.Cols, degraded: m.Degraded, health: m.Health}, nil
 }
 
 type circuitTile struct {
@@ -366,9 +366,31 @@ type circuitTile struct {
 	cols     int
 	degraded bool
 	health   *SolverHealth
+
+	// Batch reports are pooled per tile, like geniexTile's fR buffers,
+	// so steady-state calls do not allocate a per-item report.
+	mu   sync.Mutex
+	free []*xbar.BatchReport
 }
 
-func (t circuitTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
+func (t *circuitTile) getReport() *xbar.BatchReport {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n := len(t.free); n > 0 {
+		rep := t.free[n-1]
+		t.free = t.free[:n-1]
+		return rep
+	}
+	return &xbar.BatchReport{}
+}
+
+func (t *circuitTile) putReport(rep *xbar.BatchReport) {
+	t.mu.Lock()
+	t.free = append(t.free, rep)
+	t.mu.Unlock()
+}
+
+func (t *circuitTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
 	out := linalg.NewDense(v.Rows, t.cols)
 	if err := t.CurrentsInto(out, v); err != nil {
 		return nil, err
@@ -376,16 +398,17 @@ func (t circuitTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
 	return out, nil
 }
 
-func (t circuitTile) CurrentsInto(dst, v *linalg.Dense) error {
+func (t *circuitTile) CurrentsInto(dst, v *linalg.Dense) error {
 	return t.CurrentsCtxInto(nil, dst, v)
 }
 
 // CurrentsCtxInto implements ctxTile: the batch solve aborts at the
 // next solver update once ctx is done, so a revoked serving deadline
 // stops circuit work instead of letting it run to completion.
-func (t circuitTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
-	rep, err := t.solver.SolveReportIntoContext(ctx, dst, v)
-	if err != nil {
+func (t *circuitTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
+	rep := t.getReport()
+	defer t.putReport(rep)
+	if err := t.solver.SolveReportIntoContext(ctx, rep, dst, v); err != nil {
 		return err
 	}
 	if t.health != nil {

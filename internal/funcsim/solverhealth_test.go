@@ -2,6 +2,7 @@ package funcsim
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -147,5 +148,42 @@ func TestEngineDegradedModeCompletes(t *testing.T) {
 	}
 	if c.Failed != c.Items {
 		t.Errorf("health = %+v, want every item failed under the all-item fault plan", c)
+	}
+}
+
+// A circuit tile keeps its batch reports, so once a report has grown
+// to the batch, a call allocates the same bytes at 4 items as at 64:
+// nothing per item.
+func TestCircuitTileReportsDoNotAllocatePerItem(t *testing.T) {
+	cfg, g, _ := faultedWorkload(t, nil)
+	cfg = cfg.WithFaults(nil)
+	cfg.BatchWorkers = 1
+	tile, err := Circuit{Cfg: cfg}.NewTile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := linalg.NewRNG(41)
+	bytesPerCall := func(items int) uint64 {
+		v := linalg.NewDense(items, cfg.Rows)
+		for i := range v.Data {
+			v.Data[i] = cfg.Vsupply * r.Float64()
+		}
+		dst := linalg.NewDense(items, cfg.Cols)
+		if err := currentsInto(nil, tile, dst, v, nil); err != nil { // warm the report
+			t.Fatal(err)
+		}
+		const calls = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := currentsInto(nil, tile, dst, v, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	if small, large := bytesPerCall(4), bytesPerCall(64); large != small {
+		t.Errorf("a call allocates %d B at 4 items but %d B at 64", small, large)
 	}
 }

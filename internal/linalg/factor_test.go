@@ -191,3 +191,67 @@ func TestBlockTridiagSolveMatchesDense(t *testing.T) {
 		}
 	}
 }
+
+// The block solves must reproduce the one-vector solves bit for bit in
+// every lane, for any lane count (so every register tier and tail
+// runs), with spare lanes in the stride, in place or not.
+func TestSolveBlockIntoMatchesSolveInto(t *testing.T) {
+	r := NewRNG(44)
+	levels, bs := 5, 7
+	diagT, offT := randSPDTridiag(r, bs)
+	tri, err := FactorTridiag(diagT, offT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chol, err := FactorCholesky(randSPD(r, bs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diag, off, _ := blockTridiagSystem(r, levels, bs)
+	bt, err := FactorBlockTridiag(diag, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp1 := make([]float64, bs)
+	solvers := []struct {
+		name  string
+		n     int
+		one   func(x, b []float64)
+		block func(x, b []float64, m, ld int)
+	}{
+		{"Tridiag", bs, tri.SolveInto, tri.SolveBlockInto},
+		{"Cholesky", bs, chol.SolveInto, chol.SolveBlockInto},
+		{"BlockTridiag", levels * bs,
+			func(x, b []float64) { bt.SolveInto(x, b, tmp1) },
+			func(x, b []float64, m, ld int) { bt.SolveBlockInto(x, b, make([]float64, bs*ld), m, ld) }},
+	}
+	for _, s := range solvers {
+		for _, m := range []int{1, 2, 3, 4, 5, 8, 9, 13, 16, 19} {
+			ld := m + 3
+			b := make([]float64, s.n*ld)
+			for i := range b {
+				b[i] = 2*r.Float64() - 1
+			}
+			want := make([][]float64, m)
+			for l := range want {
+				col := make([]float64, s.n)
+				for i := range col {
+					col[i] = b[i*ld+l]
+				}
+				want[l] = make([]float64, s.n)
+				s.one(want[l], col)
+			}
+			x := make([]float64, len(b))
+			s.block(x, b, m, ld)
+			s.block(b, b, m, ld) // in place
+			for l := 0; l < m; l++ {
+				for i := 0; i < s.n; i++ {
+					if x[i*ld+l] != want[l][i] || b[i*ld+l] != want[l][i] {
+						t.Fatalf("%s m=%d lane %d row %d: block %v, in place %v, one-vector %v",
+							s.name, m, l, i, x[i*ld+l], b[i*ld+l], want[l][i])
+					}
+				}
+			}
+		}
+	}
+}

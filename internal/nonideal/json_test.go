@@ -122,3 +122,77 @@ func (*zeroizer) Apply(g *linalg.Dense, env Env, rng *linalg.RNG, t float64) (in
 	}
 	return len(g.Data), nil
 }
+
+// A stack Validate accepts can still overflow: ν·d0 underflows to 0
+// and ln(1+t/τ0) is +Inf, so drift ages every cell to NaN, which no
+// clamp catches. Apply must fail and name the component.
+func TestApplyRejectsNonFiniteConductance(t *testing.T) {
+	var sc Scenario
+	if err := json.Unmarshal([]byte(`{"stack":[{"kind":"drift","params":{"nu":1e-320,"tau0":1e-320}}],"time":1}`), &sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Validate(); err != nil {
+		t.Fatalf("the stack must pass Validate for this test to mean anything: %v", err)
+	}
+	env := testEnv()
+	_, err := sc.ApplyTile(midMatrix(env), env, 0, 0, 0, 0)
+	if err == nil || !strings.Contains(err.Error(), "(drift)") {
+		t.Fatalf("ApplyTile error = %v, want one naming the drift component", err)
+	}
+}
+
+// FuzzScenarioJSON decodes arbitrary bytes as a Scenario. A decoded
+// scenario must re-marshal to bytes that decode and marshal back to
+// the same bytes, and once it validates, applying it to an in-window
+// 8×8 tile must either fail or leave every conductance finite and in
+// [Goff, Gon].
+func FuzzScenarioJSON(f *testing.F) {
+	for _, c := range fullStack() {
+		b, err := json.Marshal(Scenario{Stack: Stack{c}, Seed: 3, Time: 1e5})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, seed := range []string{
+		`{"stack":[{"kind":"no_such_kind"}]}`,
+		`{"stack":[],"seed":1}`,
+		`{"stack":[{"kind":"drift","params":{"nu":`,
+		`{"stack":[{"kind":"drift","params":{"nu":1e308,"tau0":1e308}},{"kind":"read_noise","params":{"sigma":1e308}}],"time":1e308}`,
+		`{"stack":[{"kind":"line_resistance","params":{"scale":1e308}},{"kind":"d2d_variation","params":{"sigma":1e308}}]}`,
+		`{"stack":[{"kind":"drift","params":{"nu":1e-320,"tau0":1e-320}}],"time":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	env := testEnv()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sc Scenario
+		if json.Unmarshal(data, &sc) != nil {
+			return
+		}
+		b1, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatalf("decoded scenario does not marshal: %v", err)
+		}
+		var back Scenario
+		if err := json.Unmarshal(b1, &back); err != nil {
+			t.Fatalf("re-marshaled scenario %s does not decode: %v", b1, err)
+		}
+		b2, err := json.Marshal(back)
+		if err != nil || string(b2) != string(b1) {
+			t.Fatalf("round trip changed the scenario: %s -> %s (%v)", b1, b2, err)
+		}
+		if sc.Validate() != nil {
+			return
+		}
+		g := midMatrix(env)
+		if _, err := sc.ApplyTile(g, env, 0, 0, 0, 0); err != nil {
+			return
+		}
+		for k, v := range g.Data {
+			if !(v >= env.Goff && v <= env.Gon) {
+				t.Fatalf("%s left conductance %d at %g, outside [%g, %g]", b1, k, v, env.Goff, env.Gon)
+			}
+		}
+	})
+}

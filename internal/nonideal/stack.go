@@ -129,6 +129,17 @@ func (s Stack) Apply(g *linalg.Dense, env Env, seed uint64, t float64) (Report, 
 		if err != nil {
 			return rep, fmt.Errorf("nonideal: component %d (%s): %w", i, c.Kind(), err)
 		}
+		// Clamping cannot repair NaN (both window comparisons are
+		// false), and parameters Validate accepts can still overflow:
+		// a drift with ν·d0 underflowing to 0 and ln(1+t/τ0) = +Inf
+		// ages every cell to NaN. Fail here, naming the component,
+		// rather than hand the tiers a matrix they would silently
+		// propagate.
+		for k, v := range g.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return rep, fmt.Errorf("nonideal: component %d (%s) left conductance %d at %g", i, c.Kind(), k, v)
+			}
+		}
 		rep.Touched += touched
 		if rep.PerKind == nil {
 			rep.PerKind = map[string]int{}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -267,6 +268,11 @@ type errExhausted struct{ last error }
 func (e errExhausted) Error() string { return fmt.Sprintf("all tiers failed: %v", e.last) }
 func (e errExhausted) Unwrap() error { return e.last }
 
+// ErrNonFinite is the tier failure for an output holding NaN or ±Inf:
+// JSON cannot carry it, and no caller can use it. It is not transient,
+// so the ladder falls to the next tier at once.
+var ErrNonFinite = errors.New("serve: tier output is not finite")
+
 // canceled reports whether err is a context cancellation outcome.
 func canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -320,10 +326,18 @@ func (s *Server) splitRNG() *linalg.RNG {
 	return s.rng.Split()
 }
 
+// writeJSON encodes v before it writes the status, so a body that
+// cannot be encoded becomes a typed 500 instead of a bare status with
+// an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorResponse{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // retryAfterHint is the wait advertised on 503/504 outcomes: the
@@ -613,7 +627,15 @@ func (s *Server) attempt(ctx context.Context, i int, x *linalg.Dense) (*linalg.D
 			return nil, ErrChaos
 		}
 	}
-	return s.cfg.Tiers[i].Runner.ForwardContext(ctx, x)
+	y, err := s.cfg.Tiers[i].Runner.ForwardContext(ctx, x)
+	if err == nil {
+		for _, v := range y.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("serve: tier %s: %w", s.cfg.Tiers[i].Name, ErrNonFinite)
+			}
+		}
+	}
+	return y, err
 }
 
 // denseOf validates a JSON input batch (non-empty, rectangular, width

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -370,6 +371,50 @@ func TestNonTransientShedsWithoutRetry(t *testing.T) {
 	}
 }
 
+// A tier whose output is not finite has failed: JSON cannot carry the
+// output. Doubling 1e308 overflows to +Inf, so the doubling top tier
+// fails and the ladder sheds to the finite floor, feeding the top
+// tier's breaker; when the floor overflows too, the answer is a typed
+// 503, never a 200 (nor a count as served).
+func TestNonFiniteOutputFailsTier(t *testing.T) {
+	huge := InferRequest{Inputs: [][]float64{{1e308, 1, 2}}}
+	s, err := NewServer(Config{
+		Tiers:       []Tier{{Name: "geniex", Runner: RunnerFunc(doubler)}, {Name: "ideal", Runner: RunnerFunc(passthrough)}},
+		In:          3,
+		BreakerTrip: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, resp, _ := postInfer(t, s, huge)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d body %q, want 200 from the floor", w.Code, w.Body.String())
+	}
+	if resp.Tier != "ideal" || resp.Shed != 1 || resp.Retries != 0 || resp.Outputs[0][0] != 1e308 {
+		t.Errorf("want the floor's output after one shed, got %+v", resp)
+	}
+	if st := s.Breaker(0).State(); st != BreakerOpen {
+		t.Errorf("top tier's breaker is %v after a non-finite output, want open", st)
+	}
+
+	s, err = NewServer(Config{
+		Tiers: []Tier{{Name: "geniex", Runner: RunnerFunc(doubler)}, {Name: "ideal", Runner: RunnerFunc(doubler)}},
+		In:    3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := obs.NewCounter("serve.ok")
+	ok0 := ok.Load()
+	w, _, bad := postInfer(t, s, huge)
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(bad.Error, ErrNonFinite.Error()) {
+		t.Fatalf("status %d body %q, want a 503 naming the non-finite output", w.Code, w.Body.String())
+	}
+	if d := ok.Load() - ok0; d != 0 {
+		t.Errorf("serve.ok advanced by %d for a failed request", d)
+	}
+}
+
 // After BreakerTrip consecutive failures the tier's breaker opens and
 // later requests skip the tier without touching its runner.
 func TestBreakerTripsAndSkips(t *testing.T) {
@@ -690,9 +735,10 @@ func TestTierVersionMonotonic(t *testing.T) {
 }
 
 // FuzzInfer posts arbitrary bodies to /v1/infer on a server whose tier
-// returns its input at once. Whatever the body, the server must not
-// panic and must answer with a typed outcome: 200 with one output row
-// per input row, or 400/429/503/504 with an ErrorResponse body.
+// doubles its input, so large inputs overflow to ±Inf. Whatever the
+// body, the server must not panic and must answer with a typed
+// outcome: 200 with one output row per input row, or 400/429/503/504
+// with an ErrorResponse body.
 func FuzzInfer(f *testing.F) {
 	for _, seed := range []string{
 		`{"tenant":"acme","inputs":[[1,2,3],[4,5,6]]}`,
@@ -705,10 +751,11 @@ func FuzzInfer(f *testing.F) {
 		`{"inputs":[[1,2,3]],"deadline_ms":9223372036855}`,
 		`{"inputs":[[1,2,3]],"deadline_ms":18446744073710}`,
 		`{"inputs":[[1,2,3]],"deadline_ms":9223372036854775807}`,
+		`{"inputs":[[1e308,1,2]]}`,
 	} {
 		f.Add([]byte(seed))
 	}
-	s, err := NewServer(Config{Tiers: []Tier{{Name: "ideal", Runner: RunnerFunc(passthrough)}}, In: 3})
+	s, err := NewServer(Config{Tiers: []Tier{{Name: "ideal", Runner: RunnerFunc(doubler)}}, In: 3})
 	if err != nil {
 		f.Fatal(err)
 	}

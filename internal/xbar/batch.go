@@ -324,28 +324,39 @@ func (s *BatchSolver) SolveReport(vs *linalg.Dense) (*linalg.Dense, *BatchReport
 // (batch×Cols), fanning out across the configured worker count
 // (Config.BatchWorkers; 0 means GOMAXPROCS). Failed items are retried
 // once under the recovery ladder and zeroed if they still fail; the
-// report carries per-item outcomes. The error covers setup problems
-// only. Results are deterministic and independent of worker count:
-// every item's starting point depends only on the array and its own
-// drive vector, and each item is written by index.
+// report, allocated per call, carries per-item outcomes. The error
+// covers setup problems only. Results are deterministic and
+// independent of worker count and block composition: every item's
+// arithmetic depends only on the array and its own drive vector, and
+// each item is written by index.
 func (s *BatchSolver) SolveReportInto(out *linalg.Dense, vs *linalg.Dense) (*BatchReport, error) {
-	return s.SolveReportIntoContext(nil, out, vs)
+	rep := &BatchReport{}
+	if err := s.SolveReportIntoContext(nil, rep, out, vs); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
-// SolveReportIntoContext is SolveReportInto under cooperative
-// cancellation: workers stop drawing new items once ctx is done, the
-// in-flight solves abort at their next Newton update, and the call
-// returns an error matching ctx.Err(). On cancellation the output and
-// report are incomplete and must be discarded — cancellation is a
-// whole-call outcome, not a per-item one. A nil ctx behaves exactly
-// like SolveReportInto.
-func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.Dense, vs *linalg.Dense) (*BatchReport, error) {
+// SolveReportIntoContext is SolveReportInto into a caller-owned report,
+// under cooperative cancellation. It overwrites rep, reusing the
+// capacity of rep.Outcomes, so a caller that keeps its report makes
+// steady-state calls whose allocations do not grow with the batch.
+// Workers stop drawing new blocks once ctx is done, the in-flight
+// solves abort at their next update, and the call returns an error
+// matching ctx.Err(). On cancellation the output and report are
+// incomplete and must be discarded — cancellation is a whole-call
+// outcome, not a per-item one. A nil ctx means no cancellation.
+//
+// Items run in blocks of up to blockLanes(cfg): each block runs the
+// seeded rung 0 of the items it can finish in lockstep and everything
+// else on the one-item ladder (see solveBlock).
+func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, rep *BatchReport, out *linalg.Dense, vs *linalg.Dense) error {
 	cfg := s.cfg
 	if vs.Cols != cfg.Rows {
-		return nil, fmt.Errorf("xbar: BatchSolve inputs have %d columns for %d rows", vs.Cols, cfg.Rows)
+		return fmt.Errorf("xbar: BatchSolve inputs have %d columns for %d rows", vs.Cols, cfg.Rows)
 	}
 	if out.Rows != vs.Rows || out.Cols != cfg.Cols {
-		return nil, fmt.Errorf("xbar: BatchSolve output is %dx%d, want %dx%d", out.Rows, out.Cols, vs.Rows, cfg.Cols)
+		return fmt.Errorf("xbar: BatchSolve output is %dx%d, want %dx%d", out.Rows, out.Cols, vs.Rows, cfg.Cols)
 	}
 	region := obs.StartRegion("xbar.batch")
 	defer region.End()
@@ -357,30 +368,37 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 		ctx, span = obs.StartSpan(ctx, "xbar.batch.solve")
 		defer span.End()
 	}
-	rep := &BatchReport{Outcomes: make([]ItemOutcome, vs.Rows)}
+	outcomes := rep.Outcomes
+	if cap(outcomes) < vs.Rows {
+		outcomes = make([]ItemOutcome, vs.Rows)
+	} else {
+		outcomes = outcomes[:vs.Rows]
+		clear(outcomes)
+	}
+	*rep = BatchReport{Outcomes: outcomes}
 	workers := s.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > vs.Rows {
-		workers = vs.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// Blocks are whole work units: with several workers they shrink so
+	// that a small batch still spreads across all of them.
+	block := max(1, min(blockLanes(cfg), (vs.Rows+workers-1)/workers))
+	blocks := (vs.Rows + block - 1) / block
+	workers = max(1, min(workers, blocks))
+	bounds := func(k int) (int, int) { return k * block, min((k+1)*block, vs.Rows) }
 
 	if workers == 1 {
 		// Serial fast path: no goroutines, one pooled instance.
 		xb, err := s.acquire()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for b := 0; b < vs.Rows; b++ {
+		for k := 0; k < blocks; k++ {
 			if ctx != nil && ctx.Err() != nil {
 				break
 			}
-			s.armFaults(xb, b)
-			rep.Outcomes[b] = solveItem(ctx, xb, vs.Row(b), out.Row(b))
+			lo, hi := bounds(k)
+			s.solveBlock(ctx, xb, vs, out, outcomes, lo, hi)
 		}
 		s.release(xb)
 	} else {
@@ -389,9 +407,9 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 			mu       sync.Mutex
 			setupErr error
 		)
-		next := make(chan int, vs.Rows)
-		for b := 0; b < vs.Rows; b++ {
-			next <- b
+		next := make(chan int, blocks)
+		for k := 0; k < blocks; k++ {
+			next <- k
 		}
 		close(next)
 
@@ -409,7 +427,7 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 					return
 				}
 				defer s.release(xb)
-				for b := range next {
+				for k := range next {
 					if ctx != nil && ctx.Err() != nil {
 						return
 					}
@@ -419,26 +437,26 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 					if dead {
 						return
 					}
-					s.armFaults(xb, b)
-					rep.Outcomes[b] = solveItem(ctx, xb, vs.Row(b), out.Row(b))
+					lo, hi := bounds(k)
+					s.solveBlock(ctx, xb, vs, out, outcomes, lo, hi)
 				}
 			}()
 		}
 		wg.Wait()
 		if setupErr != nil {
-			return nil, setupErr
+			return setupErr
 		}
 	}
 	if ctx != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("xbar: batch solve cancelled: %w", cerr)
+			return fmt.Errorf("xbar: batch solve cancelled: %w", cerr)
 		}
 	}
-	for _, o := range rep.Outcomes {
+	for _, o := range outcomes {
 		rep.tally(o)
 	}
 	recordBatch(rep)
-	return rep, nil
+	return nil
 }
 
 // armFaults scopes the per-item fault-injection plan onto an instance.

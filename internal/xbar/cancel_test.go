@@ -157,12 +157,12 @@ func TestBatchSolveContextCancelled(t *testing.T) {
 	}
 	out := linalg.NewDense(4, 8)
 
-	if _, err := bs.SolveReportIntoContext(context.Background(), out, vs); err != nil {
+	if err := bs.SolveReportIntoContext(context.Background(), &BatchReport{}, out, vs); err != nil {
 		t.Fatalf("background-context batch failed: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := bs.SolveReportIntoContext(ctx, out, vs); !errors.Is(err, context.Canceled) {
+	if err := bs.SolveReportIntoContext(ctx, &BatchReport{}, out, vs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
 }

@@ -141,7 +141,7 @@ func (x *Crossbar) Program(g *linalg.Dense) error {
 	gsel := x.cfg.SelectorGonFactor / x.cfg.Ron
 	cells := make([]device.Element, len(prog.Data))
 	for idx, gv := range prog.Data {
-		if gv < lo-slack || gv > hi+slack {
+		if !(gv >= lo-slack && gv <= hi+slack) { // NaN fails both tests
 			return fmt.Errorf("xbar: conductance %g outside window [%g, %g] at cell %d", gv, lo, hi, idx)
 		}
 		// Series calibration: 1/gCell = 1/gv − 1/gsel. The selector is
@@ -258,59 +258,13 @@ func (x *Crossbar) buildCoords() {
 // that system for a Newton update: J into x.pattern and rhs into
 // x.rhs.
 func (x *Crossbar) kcl(v []float64, stamp bool) float64 {
-	cfg := x.cfg
-	R, C := cfg.Rows, cfg.Cols
-	RC := R * C
-	gw := 1 / cfg.Rwire
-	gsrc := 1 / cfg.Rsource
-	gsnk := 1 / cfg.Rsink
-	volt, res := x.volt, x.res
-	var f2, b2 float64
-	for i := 0; i < R; i++ {
-		for j := 0; j < C; j++ {
-			k := i*C + j
-			r, m, c := k, RC+k, 2*RC+k
-			vs, vd := volt[r]-volt[m], volt[m]-volt[c]
-			is, gs := x.sel.Eval(vs)
-			id, gd := x.cell[k].Eval(vd)
-			qs, qd := is-gs*vs, id-gd*vd // companion sources
-
-			fr, br := is, -qs
-			if j > 0 {
-				fr += gw * (volt[r] - volt[r-1])
-			} else {
-				fr += gsrc * (volt[r] - v[i])
-				br += gsrc * v[i]
-			}
-			if j+1 < C {
-				fr += gw * (volt[r] - volt[r+1])
-			}
-			fm, bm := id-is, qs-qd
-			fc, bc := -id, qd
-			if i > 0 {
-				fc += gw * (volt[c] - volt[c-C])
-			}
-			if i+1 < R {
-				fc += gw * (volt[c] - volt[c+C])
-			} else {
-				fc += gsnk * volt[c]
-			}
-			res[r], res[m], res[c] = fr, fm, fc
-			f2 += fr*fr + fm*fm + fc*fc
-			b2 += br*br + bm*bm + bc*bc
-			if stamp {
-				x.rhs[r], x.rhs[m], x.rhs[c] = br, bm, bc
-				d := x.coords[x.devOff+8*k : x.devOff+8*k+8]
-				d[0].Val, d[1].Val, d[2].Val, d[3].Val = gs, gs, -gs, -gs
-				d[4].Val, d[5].Val, d[6].Val, d[7].Val = gd, gd, -gd, -gd
-			}
-		}
-	}
+	var f2, b2 [1]float64
+	x.kclLanes(v, x.volt, x.res, 1, f2[:], b2[:], stamp)
 	if x.faults != nil && x.faults.NaNConductance {
 		// Injected corruption: the selector of cell (0, 0) has a NaN
 		// conductance, which reaches both F and the Jacobian.
-		res[0] = math.NaN()
-		f2 = math.NaN()
+		x.res[0] = math.NaN()
+		f2[0] = math.NaN()
 		if stamp {
 			x.coords[x.devOff].Val = math.NaN()
 		}
@@ -318,10 +272,78 @@ func (x *Crossbar) kcl(v []float64, stamp bool) float64 {
 	if stamp {
 		x.pattern.Update(x.coords)
 	}
+	return relResid(f2[0], b2[0])
+}
+
+// relResid is kcl's ‖F‖/‖rhs‖ from the two squared norms.
+func relResid(f2, b2 float64) float64 {
 	if b2 == 0 {
 		return math.Sqrt(f2)
 	}
 	return math.Sqrt(f2) / math.Sqrt(b2)
+}
+
+// kclLanes is kcl's evaluation for m = len(f2) iterates at once, stored
+// lane-minor with stride ld: node n of lane r at volt[n*ld+r], drive i
+// at v[i*ld+r]. It writes each lane's F into res in the same layout and
+// adds its ‖F‖² and ‖rhs‖² to f2[r] and b2[r]. The one-item ladder
+// calls it with one lane (ld = 1); the block chord calls it with the
+// block's active lanes. Every lane goes through the same operations in
+// the same order either way. stamp (one lane only) also writes the
+// Newton system, as kcl documents.
+func (x *Crossbar) kclLanes(v, volt, res []float64, ld int, f2, b2 []float64, stamp bool) {
+	cfg := x.cfg
+	R, C := cfg.Rows, cfg.Cols
+	RC := R * C
+	gw := 1 / cfg.Rwire
+	gsrc := 1 / cfg.Rsource
+	gsnk := 1 / cfg.Rsink
+	m := len(f2)
+	for i := 0; i < R; i++ {
+		vi := v[i*ld : i*ld+m]
+		for j := 0; j < C; j++ {
+			k := i*C + j
+			r, mid, c := k*ld, (RC+k)*ld, (2*RC+k)*ld
+			cell := x.cell[k]
+			for l := range f2 {
+				vr, vm, vc := volt[r+l], volt[mid+l], volt[c+l]
+				vs, vd := vr-vm, vm-vc
+				is, gs := x.sel.Eval(vs)
+				id, gd := cell.Eval(vd)
+				qs, qd := is-gs*vs, id-gd*vd // companion sources
+
+				fr, br := is, -qs
+				if j > 0 {
+					fr += gw * (vr - volt[r-ld+l])
+				} else {
+					fr += gsrc * (vr - vi[l])
+					br += gsrc * vi[l]
+				}
+				if j+1 < C {
+					fr += gw * (vr - volt[r+ld+l])
+				}
+				fm, bm := id-is, qs-qd
+				fc, bc := -id, qd
+				if i > 0 {
+					fc += gw * (vc - volt[c-C*ld+l])
+				}
+				if i+1 < R {
+					fc += gw * (vc - volt[c+C*ld+l])
+				} else {
+					fc += gsnk * vc
+				}
+				res[r+l], res[mid+l], res[c+l] = fr, fm, fc
+				f2[l] += fr*fr + fm*fm + fc*fc
+				b2[l] += br*br + bm*bm + bc*bc
+				if stamp {
+					x.rhs[k], x.rhs[RC+k], x.rhs[2*RC+k] = br, bm, bc
+					d := x.coords[x.devOff+8*k : x.devOff+8*k+8]
+					d[0].Val, d[1].Val, d[2].Val, d[3].Val = gs, gs, -gs, -gs
+					d[4].Val, d[5].Val, d[6].Val, d[7].Val = gd, gd, -gd, -gd
+				}
+			}
+		}
+	}
 }
 
 // NodeVoltage reports the solved voltage of an internal node; kind is

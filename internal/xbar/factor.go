@@ -196,6 +196,59 @@ func (f *opFactor) solveInto(out, b []float64, ws *factorScratch) {
 	}
 }
 
+// solveBlockInto is solveInto for the m lane-minor node vectors in b
+// (node n of lane r at b[n*ld+r]; see linalg's block forms), one pass
+// over the factor for all of them. Every lane goes through solveInto's
+// operations in solveInto's order, so it is bit-identical to solving
+// that vector alone. out may alias b.
+func (f *opFactor) solveBlockInto(out, b []float64, m, ld int, ws *blockScratch) {
+	R, C := f.rows, f.cols
+	RC := R * C
+	// lanes returns node n's m lanes of v.
+	lanes := func(v []float64, n int) []float64 { return v[n*ld : n*ld+m] }
+	for k := 0; k < RC; k++ {
+		gt := f.gsel + f.gcell[k]
+		cr, cc := f.gsel/gt, f.gcell[k]/gt
+		br, bm, bc := lanes(b, k), lanes(b, RC+k), lanes(b, 2*RC+k)
+		or, om, oc := lanes(out, k), lanes(out, RC+k), lanes(out, 2*RC+k)
+		for r := range om {
+			bmr := bm[r]
+			or[r] = br[r] + cr*bmr
+			oc[r] = bc[r] + cc*bmr
+			om[r] = bmr
+		}
+	}
+	y := ws.y[:C*ld]
+	for i := 0; i < R; i++ {
+		f.rowTri[i].SolveBlockInto(y, out[i*C*ld:], m, ld)
+		for j := 0; j < C; j++ {
+			g, yj, bc := f.gs[i*C+j], lanes(y, j), lanes(out, 2*RC+i*C+j)
+			for r := range bc {
+				bc[r] += g * yj[r]
+			}
+		}
+	}
+	vc := out[2*RC*ld:]
+	f.col.SolveBlockInto(vc, vc, ws.tmp, m, ld)
+	for i := 0; i < R; i++ {
+		for j := 0; j < C; j++ {
+			g, yj, vr, vcj := f.gs[i*C+j], lanes(y, j), lanes(out, i*C+j), lanes(out, 2*RC+i*C+j)
+			for r := range yj {
+				yj[r] = vr[r] + g*vcj[r]
+			}
+		}
+		f.rowTri[i].SolveBlockInto(out[i*C*ld:], y, m, ld)
+	}
+	for k := 0; k < RC; k++ {
+		gt := f.gsel + f.gcell[k]
+		gc := f.gcell[k]
+		vr, vm, vcn := lanes(out, k), lanes(out, RC+k), lanes(out, 2*RC+k)
+		for r := range vm {
+			vm[r] = (vm[r] + f.gsel*vr[r] + gc*vcn[r]) / gt
+		}
+	}
+}
+
 // seedInto writes the Newton seed for drive vector v into volt: the
 // solution of the linearized network, whose only source injections are
 // the Norton drive currents gsrc·v_i at each row head. Because every

@@ -164,14 +164,8 @@ func canceled(err error) bool {
 // into sol and records the solve in the obs registry. ctx may be nil
 // (no cancellation). On error sol holds no result.
 func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) error {
-	cfg := x.cfg
-	if len(v) != cfg.Rows {
-		return fmt.Errorf("xbar: Solve with %d inputs on %d rows", len(v), cfg.Rows)
-	}
-	for i, vi := range v {
-		if vi < -1e-12 || vi > cfg.Vsupply*(1+1e-9) {
-			return fmt.Errorf("xbar: input %d voltage %g outside [0, %g]", i, vi, cfg.Vsupply)
-		}
+	if err := x.checkDrive(v); err != nil {
+		return err
 	}
 	start := time.Now()
 	region := obs.StartRegion("xbar.solve")
@@ -183,6 +177,21 @@ func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, 
 	}
 	recordSolve(sol, err, start)
 	return err
+}
+
+// checkDrive rejects a drive vector of the wrong length or with a
+// voltage outside [0, Vsupply].
+func (x *Crossbar) checkDrive(v []float64) error {
+	cfg := x.cfg
+	if len(v) != cfg.Rows {
+		return fmt.Errorf("xbar: Solve with %d inputs on %d rows", len(v), cfg.Rows)
+	}
+	for i, vi := range v {
+		if vi < -1e-12 || vi > cfg.Vsupply*(1+1e-9) {
+			return fmt.Errorf("xbar: input %d voltage %g outside [0, %g]", i, vi, cfg.Vsupply)
+		}
+	}
+	return nil
 }
 
 // rungs names the ladder's attempts in order, as NewtonDivergedError
@@ -287,18 +296,24 @@ func (x *Crossbar) diverged(sol *Solution, tried int, cause error) error {
 func (x *Crossbar) finish(v []float64, sol *Solution, recovery string) {
 	cfg := x.cfg
 	sol.Recovery = recovery
-	gsnk := 1 / cfg.Rsink
 	gsrc := 1 / cfg.Rsource
 	if cap(sol.Currents) < cfg.Cols {
 		sol.Currents = make([]float64, cfg.Cols)
 	}
 	sol.Currents = sol.Currents[:cfg.Cols]
-	for j := 0; j < cfg.Cols; j++ {
-		sol.Currents[j] = gsnk * x.volt[x.cNode(cfg.Rows-1, j)]
-	}
+	x.currentsInto(sol.Currents, x.volt, 1)
 	sol.Power = 0
 	for i := 0; i < cfg.Rows; i++ {
 		sol.Power += v[i] * (v[i] - x.volt[x.rNode(i, 0)]) * gsrc
+	}
+}
+
+// currentsInto writes the sensed bit-line currents of an iterate into
+// dst (length Cols); node n of the iterate is volt[n*ld].
+func (x *Crossbar) currentsInto(dst, volt []float64, ld int) {
+	gsnk := 1 / x.cfg.Rsink
+	for j := range dst {
+		dst[j] = gsnk * volt[x.cNode(x.cfg.Rows-1, j)*ld]
 	}
 }
 

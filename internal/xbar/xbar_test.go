@@ -243,9 +243,12 @@ func TestProgramValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := linalg.NewDense(cfg.Rows, cfg.Cols)
-	linalg.Fill(g.Data, cfg.Gon()*2) // outside the window
-	if err := xb.Program(g); err == nil {
-		t.Error("expected window error")
+	linalg.Fill(g.Data, cfg.Goff())
+	for _, bad := range []float64{cfg.Gon() * 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g.Set(3, 5, bad) // outside the window, or no conductance at all
+		if err := xb.Program(g); err == nil {
+			t.Errorf("conductance %v: expected window error", bad)
+		}
 	}
 	if err := xb.Program(linalg.NewDense(2, 2)); err == nil {
 		t.Error("expected shape error")
