@@ -126,8 +126,9 @@ func run() error {
 	}
 
 	fxp := quant.FxP{Bits: *bits, Frac: *bits - 3}
-	newSimCfg := func(xcfg xbar.Config, probe int, swappable bool) (funcsim.Config, error) {
+	newSimCfg := func(xcfg xbar.Config, probe int, swappable bool, sc *nonideal.Scenario) (funcsim.Config, error) {
 		opts := []funcsim.Option{
+			funcsim.WithScenario(sc),
 			funcsim.WithFormats(fxp, fxp),
 			funcsim.WithStreamBits(*streams), funcsim.WithSliceBits(*slices),
 			funcsim.WithADCBits(*adcBits), funcsim.WithWorkers(*workers),
@@ -145,11 +146,19 @@ func run() error {
 		StallEvery: *chaosStallN, Stall: *chaosStall,
 		Seed: *chaosSeed,
 	}
-	if *chaosFailAtt > 0 || *chaosStuckOn > 0 || *chaosStuckOff > 0 {
-		chaos.Faults = &xbar.FaultPlan{FailAttempts: *chaosFailAtt}
-		if *chaosStuckOn > 0 || *chaosStuckOff > 0 {
-			chaos.Faults.StuckAt = &nonideal.StuckAt{POn: *chaosStuckOn, POff: *chaosStuckOff}
-			chaos.Faults.StuckSeed = *chaosSeed
+	// Solver faults and stuck cells reach the circuit tier only: the
+	// plan fails its solves, the scenario pins cells of the arrays it
+	// lowers. Every tier lowers through its own engine, so the other
+	// tiers stay clean.
+	var solverFaults *xbar.FaultPlan
+	if *chaosFailAtt > 0 {
+		solverFaults = &xbar.FaultPlan{FailAttempts: *chaosFailAtt}
+	}
+	var stuck *nonideal.Scenario
+	if *chaosStuckOn > 0 || *chaosStuckOff > 0 {
+		stuck = &nonideal.Scenario{
+			Stack: nonideal.Stack{&nonideal.StuckAt{POn: *chaosStuckOn, POff: *chaosStuckOff}},
+			Seed:  *chaosSeed,
 		}
 	}
 
@@ -181,8 +190,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if spec.Circuit && chaos.Faults != nil {
-			xcfg = xcfg.WithFaults(chaos.Faults)
+		var sc *nonideal.Scenario
+		if spec.Circuit {
+			xcfg = xcfg.WithFaults(solverFaults)
+			sc = stuck
 		}
 		// The fidelity probe rides on the first non-circuit tier (both
 		// circuit tiers already run the solver it shadows) — and, with
@@ -193,7 +204,7 @@ func run() error {
 		if (i == 0 || adaptive) && !spec.Circuit {
 			probe = *probeRate
 		}
-		simCfg, err := newSimCfg(xcfg, probe, adaptive)
+		simCfg, err := newSimCfg(xcfg, probe, adaptive, sc)
 		if err != nil {
 			return err
 		}

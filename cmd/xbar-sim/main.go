@@ -61,8 +61,8 @@ func run() error {
 
 	rng := linalg.NewRNG(*seed)
 	var nfAll []float64
-	var newtonTotal, cgTotal int
-	var converged, recovered, luFallbacks, unconverged int
+	var newtonTotal int
+	var converged, recovered, unconverged int
 	worstResid := 0.0
 	xb, err := xbar.New(cfg)
 	if err != nil {
@@ -100,8 +100,6 @@ func run() error {
 		}
 		nfAll = append(nfAll, xbar.NF(xbar.IdealCurrents(v, g), sol.Currents, cfg)...)
 		newtonTotal += sol.NewtonIters
-		cgTotal += sol.CGIters
-		luFallbacks += sol.LUFallbacks
 		if sol.Converged {
 			converged++
 		} else {
@@ -114,10 +112,10 @@ func run() error {
 			worstResid = sol.Residual
 		}
 	}
-	fmt.Printf("solved %d workloads (%.1f solver updates, %.0f inner CG iterations per solve)\n",
-		*samples, float64(newtonTotal)/float64(*samples), float64(cgTotal)/float64(*samples))
-	fmt.Printf("solver health: %d/%d converged, %d recovered, %d unconverged, %d LU fallbacks, worst KCL residual %.3g\n",
-		converged, *samples, recovered, unconverged, luFallbacks, worstResid)
+	fmt.Printf("solved %d workloads (%.1f solver updates per solve)\n",
+		*samples, float64(newtonTotal)/float64(*samples))
+	fmt.Printf("solver health: %d/%d converged, %d recovered, %d unconverged, worst KCL residual %.3g\n",
+		converged, *samples, recovered, unconverged, worstResid)
 	fmt.Println("non-ideality factor NF =", linalg.Summarize(nfAll).String())
 	return nil
 }

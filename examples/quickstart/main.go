@@ -48,8 +48,7 @@ func main() {
 	}
 	ideal := xbar.IdealCurrents(v, g)
 	nf := xbar.NF(ideal, sol.Currents, cfg)
-	fmt.Printf("circuit solve: %d solver updates, %d inner CG iterations\n",
-		sol.NewtonIters, sol.CGIters)
+	fmt.Printf("circuit solve: %d solver updates\n", sol.NewtonIters)
 	fmt.Printf("column 0: ideal %.3g A, non-ideal %.3g A (NF %.3f)\n",
 		ideal[0], sol.Currents[0], nf[0])
 

@@ -8,7 +8,7 @@
 // of the branch voltage, which is all the modified-nodal-analysis
 // solver in package xbar needs. Keeping every element two-terminal
 // keeps the Jacobian symmetric positive definite, so the solver can
-// factor it by Cholesky and use conjugate gradients.
+// factor it directly (LDLᵀ and Cholesky) at every iterate.
 package device
 
 import (

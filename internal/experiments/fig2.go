@@ -11,15 +11,14 @@ import (
 // tables can report how hard the circuit solver had to work — and
 // whether any point needed the recovery ladder.
 type solverHealth struct {
-	solves, converged, recovered, unconverged, luFallbacks int
-	newtonIters                                            int
-	worstResid                                             float64
+	solves, converged, recovered, unconverged int
+	newtonIters                               int
+	worstResid                                float64
 }
 
 func (h *solverHealth) record(sol *xbar.Solution) {
 	h.solves++
 	h.newtonIters += sol.NewtonIters
-	h.luFallbacks += sol.LUFallbacks
 	if sol.Converged {
 		h.converged++
 	} else {
@@ -38,7 +37,6 @@ func (h *solverHealth) add(other solverHealth) {
 	h.converged += other.converged
 	h.recovered += other.recovered
 	h.unconverged += other.unconverged
-	h.luFallbacks += other.luFallbacks
 	h.newtonIters += other.newtonIters
 	if other.worstResid > h.worstResid {
 		h.worstResid = other.worstResid
@@ -49,8 +47,8 @@ func (h *solverHealth) note(t *Table) {
 	if h.solves == 0 {
 		return
 	}
-	t.Note("solver health: %d/%d converged, %d recovered, %d unconverged, %d LU fallbacks, %.1f solver updates/solve, worst KCL residual %.2g",
-		h.converged, h.solves, h.recovered, h.unconverged, h.luFallbacks,
+	t.Note("solver health: %d/%d converged, %d recovered, %d unconverged, %.1f solver updates/solve, worst KCL residual %.2g",
+		h.converged, h.solves, h.recovered, h.unconverged,
 		float64(h.newtonIters)/float64(h.solves), h.worstResid)
 }
 

@@ -264,7 +264,6 @@ func (t *geniexTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
 type SolverHealth struct {
 	batches, items                          obs.Counter
 	recovered, retried, failed, unconverged obs.Counter
-	luFallbacks, cgBreakdowns               obs.Counter
 }
 
 // SolverHealthCounts is a snapshot of the collector.
@@ -273,8 +272,6 @@ type SolverHealthCounts struct {
 	Batches, Items int64
 	// Recovered, Retried, Failed, Unconverged count items by outcome.
 	Recovered, Retried, Failed, Unconverged int64
-	// LUFallbacks and CGBreakdowns aggregate inner-solver events.
-	LUFallbacks, CGBreakdowns int64
 }
 
 func (h *SolverHealth) record(rep *xbar.BatchReport) {
@@ -284,22 +281,18 @@ func (h *SolverHealth) record(rep *xbar.BatchReport) {
 	h.retried.Add(int64(rep.Retried))
 	h.failed.Add(int64(rep.Failed))
 	h.unconverged.Add(int64(rep.Unconverged))
-	h.luFallbacks.Add(int64(rep.LUFallbacks))
-	h.cgBreakdowns.Add(int64(rep.CGBreakdowns))
 }
 
 // Counts returns a snapshot of the counters. It is read-only: reading
 // never clears; use Reset to clear.
 func (h *SolverHealth) Counts() SolverHealthCounts {
 	return SolverHealthCounts{
-		Batches:      h.batches.Load(),
-		Items:        h.items.Load(),
-		Recovered:    h.recovered.Load(),
-		Retried:      h.retried.Load(),
-		Failed:       h.failed.Load(),
-		Unconverged:  h.unconverged.Load(),
-		LUFallbacks:  h.luFallbacks.Load(),
-		CGBreakdowns: h.cgBreakdowns.Load(),
+		Batches:     h.batches.Load(),
+		Items:       h.items.Load(),
+		Recovered:   h.recovered.Load(),
+		Retried:     h.retried.Load(),
+		Failed:      h.failed.Load(),
+		Unconverged: h.unconverged.Load(),
 	}
 }
 
@@ -308,21 +301,19 @@ func (h *SolverHealth) Counts() SolverHealthCounts {
 // (see Matrix.ResetStats).
 func (h *SolverHealth) Reset() SolverHealthCounts {
 	return SolverHealthCounts{
-		Batches:      h.batches.Swap(),
-		Items:        h.items.Swap(),
-		Recovered:    h.recovered.Swap(),
-		Retried:      h.retried.Swap(),
-		Failed:       h.failed.Swap(),
-		Unconverged:  h.unconverged.Swap(),
-		LUFallbacks:  h.luFallbacks.Swap(),
-		CGBreakdowns: h.cgBreakdowns.Swap(),
+		Batches:     h.batches.Swap(),
+		Items:       h.items.Swap(),
+		Recovered:   h.recovered.Swap(),
+		Retried:     h.retried.Swap(),
+		Failed:      h.failed.Swap(),
+		Unconverged: h.unconverged.Swap(),
 	}
 }
 
 // String summarizes the counters.
 func (c SolverHealthCounts) String() string {
-	return fmt.Sprintf("solver health: %d batches, %d items (%d recovered, %d retried, %d failed, %d unconverged), %d LU fallbacks, %d CG breakdowns",
-		c.Batches, c.Items, c.Recovered, c.Retried, c.Failed, c.Unconverged, c.LUFallbacks, c.CGBreakdowns)
+	return fmt.Sprintf("solver health: %d batches, %d items (%d recovered, %d retried, %d failed, %d unconverged)",
+		c.Batches, c.Items, c.Recovered, c.Retried, c.Failed, c.Unconverged)
 }
 
 // Circuit runs the full non-linear solver per tile — the ground-truth

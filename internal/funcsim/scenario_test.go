@@ -5,7 +5,6 @@ import (
 
 	"geniex/internal/linalg"
 	"geniex/internal/nonideal"
-	"geniex/internal/xbar"
 )
 
 // testScenario is a representative mixed stack: hard faults, programming
@@ -217,51 +216,5 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(cfg, Ideal{}); err == nil {
 		t.Fatal("NewEngine accepted invalid scenario")
-	}
-}
-
-// A FaultPlan's stuck-at component perturbs the conductances a circuit
-// tile actually solves on — the chaos path shares the same component
-// the scenario path uses.
-func TestFaultPlanStuckAtReachesCircuit(t *testing.T) {
-	cfg, err := xbar.NewConfig(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := linalg.NewDense(8, 8)
-	mid := 0.5 * (cfg.Goff() + cfg.Gon())
-	linalg.Fill(g.Data, mid)
-
-	faulted := cfg.WithFaults(&xbar.FaultPlan{
-		StuckAt:   &nonideal.StuckAt{POn: 0.2, POff: 0.2},
-		StuckSeed: 77,
-	})
-	s, err := xbar.NewBatchSolver(faulted, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := 0
-	for _, gv := range s.Conductances().Data {
-		switch gv {
-		case cfg.Gon(), cfg.Goff():
-			pinned++
-		case mid:
-		default:
-			t.Fatalf("unexpected conductance %v", gv)
-		}
-	}
-	if pinned == 0 {
-		t.Fatal("stuck-at plan left every cell untouched")
-	}
-
-	s2, err := xbar.NewBatchSolver(faulted, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := s.Conductances().Data, s2.Conductances().Data
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("stuck mask not reproducible at cell %d", i)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -345,153 +344,6 @@ func TestParallelForCoversAll(t *testing.T) {
 	}
 }
 
-func TestCSRAssembly(t *testing.T) {
-	// 3x3 with a duplicate entry that must be summed.
-	m := NewCSR(3, []Coord{
-		{0, 0, 2}, {0, 1, -1}, {1, 0, -1}, {1, 1, 2}, {1, 2, -1},
-		{2, 1, -1}, {2, 2, 2}, {0, 0, 1}, // duplicate (0,0) adds 1
-	})
-	d := m.Dense()
-	want := [][]float64{{3, -1, 0}, {-1, 2, -1}, {0, -1, 2}}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if d.At(i, j) != want[i][j] {
-				t.Errorf("CSR(%d,%d) = %v, want %v", i, j, d.At(i, j), want[i][j])
-			}
-		}
-	}
-	if m.NNZ() != 7 {
-		t.Errorf("NNZ = %d, want 7", m.NNZ())
-	}
-}
-
-// Property: CSR MulVec agrees with dense MulVec for random sparse
-// matrices.
-func TestCSRMulVecMatchesDense(t *testing.T) {
-	r := NewRNG(23)
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + r.Intn(30)
-		var coords []Coord
-		for k := 0; k < n*3; k++ {
-			coords = append(coords, Coord{r.Intn(n), r.Intn(n), r.Norm()})
-		}
-		m := NewCSR(n, coords)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.Norm()
-		}
-		y := make([]float64, n)
-		m.MulVec(x, y)
-		ref := m.Dense().MulVec(x)
-		for i := range y {
-			if !almostEqual(y[i], ref[i], 1e-12) {
-				t.Fatalf("trial %d: MulVec[%d] = %v, want %v", trial, i, y[i], ref[i])
-			}
-		}
-	}
-}
-
-func TestPatternUpdate(t *testing.T) {
-	coords := []Coord{{0, 0, 1}, {0, 1, 2}, {1, 1, 3}, {0, 0, 4}}
-	p := NewPattern(2, coords)
-	d := p.Matrix().Dense()
-	if d.At(0, 0) != 5 || d.At(0, 1) != 2 || d.At(1, 1) != 3 {
-		t.Fatalf("initial assembly wrong: %+v", d.Data)
-	}
-	coords2 := []Coord{{0, 0, 10}, {0, 1, 20}, {1, 1, 30}, {0, 0, 40}}
-	p.Update(coords2)
-	d = p.Matrix().Dense()
-	if d.At(0, 0) != 50 || d.At(0, 1) != 20 || d.At(1, 1) != 30 {
-		t.Fatalf("updated assembly wrong: %+v", d.Data)
-	}
-}
-
-// buildSPD returns a random symmetric diagonally dominant (hence SPD)
-// sparse matrix resembling a resistive network Laplacian.
-func buildSPD(r *RNG, n int) *CSR {
-	var coords []Coord
-	diag := make([]float64, n)
-	for i := 0; i < n-1; i++ {
-		g := 0.1 + r.Float64()
-		coords = append(coords, Coord{i, i + 1, -g}, Coord{i + 1, i, -g})
-		diag[i] += g
-		diag[i+1] += g
-	}
-	for i := 0; i < n; i++ {
-		diag[i] += 0.05 + r.Float64() // ground leak makes it strictly PD
-		coords = append(coords, Coord{i, i, diag[i]})
-	}
-	return NewCSR(n, coords)
-}
-
-// Property: the CG solution satisfies A·x = b to the requested
-// tolerance.
-func TestCGSolvesSPD(t *testing.T) {
-	r := NewRNG(31)
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + r.Intn(100)
-		a := buildSPD(r, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = r.Norm()
-		}
-		x := make([]float64, n)
-		stats, err := SolveCG(a, b, x, nil, CGOptions{Tol: 1e-12})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !stats.Converged || stats.RelResidual > 1e-12 {
-			t.Errorf("trial %d: stats %+v, want converged under tolerance", trial, stats)
-		}
-		y := make([]float64, n)
-		a.MulVec(x, y)
-		if res := Norm2(Sub(b, y)) / Norm2(b); res > 1e-10 {
-			t.Errorf("trial %d: residual %v", trial, res)
-		}
-	}
-}
-
-func TestCGZeroRHS(t *testing.T) {
-	r := NewRNG(37)
-	a := buildSPD(r, 10)
-	x := make([]float64, 10)
-	for i := range x {
-		x[i] = 1 // nonzero initial guess must be reset
-	}
-	stats, err := SolveCG(a, make([]float64, 10), x, nil, CGOptions{})
-	if err != nil || stats.Iterations != 0 || !stats.Converged {
-		t.Fatalf("zero rhs: stats=%+v err=%v", stats, err)
-	}
-	for i, v := range x {
-		if v != 0 {
-			t.Fatalf("x[%d] = %v, want 0", i, v)
-		}
-	}
-}
-
-func TestCGWarmStart(t *testing.T) {
-	r := NewRNG(41)
-	a := buildSPD(r, 200)
-	b := make([]float64, 200)
-	for i := range b {
-		b[i] = r.Norm()
-	}
-	cold := make([]float64, 200)
-	coldStats, err := SolveCG(a, b, cold, nil, CGOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm start from the solution: should converge immediately.
-	warm := Copy(cold)
-	warmStats, err := SolveCG(a, b, warm, nil, CGOptions{Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.Iterations >= coldStats.Iterations {
-		t.Errorf("warm start took %d iters, cold %d", warmStats.Iterations, coldStats.Iterations)
-	}
-}
-
 func TestLUSolveKnown(t *testing.T) {
 	a := NewDenseFrom(2, 2, []float64{2, 1, 1, 3})
 	x, err := SolveDense(a, []float64{5, 10})
@@ -570,36 +422,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestCGBreaksDownOnIndefinite(t *testing.T) {
-	// A matrix with a negative eigenvalue must trigger the SPD guard.
-	m := NewCSR(2, []Coord{{0, 0, 1}, {1, 1, -1}})
-	x := make([]float64, 2)
-	stats, err := SolveCG(m, []float64{1, 1}, x, nil, CGOptions{MaxIter: 10})
-	if err == nil {
-		t.Fatal("expected breakdown error for indefinite matrix")
-	}
-	if !errors.Is(err, ErrBreakdown) {
-		t.Errorf("err = %v, want ErrBreakdown identity", err)
-	}
-	var be *BreakdownError
-	if !errors.As(err, &be) || be.PAP > 0 {
-		t.Errorf("breakdown detail = %+v", be)
-	}
-	if stats.Breakdown == "" || stats.Converged {
-		t.Errorf("stats = %+v, want breakdown reason recorded", stats)
-	}
-}
-
-func TestPatternUpdateMismatchPanics(t *testing.T) {
-	p := NewPattern(2, []Coord{{0, 0, 1}})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for wrong triplet count")
-		}
-	}()
-	p.Update([]Coord{{0, 0, 1}, {1, 1, 1}})
-}
-
 func TestNormInf(t *testing.T) {
 	if NormInf(nil) != 0 {
 		t.Error("NormInf(nil) != 0")
@@ -617,16 +439,6 @@ func TestDenseMulVecPanics(t *testing.T) {
 		}
 	}()
 	m.MulVec(make([]float64, 2))
-}
-
-func TestCSRFindMissingPanics(t *testing.T) {
-	m := NewCSR(2, []Coord{{0, 0, 1}})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for absent entry")
-		}
-	}()
-	m.find(0, 1)
 }
 
 // Property: quantiles are monotone in q.

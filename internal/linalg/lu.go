@@ -10,10 +10,15 @@ import (
 // underflows, meaning the matrix is singular to working precision.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
+// ErrNoConvergence is the sentinel an iterative solver's error matches
+// when its iteration exhausts its budget without meeting its
+// tolerance; the circuit solver's divergence errors match it.
+var ErrNoConvergence = errors.New("linalg: iterative solver did not converge")
+
 // LU is a dense LU factorization with partial pivoting, PA = LU.
 // It is intended for the small dense systems that appear in tests and
-// in the analytical crossbar model; the circuit solver itself uses
-// sparse CG.
+// in the analytical crossbar model; the circuit solver itself uses the
+// structured factorizations in factor.go.
 type LU struct {
 	n    int
 	lu   *Dense

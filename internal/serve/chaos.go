@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"geniex/internal/linalg"
-	"geniex/internal/xbar"
 )
 
 // ErrChaos is the transient fault the chaos layer injects into tier
@@ -18,7 +17,10 @@ var ErrChaos = errors.New("serve: chaos-injected fault")
 // ChaosPolicy is the fault-injection layer the robustness tests and
 // the `serve` smoke check drive the server with. All injection happens
 // inside the serving path — the analog models themselves are
-// untouched (use Faults to corrupt the circuit solver itself).
+// untouched. Faults below the serving path belong to the tier's own
+// configuration: an xbar.FaultPlan fails circuit solves, a
+// nonideal.Scenario perturbs the lowered conductances
+// (cmd/geniex-serve's -chaos-fail-attempts and -chaos-stuck-* flags).
 //
 // A zero policy injects nothing.
 type ChaosPolicy struct {
@@ -40,14 +42,6 @@ type ChaosPolicy struct {
 	// requests park in the queue and push the load factor up.
 	StallEvery int
 	Stall      time.Duration
-	// Faults, when non-nil, is the fault plan the server's owner
-	// should program into the circuit tier's solver (see
-	// xbar.Config.WithFaults): forced solver failures and, via its
-	// StuckAt field, real conductance faults from the shared
-	// internal/nonideal stuck-at component. The serve package only
-	// carries it; cmd/geniex-serve wires it when building the circuit
-	// tier.
-	Faults *xbar.FaultPlan
 	// Seed makes the injection schedule reproducible; 0 seeds from 1.
 	Seed uint64
 

@@ -17,14 +17,15 @@ type ItemStatus uint8
 const (
 	// ItemOK means the item solved cleanly on the first attempt.
 	ItemOK ItemStatus = iota
-	// ItemRecovered means the first attempt succeeded but needed the
-	// recovery ladder (a damped/source-step rung or an LU fallback).
+	// ItemRecovered means the first attempt succeeded on a recovery
+	// rung (damped Newton or source stepping).
 	ItemRecovered
-	// ItemRetried means the first attempt failed and the retry under
-	// the recovery ladder succeeded.
+	// ItemRetried means the first attempt failed under PolicyFailFast
+	// and the retry under the recovery ladder succeeded.
 	ItemRetried
-	// ItemFailed means the item failed even after the retry; its output
-	// row is zero and its error is recorded.
+	// ItemFailed means the item failed (after the retry, under
+	// PolicyFailFast); its output row is zero and its error is
+	// recorded.
 	ItemFailed
 )
 
@@ -50,10 +51,10 @@ type ItemOutcome struct {
 	Retries int
 	// Recovery names the ladder rung that produced the accepted
 	// solution ("" for a plain Newton solve).
-	Recovery                                                     string
-	Converged                                                    bool
-	Residual                                                     float64
-	NewtonIters, CGIters, LUFallbacks, CGBreakdowns, DampedSteps int
+	Recovery                 string
+	Converged                bool
+	Residual                 float64
+	NewtonIters, DampedSteps int
 }
 
 // BatchReport aggregates per-item outcomes and solver-health counters
@@ -67,9 +68,9 @@ type BatchReport struct {
 	// Unconverged counts items accepted with Converged=false (possible
 	// only under PolicyBestEffort).
 	Unconverged int
-	// NewtonIters, CGIters, LUFallbacks, CGBreakdowns, DampedSteps
-	// aggregate solver work across all items, retries included.
-	NewtonIters, CGIters, LUFallbacks, CGBreakdowns, DampedSteps int
+	// NewtonIters and DampedSteps aggregate solver work across all
+	// items, retries included.
+	NewtonIters, DampedSteps int
 }
 
 // AllOK reports whether every item produced a converged solution.
@@ -113,8 +114,7 @@ func (r *BatchReport) String() string {
 	if r.Unconverged > 0 {
 		fmt.Fprintf(&b, ", %d unconverged", r.Unconverged)
 	}
-	fmt.Fprintf(&b, " (newton=%d cg=%d lu-fallbacks=%d cg-breakdowns=%d damped=%d)",
-		r.NewtonIters, r.CGIters, r.LUFallbacks, r.CGBreakdowns, r.DampedSteps)
+	fmt.Fprintf(&b, " (newton=%d damped=%d)", r.NewtonIters, r.DampedSteps)
 	return b.String()
 }
 
@@ -135,9 +135,6 @@ func (r *BatchReport) tally(o ItemOutcome) {
 		r.Unconverged++
 	}
 	r.NewtonIters += o.NewtonIters
-	r.CGIters += o.CGIters
-	r.LUFallbacks += o.LUFallbacks
-	r.CGBreakdowns += o.CGBreakdowns
 	r.DampedSteps += o.DampedSteps
 }
 
@@ -176,13 +173,13 @@ func BatchSolve(cfg Config, g *linalg.Dense, vs *linalg.Dense) (*linalg.Dense, e
 }
 
 // BatchSolveReport is the resilient one-shot batch entry point: every
-// item is attempted, failed items are retried once under the recovery
-// ladder, and the report records per-item status so callers can
-// continue with a degraded-item mask instead of losing the whole
-// batch. Failed items' output rows are zero. Note the report may
-// contain unconverged best-effort items even when the returned error
-// is nil; gate on BatchReport.AllOK (or Err) when degraded outputs are
-// unacceptable.
+// item is attempted, items that fail under PolicyFailFast are retried
+// once under the recovery ladder, and the report records per-item
+// status so callers can continue with a degraded-item mask instead of
+// losing the whole batch. Failed items' output rows are zero. Note the
+// report may contain unconverged best-effort items even when the
+// returned error is nil; gate on BatchReport.AllOK (or Err) when
+// degraded outputs are unacceptable.
 //
 // The returned error covers setup problems only (bad shapes, an
 // unprogrammable conductance matrix); solver failures never abort the
@@ -244,13 +241,6 @@ func NewBatchSolver(cfg Config, g *linalg.Dense) (*BatchSolver, error) {
 		g:       g.Clone(),
 		workers: cfg.BatchWorkers,
 	}
-	// Stuck cells are a property of the one shared array, not of a batch
-	// item, so they perturb the pooled conductances here — every pooled
-	// instance (and every item, regardless of Items) sees the same
-	// faulted matrix, exactly as a single physical crossbar would.
-	if _, err := cfg.faults.applyStuck(s.g, cfg); err != nil {
-		return nil, err
-	}
 	xb, err := s.newInstance()
 	if err != nil {
 		return nil, err
@@ -276,7 +266,7 @@ func (s *BatchSolver) newInstance() (*Crossbar, error) {
 		// simply leaves every instance on the cold-start fallback.
 		s.factOnce.Do(func() { s.fact = xb.ensureFactor() })
 		if s.fact != nil && xb.fact == nil {
-			xb.adoptFactor(s.fact)
+			xb.fact = s.fact
 		}
 	}
 	return xb, nil
@@ -322,10 +312,10 @@ func (s *BatchSolver) SolveReport(vs *linalg.Dense) (*linalg.Dense, *BatchReport
 
 // SolveReportInto solves every item of vs (batch×Rows) into out
 // (batch×Cols), fanning out across the configured worker count
-// (Config.BatchWorkers; 0 means GOMAXPROCS). Failed items are retried
-// once under the recovery ladder and zeroed if they still fail; the
-// report, allocated per call, carries per-item outcomes. The error
-// covers setup problems only. Results are deterministic and
+// (Config.BatchWorkers; 0 means GOMAXPROCS). Items that fail under
+// PolicyFailFast are retried once under the recovery ladder; failed
+// items are zeroed. The report, allocated per call, carries per-item
+// outcomes. The error covers setup problems only. Results are deterministic and
 // independent of worker count and block composition: every item's
 // arithmetic depends only on the array and its own drive vector, and
 // each item is written by index.
@@ -468,20 +458,20 @@ func (s *BatchSolver) armFaults(xb *Crossbar, b int) {
 	}
 }
 
-// solveItem solves one batch item into the instance's reused Solution,
-// retrying once under the recovery ladder on failure, and writes the
-// currents into dst (zeroed on failure). A cancelled item is recorded
-// as failed without retrying — its caller discards the whole report
-// anyway.
+// solveItem solves one batch item into the instance's reused Solution
+// and writes the currents into dst (zeroed on failure). An item that
+// fails under PolicyFailFast is retried once with the recovery ladder
+// on. Under the other policies the ladder has already run, and it is
+// deterministic with the item's fault plan re-armed identically, so a
+// retry would repeat the same work and fail the same way; a cancelled
+// item is not retried either — its caller discards the whole report.
 func solveItem(ctx context.Context, xb *Crossbar, v, dst []float64) ItemOutcome {
 	sol := &xb.sol
 	if err := xb.solve(ctx, v, xb.cfg.Policy, sol); err != nil {
-		if canceled(err) {
+		if canceled(err) || xb.cfg.Policy != PolicyFailFast {
 			linalg.Fill(dst, 0)
 			return ItemOutcome{Status: ItemFailed, Err: err}
 		}
-		// Retry once with the ladder forced on — rescues items that
-		// failed under PolicyFailFast or hit a transient solver corner.
 		if err := xb.solve(ctx, v, PolicyRecover, sol); err != nil {
 			linalg.Fill(dst, 0)
 			return ItemOutcome{Status: ItemFailed, Err: err, Retries: 1}
@@ -491,7 +481,7 @@ func solveItem(ctx context.Context, xb *Crossbar, v, dst []float64) ItemOutcome 
 	}
 	copy(dst, sol.Currents)
 	status := ItemOK
-	if sol.Recovery != "" || sol.LUFallbacks > 0 {
+	if sol.Recovery != "" {
 		status = ItemRecovered
 	}
 	return outcomeFor(sol, status, 0)
@@ -499,15 +489,12 @@ func solveItem(ctx context.Context, xb *Crossbar, v, dst []float64) ItemOutcome 
 
 func outcomeFor(sol *Solution, status ItemStatus, retries int) ItemOutcome {
 	return ItemOutcome{
-		Status:       status,
-		Retries:      retries,
-		Recovery:     sol.Recovery,
-		Converged:    sol.Converged,
-		Residual:     sol.Residual,
-		NewtonIters:  sol.NewtonIters,
-		CGIters:      sol.CGIters,
-		LUFallbacks:  sol.LUFallbacks,
-		CGBreakdowns: sol.CGBreakdowns,
-		DampedSteps:  sol.DampedSteps,
+		Status:      status,
+		Retries:     retries,
+		Recovery:    sol.Recovery,
+		Converged:   sol.Converged,
+		Residual:    sol.Residual,
+		NewtonIters: sol.NewtonIters,
+		DampedSteps: sol.DampedSteps,
 	}
 }

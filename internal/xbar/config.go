@@ -2,12 +2,14 @@
 // level. It is the repository's substitute for the paper's HSPICE
 // decks: the same netlist topology (word lines and bit lines with
 // source, sink and wire parasitics; an access device and an RRAM cell
-// at every junction) solved by modified nodal analysis. The default
-// solve starts from the direct solution of the zero-bias linearized
-// network and iterates on its cached factorization (the chord method,
-// v ← v − J₀⁻¹·F(v)); damped Newton–Raphson with a Jacobi-preconditioned
-// conjugate-gradient inner solve, then source stepping, are the
-// recovery ladder behind it.
+// at every junction) solved by modified nodal analysis. Every linear
+// solve goes through one direct factorization of the MNA Jacobian
+// along the netlist's structure. The default solve starts from the
+// direct solution of the zero-bias linearized network and iterates on
+// its cached factorization (the chord method, v ← v − J₀⁻¹·F(v));
+// damped Newton–Raphson, v ← v − J(v)⁻¹·F(v) with J(v) factored the
+// same way at each iterate, then source stepping, are the recovery
+// ladder behind it.
 //
 // Three models of the same crossbar are exposed:
 //
@@ -37,11 +39,10 @@ type SolverPolicy int
 
 const (
 	// PolicyRecover runs the recovery ladder (damped Newton → source
-	// stepping, with direct-LU rescue of broken CG solves) and returns
-	// ErrNewtonDiverged only if every rung fails.
+	// stepping) and returns ErrNewtonDiverged only if every rung fails.
 	PolicyRecover SolverPolicy = iota
-	// PolicyFailFast returns ErrNewtonDiverged (or the linear-solver
-	// error) at the first sign of trouble, with no recovery attempts.
+	// PolicyFailFast returns ErrNewtonDiverged when the first rung
+	// fails, with no recovery attempts.
 	PolicyFailFast
 	// PolicyBestEffort runs the full ladder and, if nothing converges,
 	// returns the lowest-residual solution with Converged=false instead
@@ -81,9 +82,8 @@ func ParsePolicy(s string) (SolverPolicy, error) {
 // the chord iteration on the same factor takes it from there instead
 // of Newton from flat zero. The seed is a pure function of the
 // programmed conductances and the drive vector — it is exactly the
-// first cold Newton iterate, computed directly instead of by CG — and
-// so is every chord update, so the default path stays bit-reproducible
-// at any worker count.
+// first cold Newton iterate — and so is every chord update, so the
+// default path stays bit-reproducible at any worker count.
 type SolverStart int
 
 const (
@@ -92,9 +92,10 @@ const (
 	// Deterministic: results depend only on (conductances, drive),
 	// never on solve history or scheduling.
 	StartSeeded SolverStart = iota
-	// StartCold runs Newton–CG from the flat zero state, the
-	// pre-factorization behaviour. No factorization is built or used;
-	// it is the reference the seeded path is checked against.
+	// StartCold runs Newton from the flat zero state, each update
+	// through the Jacobian factored at its iterate. No zero-bias factor
+	// is cached; it is the reference the seeded path is checked
+	// against.
 	StartCold
 )
 

@@ -18,30 +18,24 @@ type Crossbar struct {
 	sel  device.Element   // access device, shared by all cells
 	cell []device.Element // RRAM per cell, row-major
 
-	// The Newton rungs' Jacobian: coords holds every stamp in the
-	// fixed order pattern was built from. The wire, source and sink
-	// stamps never change; kcl rewrites the device stamps, which start
-	// at devOff, eight per cell.
-	pattern *linalg.Pattern
-	coords  []linalg.Coord
-	devOff  int
-	ws      *linalg.CGWorkspace
-	volt    []float64 // node voltages; the iterate
-	rhs     []float64 // drive injection plus companion sources (Newton rungs)
-	delta   []float64
-	prev    []float64 // iterate before the last Newton update
-	step    []float64 // last full Newton step (for damped backtracking)
-	res     []float64 // KCL violation F at volt
-	best    []float64 // lowest-residual iterate (best-effort reporting)
-	sol     Solution  // the batch path's reused result
+	volt []float64 // node voltages; the iterate
+	prev []float64 // iterate before the last Newton update
+	step []float64 // last full Newton step J⁻¹·F (for damped backtracking)
+	res  []float64 // KCL violation F at volt
+	best []float64 // lowest-residual iterate (best-effort reporting)
+	sol  Solution  // the batch path's reused result
+	// The Newton rungs' Jacobian at the iterate: each cell's selector
+	// and RRAM differential conductance, as kcl records them.
+	jsel, jcell []float64
 
 	// iteration controls
 	maxNewton int
 	tolV      float64
 
-	// Per-programming factorization cache (see factor.go). fact is
-	// built lazily on the first non-cold solve after a Program and
-	// invalidated by the next one; factScr is this instance's scratch.
+	// Per-programming zero-bias factorization cache (see factor.go).
+	// fact is built lazily on the first non-cold solve after a Program
+	// and invalidated by the next one; factScr is this instance's
+	// scratch for every factored solve.
 	fact    *opFactor
 	factScr *factorScratch
 	factErr bool // factor build failed; cold-start until reprogrammed
@@ -81,24 +75,20 @@ func New(cfg Config) (*Crossbar, error) {
 	}
 	x.setFaults(cfg.faults)
 	n := x.numNodes()
-	x.ws = linalg.NewCGWorkspace(n)
 	x.volt = make([]float64, n)
-	x.rhs = make([]float64, n)
-	x.delta = make([]float64, n)
 	x.prev = make([]float64, n)
 	x.step = make([]float64, n)
 	x.res = make([]float64, n)
 	x.best = make([]float64, n)
+	x.jsel = make([]float64, cfg.Rows*cfg.Cols)
+	x.jcell = make([]float64, cfg.Rows*cfg.Cols)
+	x.factScr = newFactorScratch(cfg)
 
 	g := linalg.NewDense(cfg.Rows, cfg.Cols)
 	linalg.Fill(g.Data, cfg.Goff())
 	if err := x.Program(g); err != nil {
 		return nil, err
 	}
-	// Freeze the sparsity pattern once; Newton updates only rewrite
-	// device values.
-	x.buildCoords()
-	x.pattern = linalg.NewPattern(n, x.coords)
 	return x, nil
 }
 
@@ -130,12 +120,6 @@ func (x *Crossbar) Program(g *linalg.Dense) error {
 			g.Rows, g.Cols, x.cfg.Rows, x.cfg.Cols)
 	}
 	prog := g.Clone()
-	// Conductance-level faults (stuck cells) apply to the programmed
-	// copy: the caller's intended matrix is untouched, but the array —
-	// and everything solved on it — sees the faulted values.
-	if _, err := x.faults.applyStuck(prog, x.cfg); err != nil {
-		return err
-	}
 	lo, hi := x.cfg.Goff(), x.cfg.Gon()
 	slack := 1e-9 * hi
 	gsel := x.cfg.SelectorGonFactor / x.cfg.Ron
@@ -156,9 +140,8 @@ func (x *Crossbar) Program(g *linalg.Dense) error {
 	}
 	x.g = prog
 	x.cell = cells
-	// Reprogramming (including FaultPlan stuck-at application and
-	// nonideal re-lowering, which both arrive through Program)
-	// invalidates the operating-point factorization.
+	// Reprogramming (including nonideal re-lowering, which arrives
+	// through Program) invalidates the zero-bias factorization.
 	if x.fact != nil {
 		x.fact = nil
 		mFactorInvalidations.Inc()
@@ -167,84 +150,28 @@ func (x *Crossbar) Program(g *linalg.Dense) error {
 	return nil
 }
 
-// ensureFactor returns the cached operating-point factorization,
-// building it on first use after a Program. It returns nil when the
-// configuration forbids it (StartCold) or when a build failed — the
-// caller then falls back to the legacy cold start.
+// ensureFactor returns the cached zero-bias factorization, building it
+// on first use after a Program. It returns nil when the configuration
+// forbids it (StartCold) or when a build failed — the caller then
+// falls back to the cold start.
 func (x *Crossbar) ensureFactor() *opFactor {
 	if x.cfg.Start == StartCold || x.factErr {
 		return nil
 	}
 	if x.fact == nil {
-		f, err := x.buildFactor()
+		f, err := x.zeroBiasFactor()
 		if err != nil {
 			x.factErr = true
 			return nil
 		}
-		x.adoptFactor(f)
+		x.fact = f
 		mFactorBuilds.Inc()
 	}
 	return x.fact
 }
 
-// adoptFactor installs a factorization — built here or shared by a
-// BatchSolver pool — with this instance's own scratch.
-func (x *Crossbar) adoptFactor(f *opFactor) {
-	x.fact = f
-	if x.factScr == nil {
-		x.factScr = newFactorScratch(x.cfg)
-	}
-}
-
 // Conductances returns a copy of the programmed conductance matrix.
 func (x *Crossbar) Conductances() *linalg.Dense { return x.g.Clone() }
-
-// buildCoords lays out the MNA stamp triplets in a fixed order: the
-// word-line and bit-line wire segments, the source and sink
-// resistances — constant conductances — then eight device entries per
-// cell, selector (row–mid) before RRAM (mid–column), whose values kcl
-// writes at each Newton iterate.
-func (x *Crossbar) buildCoords() {
-	cfg := x.cfg
-	x.coords = x.coords[:0]
-	stamp2 := func(g float64, an, bn int) {
-		x.coords = append(x.coords,
-			linalg.Coord{Row: an, Col: an, Val: g},
-			linalg.Coord{Row: bn, Col: bn, Val: g},
-			linalg.Coord{Row: an, Col: bn, Val: -g},
-			linalg.Coord{Row: bn, Col: an, Val: -g},
-		)
-	}
-	gw := 1 / cfg.Rwire
-	for i := 0; i < cfg.Rows; i++ {
-		for j := 0; j+1 < cfg.Cols; j++ {
-			stamp2(gw, x.rNode(i, j), x.rNode(i, j+1))
-		}
-	}
-	for j := 0; j < cfg.Cols; j++ {
-		for i := 0; i+1 < cfg.Rows; i++ {
-			stamp2(gw, x.cNode(i, j), x.cNode(i+1, j))
-		}
-	}
-	// The word-line driver is a Norton source: gsrc on the diagonal,
-	// gsrc·v_i injected at the row head. Bit lines sink to virtual
-	// ground through Rsink.
-	for i := 0; i < cfg.Rows; i++ {
-		n := x.rNode(i, 0)
-		x.coords = append(x.coords, linalg.Coord{Row: n, Col: n, Val: 1 / cfg.Rsource})
-	}
-	for j := 0; j < cfg.Cols; j++ {
-		n := x.cNode(cfg.Rows-1, j)
-		x.coords = append(x.coords, linalg.Coord{Row: n, Col: n, Val: 1 / cfg.Rsink})
-	}
-	x.devOff = len(x.coords)
-	for i := 0; i < cfg.Rows; i++ {
-		for j := 0; j < cfg.Cols; j++ {
-			stamp2(0, x.rNode(i, j), x.mNode(i, j))
-			stamp2(0, x.mNode(i, j), x.cNode(i, j))
-		}
-	}
-}
 
 // kcl evaluates the network at the iterate x.volt under the drive
 // vector v, node by node from the wire, source, sink and device
@@ -254,9 +181,9 @@ func (x *Crossbar) buildCoords() {
 // every device at the iterate (‖F‖ alone when rhs vanishes). F equals
 // J·v − rhs for the Jacobian J at the iterate, so the ratio is the
 // relative residual of the linearized system, and it is the one
-// acceptance measure of every rung. With stamp set, kcl also loads
-// that system for a Newton update: J into x.pattern and rhs into
-// x.rhs.
+// acceptance measure of every rung. With stamp set, kcl also records
+// J for a Newton update: each device's differential conductance at the
+// iterate, into x.jsel and x.jcell.
 func (x *Crossbar) kcl(v []float64, stamp bool) float64 {
 	var f2, b2 [1]float64
 	x.kclLanes(v, x.volt, x.res, 1, f2[:], b2[:], stamp)
@@ -266,11 +193,8 @@ func (x *Crossbar) kcl(v []float64, stamp bool) float64 {
 		x.res[0] = math.NaN()
 		f2[0] = math.NaN()
 		if stamp {
-			x.coords[x.devOff].Val = math.NaN()
+			x.jsel[0] = math.NaN()
 		}
-	}
-	if stamp {
-		x.pattern.Update(x.coords)
 	}
 	return relResid(f2[0], b2[0])
 }
@@ -289,8 +213,8 @@ func relResid(f2, b2 float64) float64 {
 // adds its ‖F‖² and ‖rhs‖² to f2[r] and b2[r]. The one-item ladder
 // calls it with one lane (ld = 1); the block chord calls it with the
 // block's active lanes. Every lane goes through the same operations in
-// the same order either way. stamp (one lane only) also writes the
-// Newton system, as kcl documents.
+// the same order either way. stamp (one lane only) also records the
+// Newton Jacobian, as kcl documents.
 func (x *Crossbar) kclLanes(v, volt, res []float64, ld int, f2, b2 []float64, stamp bool) {
 	cfg := x.cfg
 	R, C := cfg.Rows, cfg.Cols
@@ -336,10 +260,7 @@ func (x *Crossbar) kclLanes(v, volt, res []float64, ld int, f2, b2 []float64, st
 				f2[l] += fr*fr + fm*fm + fc*fc
 				b2[l] += br*br + bm*bm + bc*bc
 				if stamp {
-					x.rhs[k], x.rhs[RC+k], x.rhs[2*RC+k] = br, bm, bc
-					d := x.coords[x.devOff+8*k : x.devOff+8*k+8]
-					d[0].Val, d[1].Val, d[2].Val, d[3].Val = gs, gs, -gs, -gs
-					d[4].Val, d[5].Val, d[6].Val, d[7].Val = gd, gd, -gd, -gd
+					x.jsel[k], x.jcell[k] = gs, gd
 				}
 			}
 		}

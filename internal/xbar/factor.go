@@ -4,11 +4,10 @@ import (
 	"geniex/internal/linalg"
 )
 
-// opFactor is the direct factorization of the MNA system linearized at
-// the programmed zero-bias operating point. Tile conductances are
-// frozen between Program calls — only the drive voltages change — so
-// the linear part of every solve on this programming is the same
-// system, and it factors exactly along the netlist's structure:
+// opFactor is the direct factorization of the MNA Jacobian for one set
+// of per-cell device conductances. At any iterate the Jacobian has the
+// same structure — only the selector and cell conductances change —
+// and it factors exactly along the netlist:
 //
 //  1. Every mid node sits between exactly two elements (selector and
 //     cell), so it eliminates in closed form, leaving the series
@@ -21,20 +20,21 @@ import (
 //     bit-line levels: dense Cols×Cols Schur-complement blocks per
 //     word-line level, −gw·I between adjacent levels.
 //
-// Factoring costs O(Rows·Cols³) once per Program; each subsequent
-// solve is O(Rows·Cols²) of pure back-substitution. The factor is
-// immutable after construction and safe to share across a BatchSolver
-// pool — per-instance scratch lives in factorScratch.
+// Factoring costs O(Rows·Cols³); each solve is O(Rows·Cols²) of pure
+// back-substitution. A factor is immutable after construction and safe
+// to share — per-instance scratch lives in factorScratch.
 //
-// It serves two roles in the seeded rung 0: solving the linearized
-// system at the programmed operating point for the seed (the first
-// cold Newton iterate, computed directly), and the chord iteration
-// from there, v ← v − J₀⁻¹·F(v), one back-substitution per update.
+// Every rung solves through it. The zero-bias factor J₀ (every device
+// at 0 V) is built once per Program and shared by a BatchSolver pool;
+// the seeded rung 0 solves it for the seed (the first cold Newton
+// iterate, computed directly) and iterates the chord v ← v − J₀⁻¹·F(v)
+// on it. The Newton rungs factor J(v) at each iterate from the
+// differential conductances kcl records and take v ← v − J(v)⁻¹·F(v).
 type opFactor struct {
 	rows, cols int
 	gsrc       float64
-	gsel       float64   // selector zero-bias conductance (shared element)
-	gcell      []float64 // per-cell RRAM zero-bias conductance, row-major
+	gsel       []float64 // per-cell selector conductance, row-major
+	gcell      []float64 // per-cell RRAM conductance, row-major
 	gs         []float64 // per-cell series conductance, row-major
 
 	rowTri []*linalg.Tridiag    // word-line chain factors, one per row
@@ -58,26 +58,38 @@ func newFactorScratch(cfg Config) *factorScratch {
 	}
 }
 
-// buildFactor factors the linearized MNA system for the current
-// programming. It fails only on a non-positive-definite reduction,
-// which a physical conductance matrix cannot produce; callers treat
-// failure as "fall back to cold starts".
-func (x *Crossbar) buildFactor() (*opFactor, error) {
-	cfg := x.cfg
+// zeroBiasFactor factors J₀, the Jacobian with every device at 0 V,
+// for the current programming.
+func (x *Crossbar) zeroBiasFactor() (*opFactor, error) {
+	gsel := make([]float64, len(x.cell))
+	gcell := make([]float64, len(x.cell))
+	_, g := x.sel.Eval(0)
+	for k, cell := range x.cell {
+		gsel[k] = g
+		_, gcell[k] = cell.Eval(0)
+	}
+	return buildFactor(x.cfg, gsel, gcell)
+}
+
+// buildFactor factors the MNA Jacobian whose cell k has selector
+// conductance gsel[k] and RRAM conductance gcell[k] (row-major). The
+// factor keeps both slices; the caller must not change them while it
+// solves through the factor. It fails on a non-positive-definite
+// reduction (a NaN conductance, or a cell whose selector and RRAM
+// both conduct nothing), which callers treat as a failed rung.
+func buildFactor(cfg Config, gsel, gcell []float64) (*opFactor, error) {
 	R, C := cfg.Rows, cfg.Cols
 	gw := 1 / cfg.Rwire
 	f := &opFactor{
 		rows:  R,
 		cols:  C,
 		gsrc:  1 / cfg.Rsource,
-		gcell: make([]float64, R*C),
+		gsel:  gsel,
+		gcell: gcell,
 		gs:    make([]float64, R*C),
 	}
-	_, f.gsel = x.sel.Eval(0)
-	for k, cell := range x.cell {
-		_, gc := cell.Eval(0)
-		f.gcell[k] = gc
-		f.gs[k] = f.gsel * gc / (f.gsel + gc)
+	for k, gc := range gcell {
+		f.gs[k] = gsel[k] * gc / (gsel[k] + gc)
 	}
 
 	// Word-line chains: tridiagonal over the row nodes of each row.
@@ -154,19 +166,18 @@ func (x *Crossbar) buildFactor() (*opFactor, error) {
 	return f, nil
 }
 
-// solveInto solves J₀·out = b for the full 3·R·C node vector, where J₀
-// is the MNA Jacobian at the programmed zero-bias operating point. out
-// may alias b. Allocation-free; safe for concurrent use with distinct
-// scratch.
+// solveInto solves J·out = b for the full 3·R·C node vector, where J
+// is the factored Jacobian. out may alias b. Allocation-free; safe for
+// concurrent use with distinct scratch.
 func (f *opFactor) solveInto(out, b []float64, ws *factorScratch) {
 	R, C := f.rows, f.cols
 	RC := R * C
 	// Mid-node reduction: vm = (b_m + gsel·vr + gcell·vc)/(gsel+gcell)
 	// folds b_m into the row and column right-hand sides.
 	for k := 0; k < RC; k++ {
-		gt := f.gsel + f.gcell[k]
+		gt := f.gsel[k] + f.gcell[k]
 		bm := b[RC+k]
-		out[k] = b[k] + f.gsel/gt*bm
+		out[k] = b[k] + f.gsel[k]/gt*bm
 		out[2*RC+k] = b[2*RC+k] + f.gcell[k]/gt*bm
 		out[RC+k] = bm
 	}
@@ -191,8 +202,8 @@ func (f *opFactor) solveInto(out, b []float64, ws *factorScratch) {
 	}
 	// Recover the mid nodes.
 	for k := 0; k < RC; k++ {
-		gt := f.gsel + f.gcell[k]
-		out[RC+k] = (out[RC+k] + f.gsel*out[k] + f.gcell[k]*out[2*RC+k]) / gt
+		gt := f.gsel[k] + f.gcell[k]
+		out[RC+k] = (out[RC+k] + f.gsel[k]*out[k] + f.gcell[k]*out[2*RC+k]) / gt
 	}
 }
 
@@ -207,8 +218,9 @@ func (f *opFactor) solveBlockInto(out, b []float64, m, ld int, ws *blockScratch)
 	// lanes returns node n's m lanes of v.
 	lanes := func(v []float64, n int) []float64 { return v[n*ld : n*ld+m] }
 	for k := 0; k < RC; k++ {
-		gt := f.gsel + f.gcell[k]
-		cr, cc := f.gsel/gt, f.gcell[k]/gt
+		gsel := f.gsel[k]
+		gt := gsel + f.gcell[k]
+		cr, cc := gsel/gt, f.gcell[k]/gt
 		br, bm, bc := lanes(b, k), lanes(b, RC+k), lanes(b, 2*RC+k)
 		or, om, oc := lanes(out, k), lanes(out, RC+k), lanes(out, 2*RC+k)
 		for r := range om {
@@ -240,22 +252,21 @@ func (f *opFactor) solveBlockInto(out, b []float64, m, ld int, ws *blockScratch)
 		f.rowTri[i].SolveBlockInto(out[i*C*ld:], y, m, ld)
 	}
 	for k := 0; k < RC; k++ {
-		gt := f.gsel + f.gcell[k]
-		gc := f.gcell[k]
+		gsel, gc := f.gsel[k], f.gcell[k]
+		gt := gsel + gc
 		vr, vm, vcn := lanes(out, k), lanes(out, RC+k), lanes(out, 2*RC+k)
 		for r := range vm {
-			vm[r] = (vm[r] + f.gsel*vr[r] + gc*vcn[r]) / gt
+			vm[r] = (vm[r] + gsel*vr[r] + gc*vcn[r]) / gt
 		}
 	}
 }
 
-// seedInto writes the Newton seed for drive vector v into volt: the
-// solution of the linearized network, whose only source injections are
-// the Norton drive currents gsrc·v_i at each row head. Because every
-// device law has I(0) = 0, the companion sources vanish at the zero
-// state, making this exactly the system the first cold Newton update
-// solves — the seed replaces that update (and its CG solve) with
-// direct back-substitution.
+// seedInto writes the Newton seed for drive vector v into volt,
+// solving through the zero-bias factor J₀: the solution of the
+// linearized network, whose only source injections are the Norton
+// drive currents gsrc·v_i at each row head. Because every device law
+// has I(0) = 0, the companion sources vanish at the zero state, making
+// this exactly the first cold Newton iterate.
 func (f *opFactor) seedInto(volt, v []float64, ws *factorScratch) {
 	linalg.Fill(ws.b, 0)
 	for i := 0; i < f.rows; i++ {

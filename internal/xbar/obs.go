@@ -17,12 +17,7 @@ var (
 	mSolveLatency   = obs.NewHistogram("xbar.solver.latency_seconds", obs.LatencyBuckets)
 	// newton_iters observes Solution.NewtonIters per solve: chord
 	// updates on the seeded rung 0, Newton updates on every other rung.
-	// cg_iters observes the inner CG iterations, which only Newton
-	// rungs run.
-	mNewtonIters  = obs.NewHistogram("xbar.solver.newton_iters", obs.IterBuckets)
-	mCGIters      = obs.NewHistogram("xbar.solver.cg_iters", obs.IterBuckets)
-	mCGBreakdowns = obs.NewCounter("xbar.solver.cg_breakdowns")
-	mLUFallbacks  = obs.NewCounter("xbar.solver.lu_fallbacks")
+	mNewtonIters = obs.NewHistogram("xbar.solver.newton_iters", obs.IterBuckets)
 
 	// Rescue-rung counters: a categorical histogram over which ladder
 	// rung produced each accepted solution.
@@ -31,10 +26,11 @@ var (
 	mRungSourceStep = obs.NewCounter("xbar.solver.rung.source_step")
 	mRungBestEffort = obs.NewCounter("xbar.solver.rung.best_effort")
 
-	// Factorization-cache counters: builds/invalidations follow the
-	// Program lifecycle, and reuses counts seeded solves — each one
-	// seeds rung 0 by a direct factorized solve and runs its chord
-	// updates on the same cached factor.
+	// Zero-bias factorization-cache counters: builds/invalidations
+	// follow the Program lifecycle, and reuses counts seeded solves —
+	// each one seeds rung 0 by a direct factorized solve and runs its
+	// chord updates on the same cached factor. The per-update Jacobian
+	// factors of the Newton rungs are not counted.
 	mFactorBuilds        = obs.NewCounter("xbar.solver.factor.builds")
 	mFactorInvalidations = obs.NewCounter("xbar.solver.factor.invalidations")
 	mFactorReuses        = obs.NewCounter("xbar.solver.factor.reuses")
@@ -60,9 +56,6 @@ func recordSolve(sol *Solution, err error, start time.Time) {
 		mFactorReuses.Inc()
 	}
 	mNewtonIters.Observe(float64(sol.NewtonIters))
-	mCGIters.Observe(float64(sol.CGIters))
-	mCGBreakdowns.Add(int64(sol.CGBreakdowns))
-	mLUFallbacks.Add(int64(sol.LUFallbacks))
 	switch sol.Recovery {
 	case "":
 		mRungNewton.Inc()

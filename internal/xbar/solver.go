@@ -52,9 +52,9 @@ type NewtonDivergedError struct {
 	Residual float64
 	// Attempts lists the ladder rungs tried, in order.
 	Attempts []string
-	// Cause is the underlying linear-solver failure, if one aborted the
-	// ladder (CG breakdown the direct fallback could not rescue, a
-	// singular Jacobian, ...).
+	// Cause is the first error that aborted a rung: a Jacobian the
+	// factorization rejected (non-positive-definite, as a NaN
+	// conductance makes it), which ends that rung but not the ladder.
 	Cause error
 }
 
@@ -90,10 +90,6 @@ type Solution struct {
 	// recovery attempts: chord updates on the seeded rung 0, Newton
 	// updates on every other rung.
 	NewtonIters int
-	// CGIters is the total number of inner CG iterations. Only the
-	// Newton rungs run CG, so a solve accepted at the seeded rung 0
-	// reports 0.
-	CGIters int
 
 	// Converged reports whether the solver met its tolerances. It is
 	// false only under PolicyBestEffort — the other policies return an
@@ -118,11 +114,6 @@ type Solution struct {
 	Seeded bool
 	// DampedSteps counts backtracked Newton steps.
 	DampedSteps int
-	// LUFallbacks counts linear solves rescued by the direct-LU path
-	// after CG failed.
-	LUFallbacks int
-	// CGBreakdowns counts CG SPD-guard trips.
-	CGBreakdowns int
 }
 
 // Solve computes the non-ideal output currents for the given word-line
@@ -216,7 +207,7 @@ func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPoli
 		var err error
 		switch rung {
 		case 0:
-			ok, err = x.rung0(ctx, v, policy, sol)
+			ok, err = x.rung0(ctx, v, sol)
 		case 1:
 			// Damped Newton from a cold start: steps that increase the
 			// KCL residual are backtracked along the Newton direction.
@@ -224,11 +215,11 @@ func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPoli
 			// Jacobian is no longer close to J₀, so the recovery rungs
 			// are a different strategy from rung 0, not a retry of it.
 			linalg.Fill(x.volt, 0)
-			ok, err = x.newtonIterate(ctx, v, true, policy, sol)
+			ok, err = x.newtonIterate(ctx, v, true, sol)
 		case 2:
 			// Source stepping: ramp the drive to its target in stages,
 			// warm-starting each from the previous one.
-			ok, err = x.sourceStep(ctx, v, policy, sol)
+			ok, err = x.sourceStep(ctx, v, sol)
 		}
 		if err != nil && canceled(err) {
 			return err
@@ -249,9 +240,6 @@ func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPoli
 			copy(x.best, x.volt)
 		}
 		if policy == PolicyFailFast {
-			if err != nil {
-				return err
-			}
 			return x.diverged(sol, rung+1, cause)
 		}
 	}
@@ -269,11 +257,11 @@ func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPoli
 // (StartSeeded) it starts from the factorized seed and runs the chord
 // iteration on the same factor; without one (StartCold, or a failed
 // build) it runs plain Newton from flat zero.
-func (x *Crossbar) rung0(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) (bool, error) {
+func (x *Crossbar) rung0(ctx context.Context, v []float64, sol *Solution) (bool, error) {
 	f := x.ensureFactor()
 	if f == nil {
 		linalg.Fill(x.volt, 0)
-		return x.newtonIterate(ctx, v, false, policy, sol)
+		return x.newtonIterate(ctx, v, false, sol)
 	}
 	f.seedInto(x.volt, v, x.factScr)
 	sol.Seeded = true
@@ -339,7 +327,7 @@ func ctxErr(ctx context.Context, update int) error {
 // chordIterate is the seeded rung 0: the chord (simplified Newton)
 // iteration v ← v − J₀⁻¹·F(v) from the seed already in x.volt, where
 // J₀ is the factored zero-bias Jacobian. Each update is one KCL
-// evaluation and one back-substitution — no assembly and no CG. The
+// evaluation and one back-substitution, with no refactoring. The
 // iteration converges linearly at the rate J₀ approximates the
 // Jacobian along the path, so it hands over to the recovery ladder as
 // soon as an update fails to halve the relative residual (saturated
@@ -379,10 +367,12 @@ func (x *Crossbar) chordIterate(ctx context.Context, v []float64, f *opFactor, s
 
 // newtonIterate runs (optionally damped) Newton from the current
 // contents of x.volt — callers choose the starting point — toward the
-// drive vector v, solving each update by Jacobi-preconditioned CG. It
+// drive vector v. Each update factors the Jacobian at the iterate
+// (J₀'s structure with the devices' differential conductances; see
+// buildFactor) and takes v ← v − J(v)⁻¹·F(v) by back-substitution. It
 // reports convergence; a non-nil error means the attempt aborted on a
-// linear-solver failure that the LU fallback could not rescue.
-func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, policy SolverPolicy, sol *Solution) (bool, error) {
+// Jacobian the factorization rejected.
+func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, sol *Solution) (bool, error) {
 	prevResid := math.Inf(1)
 	// lastStep is the max |Δv| of the last *applied* update — after a
 	// damped backtrack this is the shortened step, not the full Newton
@@ -397,7 +387,7 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 	for iter := 0; iter < x.maxNewton; iter++ {
 		// Cooperative cancellation: one cheap Err check per Newton
 		// update, so a revoked deadline stops the solve before its next
-		// linear system instead of after the whole ladder.
+		// factorization instead of after the whole ladder.
 		if err := ctxErr(ctx, update); err != nil {
 			return false, err
 		}
@@ -409,7 +399,7 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 			// re-linearize there.
 			scale *= 0.5
 			for n := range x.volt {
-				x.volt[n] = x.prev[n] + scale*x.step[n]
+				x.volt[n] = x.prev[n] - scale*x.step[n]
 			}
 			lastStep = scale * fullStep
 			sol.DampedSteps++
@@ -431,39 +421,17 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 			return false, nil
 		}
 
-		// Solve J·vNew = rhs for the Newton update: CG with the current
-		// iterate as warm start, direct LU when CG cannot.
 		update++
-		copy(x.delta, x.volt)
-		var stats linalg.CGStats
-		var err error
-		if x.faults != nil && x.faults.CGBreakdownAt == update {
-			err = &linalg.BreakdownError{Iteration: 1, PAP: -1} // injected
-		} else {
-			stats, err = linalg.SolveCG(x.pattern.Matrix(), x.rhs, x.delta, x.ws, linalg.CGOptions{Tol: 1e-12})
-		}
-		sol.CGIters += stats.Iterations
-		sol.NewtonIters++
+		f, err := buildFactor(x.cfg, x.jsel, x.jcell)
 		if err != nil {
-			if errors.Is(err, linalg.ErrBreakdown) {
-				sol.CGBreakdowns++
-			}
-			if policy == PolicyFailFast {
-				return false, fmt.Errorf("xbar: Newton update %d: %w", update, err)
-			}
-			direct, derr := linalg.SolveDirect(x.pattern.Matrix(), x.rhs)
-			if derr != nil {
-				return false, fmt.Errorf("xbar: Newton update %d: CG failed (%v); direct fallback: %w", update, err, derr)
-			}
-			copy(x.delta, direct)
-			sol.LUFallbacks++
+			return false, fmt.Errorf("xbar: Newton update %d: %w", update, err)
 		}
-
+		f.solveInto(x.step, x.res, x.factScr)
+		sol.NewtonIters++
 		copy(x.prev, x.volt)
 		var maxStep float64
-		for n := range x.volt {
-			d := x.delta[n] - x.volt[n]
-			x.step[n] = d
+		for n, d := range x.step {
+			x.volt[n] -= d
 			if d = math.Abs(d); d > maxStep {
 				maxStep = d
 			}
@@ -472,7 +440,6 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 		fullStep = maxStep
 		prevResid = resid
 		scale = 1
-		copy(x.volt, x.delta)
 	}
 	return false, nil
 }
@@ -480,7 +447,7 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 // sourceStep is the continuation rung: it ramps the drive voltages to
 // their targets in sourceSteps stages, solving each with damped Newton
 // warm-started from the previous stage's solution.
-func (x *Crossbar) sourceStep(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) (bool, error) {
+func (x *Crossbar) sourceStep(ctx context.Context, v []float64, sol *Solution) (bool, error) {
 	scaled := make([]float64, len(v)) // rare recovery path; allocation is fine
 	linalg.Fill(x.volt, 0)
 	ok := false
@@ -490,7 +457,7 @@ func (x *Crossbar) sourceStep(ctx context.Context, v []float64, policy SolverPol
 			scaled[i] = f * v[i]
 		}
 		var err error
-		ok, err = x.newtonIterate(ctx, scaled, true, policy, sol)
+		ok, err = x.newtonIterate(ctx, scaled, true, sol)
 		if err != nil {
 			return false, err
 		}

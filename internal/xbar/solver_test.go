@@ -41,8 +41,8 @@ func faultedSolve(t *testing.T, cfg Config, g *linalg.Dense, v []float64, p *Fau
 }
 
 // A clean solve at the nominal design point must converge on the
-// ladder's first rung — chord updates on the cached factor, so no CG —
-// with a physically meaningful KCL residual.
+// ladder's first rung — chord updates on the cached factor — with a
+// physically meaningful KCL residual.
 func TestSolveReportsConvergence(t *testing.T) {
 	cfg := smallConfig()
 	r := linalg.NewRNG(20)
@@ -56,12 +56,8 @@ func TestSolveReportsConvergence(t *testing.T) {
 	if !(sol.Residual >= 0) || sol.Residual > 1e-6 {
 		t.Errorf("KCL residual %v not in [0, 1e-6]", sol.Residual)
 	}
-	if !sol.Seeded || sol.NewtonIters <= 0 || sol.CGIters != 0 {
-		t.Errorf("seeded=%v newton=%d cg=%d, want a seeded chord solve with updates and no CG",
-			sol.Seeded, sol.NewtonIters, sol.CGIters)
-	}
-	if sol.LUFallbacks != 0 || sol.CGBreakdowns != 0 {
-		t.Errorf("clean solve reported fallbacks: lu=%d breakdowns=%d", sol.LUFallbacks, sol.CGBreakdowns)
+	if !sol.Seeded || sol.NewtonIters <= 0 {
+		t.Errorf("seeded=%v newton=%d, want a seeded chord solve with updates", sol.Seeded, sol.NewtonIters)
 	}
 }
 
@@ -120,54 +116,6 @@ func TestSourceStepRungRescues(t *testing.T) {
 		if rel := math.Abs(sol.Currents[j]-want.Currents[j]) / (math.Abs(want.Currents[j]) + 1e-15); rel > 1e-6 {
 			t.Errorf("col %d: source-step %v vs clean %v (rel %v)", j, sol.Currents[j], want.Currents[j], rel)
 		}
-	}
-}
-
-// Rung 3 (orthogonal to the ladder): a CG breakdown inside a Newton
-// update must be rescued by the direct-LU fallback without failing the
-// attempt. The seeded rung 0 runs no CG, so the forced rung-0 failure
-// lands the breakdown in the damped rung.
-func TestLUFallbackRescuesCGBreakdown(t *testing.T) {
-	cfg := smallConfig()
-	r := linalg.NewRNG(23)
-	g := randomLevels(cfg, r)
-	v := randomDrive(cfg, r)
-	want := cleanSolve(t, cfg, g, v)
-
-	sol, err := faultedSolve(t, cfg, g, v, &FaultPlan{CGBreakdownAt: 1, FailAttempts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Converged || sol.Recovery != "damped" {
-		t.Fatalf("solve with injected CG breakdown: converged=%v recovery=%q, want converged via damped",
-			sol.Converged, sol.Recovery)
-	}
-	if sol.CGBreakdowns < 1 {
-		t.Errorf("CGBreakdowns = %d, want >= 1", sol.CGBreakdowns)
-	}
-	if sol.LUFallbacks < 1 {
-		t.Errorf("LUFallbacks = %d, want >= 1", sol.LUFallbacks)
-	}
-	for j := range want.Currents {
-		if rel := math.Abs(sol.Currents[j]-want.Currents[j]) / (math.Abs(want.Currents[j]) + 1e-15); rel > 1e-6 {
-			t.Errorf("col %d: LU-rescued %v vs clean %v (rel %v)", j, sol.Currents[j], want.Currents[j], rel)
-		}
-	}
-}
-
-// PolicyFailFast must surface the CG breakdown as an error instead of
-// silently falling back. Only a cold rung 0 runs CG.
-func TestFailFastSurfacesCGBreakdown(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Policy = PolicyFailFast
-	cfg.Start = StartCold
-	r := linalg.NewRNG(24)
-	_, err := faultedSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r), &FaultPlan{CGBreakdownAt: 1})
-	if err == nil {
-		t.Fatal("expected an error under PolicyFailFast")
-	}
-	if !errors.Is(err, linalg.ErrBreakdown) {
-		t.Errorf("error %v does not match linalg.ErrBreakdown", err)
 	}
 }
 
@@ -260,10 +208,8 @@ func TestNaNConductanceDetected(t *testing.T) {
 			t.Errorf("%v: NaN conductance produced a solution (converged=%v)", policy, sol.Converged)
 			continue
 		}
-		// Fail-fast surfaces the NaN as the CG breakdown it causes; the
-		// recovering policies exhaust the ladder and report divergence.
-		if !errors.Is(err, ErrNewtonDiverged) && !errors.Is(err, linalg.ErrBreakdown) {
-			t.Errorf("%v: error %v matches neither ErrNewtonDiverged nor ErrBreakdown", policy, err)
+		if !errors.Is(err, ErrNewtonDiverged) {
+			t.Errorf("%v: error %v does not match ErrNewtonDiverged", policy, err)
 		}
 	}
 }
@@ -302,18 +248,26 @@ func TestNewtonStallDetected(t *testing.T) {
 // Where J₀ stops describing the network — deeply saturated selectors
 // at a doubled supply — the chord rung must stop contracting and hand
 // over to the damped rung within a few updates instead of spending its
-// whole budget.
+// whole budget. At the paper's 64×64 every damped update factors a
+// 12,288-node Jacobian; -short skips that size.
 func TestChordHandsOverToDamped(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Vsupply = 0.5
-	cfg.SelectorVsat = 0.02
-	r := linalg.NewRNG(28)
-	sol := cleanSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r))
-	if !sol.Converged || sol.Recovery != "damped" {
-		t.Fatalf("converged=%v recovery=%q, want convergence through the damped rung", sol.Converged, sol.Recovery)
-	}
-	if sol.NewtonIters >= 20 {
-		t.Errorf("%d updates across the ladder, want < 20", sol.NewtonIters)
+	for _, n := range []int{8, 64} {
+		if n == 64 && testing.Short() {
+			continue
+		}
+		cfg := DefaultConfig()
+		cfg.Rows, cfg.Cols = n, n
+		cfg.Vsupply = 0.5
+		cfg.SelectorVsat = 0.02
+		r := linalg.NewRNG(28)
+		sol := cleanSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r))
+		if !sol.Converged || sol.Recovery != "damped" {
+			t.Fatalf("%dx%d: converged=%v recovery=%q, want convergence through the damped rung",
+				n, n, sol.Converged, sol.Recovery)
+		}
+		if sol.NewtonIters >= 20 {
+			t.Errorf("%dx%d: %d updates across the ladder, want < 20", n, n, sol.NewtonIters)
+		}
 	}
 }
 
@@ -339,9 +293,15 @@ func TestBatchSolveReportDegradedItems(t *testing.T) {
 
 	bad := []int{1, 3}
 	faulted := cfg.WithFaults(&FaultPlan{FailAttempts: 3, Items: bad})
+	failures0 := obs.Snapshot().Counters["xbar.solver.failures"]
 	out, rep, err := BatchSolveReport(faulted, g, vs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The ladder already ran under PolicyRecover, so a failed item is
+	// not retried: one failed solve per item.
+	if d := obs.Snapshot().Counters["xbar.solver.failures"] - failures0; d != int64(len(bad)) {
+		t.Errorf("xbar.solver.failures moved by %d, want %d (one per failed item)", d, len(bad))
 	}
 	if rep.Failed != len(bad) || rep.Solved != batch-len(bad) {
 		t.Fatalf("report = %v, want %d failed", rep, len(bad))
@@ -368,8 +328,8 @@ func TestBatchSolveReportDegradedItems(t *testing.T) {
 	}
 	for _, b := range bad {
 		o := rep.Outcomes[b]
-		if o.Status != ItemFailed || o.Retries != 1 {
-			t.Errorf("item %d outcome = %+v, want failed after one retry", b, o)
+		if o.Status != ItemFailed || o.Retries != 0 {
+			t.Errorf("item %d outcome = %+v, want failed without a retry", b, o)
 		}
 		if !errors.Is(o.Err, ErrNewtonDiverged) {
 			t.Errorf("item %d error %v does not match ErrNewtonDiverged", b, o.Err)

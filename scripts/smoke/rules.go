@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -212,9 +213,9 @@ func isReader(path string) bool {
 // every series must be read: its name must appear as "name" or "name{
 // in a reader file (see isReader). SLO trackers are exempt from the
 // read requirement: the ladder's Distrust gate and the calibrator
-// trigger read them through the handle. It returns the number of
-// distinct names the rule checked, SLO trackers excluded.
-func readerRule(regs []registration, files map[string]string) (int, error) {
+// trigger read them through the handle. It returns the distinct names
+// the rule checked, SLO trackers excluded.
+func readerRule(regs []registration, files map[string]string) (map[string]bool, error) {
 	var readers strings.Builder
 	for path, src := range files {
 		if isReader(path) {
@@ -240,7 +241,60 @@ func readerRule(regs []registration, files map[string]string) (int, error) {
 	}
 	if len(bad) > 0 {
 		sort.Strings(bad)
-		return 0, fmt.Errorf("catalog reader rule:\n  %s", strings.Join(bad, "\n  "))
+		return nil, fmt.Errorf("catalog reader rule:\n  %s", strings.Join(bad, "\n  "))
 	}
-	return len(names), nil
+	checked := map[string]bool{}
+	for name := range names {
+		checked[name] = true
+	}
+	return checked, nil
+}
+
+const indexMarker = "**Full registered-name index.**"
+
+var (
+	indexCountRE = regexp.MustCompile(`These (\d+) names`)
+	backtickRE   = regexp.MustCompile("`([^`]+)`")
+)
+
+// indexRule checks DESIGN.md's full registered-name index against
+// names, the registered series SLO trackers aside. The index is the
+// paragraph that opens with indexMarker, whose "These N names" must
+// count names, and the list after it, which must name each of them
+// once and nothing else.
+func indexRule(design string, names map[string]bool) error {
+	i := strings.Index(design, indexMarker)
+	if i < 0 {
+		return fmt.Errorf("DESIGN.md has no %s paragraph", indexMarker)
+	}
+	paras := strings.SplitN(design[i:], "\n\n", 3)
+	m := indexCountRE.FindStringSubmatch(paras[0])
+	if m == nil || len(paras) < 2 {
+		return fmt.Errorf("the name index lacks its \"These N names\" count or its list")
+	}
+	var bad []string
+	if n, _ := strconv.Atoi(m[1]); n != len(names) {
+		bad = append(bad, fmt.Sprintf("the index counts %d names, %d are registered", n, len(names)))
+	}
+	listed := map[string]bool{}
+	for _, b := range backtickRE.FindAllStringSubmatch(paras[1], -1) {
+		switch name := b[1]; {
+		case listed[name]:
+			bad = append(bad, name+": listed twice")
+		case !names[name]:
+			bad = append(bad, name+": listed but not registered")
+		default:
+			listed[name] = true
+		}
+	}
+	for name := range names {
+		if !listed[name] {
+			bad = append(bad, name+": registered but not listed")
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		return fmt.Errorf("DESIGN.md name index:\n  %s", strings.Join(bad, "\n  "))
+	}
+	return nil
 }

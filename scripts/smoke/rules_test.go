@@ -17,11 +17,16 @@ const goodTrace = `{"traceEvents":[
  {"name":"serve.request","ph":"X","ts":1,"dur":9,"tid":2,"args":{"span_id":1}}
 ],"spansDropped":0}`
 
-// edit applies old→new replacement pairs to goodTrace, each of which
-// must match exactly once.
-func edit(t *testing.T, pairs ...string) string {
+// goodIndex is a name index that lists exactly indexNames.
+const goodIndex = "**Full registered-name index.** These 3 names are every series.\n\n" +
+	"- a (2): `a.x`, `a.y`.\n- b (1): `b.z`.\n\n`c` registers no series.\n"
+
+var indexNames = map[string]bool{"a.x": true, "a.y": true, "b.z": true}
+
+// edit applies old→new replacement pairs to s, each of which must
+// match exactly once.
+func edit(t *testing.T, s string, pairs ...string) string {
 	t.Helper()
-	s := goodTrace
 	for i := 0; i < len(pairs); i += 2 {
 		if strings.Count(s, pairs[i]) != 1 {
 			t.Fatalf("edit %q does not match exactly once", pairs[i])
@@ -39,6 +44,7 @@ func TestRules(t *testing.T) {
 		_, err := checkTrace([]byte(s))
 		return err
 	}
+	index := func(s string) error { return indexRule(s, indexNames) }
 	chainRule := func(s string) error {
 		var tr chromeTrace
 		if err := json.Unmarshal([]byte(s), &tr); err != nil {
@@ -55,19 +61,23 @@ func TestRules(t *testing.T) {
 	}{
 		{"trace/ok", traceRules, goodTrace, ""},
 		{"trace/no events", traceRules, `{"traceEvents":[],"spansDropped":0}`, "no events"},
-		{"trace/no spansDropped", traceRules, edit(t, `,"spansDropped":0`, ``), "lacks the spansDropped"},
-		{"trace/negative ts", traceRules, edit(t, `"ts":1,`, `"ts":-1,`), "negative ts"},
-		{"trace/dangling parent", traceRules, edit(t, `"parent_id":3`, `"parent_id":9`), "no matching span_id"},
+		{"trace/no spansDropped", traceRules, edit(t, goodTrace, `,"spansDropped":0`, ``), "lacks the spansDropped"},
+		{"trace/negative ts", traceRules, edit(t, goodTrace, `"ts":1,`, `"ts":-1,`), "negative ts"},
+		{"trace/dangling parent", traceRules, edit(t, goodTrace, `"parent_id":3`, `"parent_id":9`), "no matching span_id"},
 		{"chain/ok", chainRule, goodTrace, ""},
-		{"chain/broken", chainRule, edit(t, `"parent_id":3`, `"parent_id":9`), "chain broken"},
-		{"chain/cycle", chainRule, edit(t, `"span_id":1}`, `"span_id":1,"parent_id":5}`), "cycle"},
-		{"chain/root not serve.request", chainRule, edit(t,
+		{"chain/broken", chainRule, edit(t, goodTrace, `"parent_id":3`, `"parent_id":9`), "chain broken"},
+		{"chain/cycle", chainRule, edit(t, goodTrace, `"span_id":1}`, `"span_id":1,"parent_id":5}`), "cycle"},
+		{"chain/root not serve.request", chainRule, edit(t, goodTrace,
 			`"span_id":1}`, `"span_id":1,"parent_id":6}`,
 			`],"spansDropped"`, `,{"name":"outer","ph":"X","ts":0,"dur":10,"tid":2,"args":{"span_id":6}}],"spansDropped"`),
 			"root is outer"},
-		{"chain/no tenant track", chainRule, edit(t, `tenant:a`, `worker`), "tenant:* track"},
+		{"chain/no tenant track", chainRule, edit(t, goodTrace, `tenant:a`, `worker`), "tenant:* track"},
 		{"prom/ok", promGrammar, "# TYPE a_b histogram\na_b_bucket{le=\"+Inf\"} 3\na_b_sum 1.5e-3\n", ""},
 		{"prom/malformed", promGrammar, "# TYPE a counter\na{x=\"1\"}\n", "prom line 2 is malformed"},
+		{"index/ok", index, goodIndex, ""},
+		{"index/stale entry", index, edit(t, goodIndex, "`b.z`.", "`b.z`, `b.gone`."), "b.gone: listed but not registered"},
+		{"index/missing entry", index, edit(t, goodIndex, "`a.x`, `a.y`", "`a.x`"), "a.y: registered but not listed"},
+		{"index/wrong count", index, edit(t, goodIndex, "These 3", "These 4"), "counts 4 names, 3 are registered"},
 	} {
 		err := tc.rule(tc.input)
 		switch {
