@@ -20,10 +20,12 @@ go test -run '^$' -bench 'BenchmarkMVMCircuit/(cold|seeded)$' -benchtime 1x .
 # -short skips the circuit-in-the-loop pipeline tests that are too slow
 # under race instrumentation.
 go test -race -short ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve ./internal/calib ./internal/sweep
-# Fuzz the parsers of untrusted input, the /v1/infer body and the
-# nonideal scenario envelope, beyond their seed corpora.
+# Fuzz the parsers of untrusted input, the /v1/infer body, the
+# nonideal scenario envelope and the sweep spec file, beyond their
+# seed corpora.
 go test -run '^$' -fuzz '^FuzzInfer$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzScenarioJSON$' -fuzztime 10s ./internal/nonideal
+go test -run '^$' -fuzz '^FuzzSpec$' -fuzztime 10s ./internal/sweep
 go run ./scripts/smoke
 # Tier names resolve only through the funcsim model registry: no Go
 # file may switch on tier-name strings.

@@ -120,11 +120,34 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep: %w", err)
 		}
 	}
+	// A repeated coordinate would run its cells twice into one
+	// checkpoint and count them twice in the summary.
+	if err := unique("size", s.Sizes); err != nil {
+		return err
+	}
+	if err := unique("model", s.Models); err != nil {
+		return err
+	}
+	if err := unique("seed", s.Seeds); err != nil {
+		return err
+	}
 	if s.Time < 0 {
 		return fmt.Errorf("sweep: negative scenario time %g", s.Time)
 	}
 	if s.Batch < 0 || s.Jobs < 0 {
 		return fmt.Errorf("sweep: negative batch or jobs")
+	}
+	return nil
+}
+
+// unique reports the first value of xs that repeats an earlier one.
+func unique[T comparable](what string, xs []T) error {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return fmt.Errorf("sweep: %s %v listed twice", what, x)
+		}
+		seen[x] = true
 	}
 	return nil
 }

@@ -58,6 +58,10 @@ func TestSpecValidateAndCells(t *testing.T) {
 		func(s *Spec) {
 			s.Stacks[1].Stack = nonideal.Stack{&nonideal.D2DVariation{Sigma: -1}}
 		},
+		// Repeated coordinates would run a cell twice into one checkpoint.
+		func(s *Spec) { s.Seeds = []uint64{1, 1} },
+		func(s *Spec) { s.Sizes = []int{8, 4, 8} },
+		func(s *Spec) { s.Models = append(s.Models, ModelIdeal) },
 	}
 	for i, mutate := range bad {
 		s := tinySpec()
@@ -66,6 +70,63 @@ func TestSpecValidateAndCells(t *testing.T) {
 			t.Errorf("mutation %d: expected validation error", i)
 		}
 	}
+}
+
+// FuzzSpec decodes untrusted bytes into a Spec the way cmd/geniex-sweep
+// reads a spec file. A spec that Validate accepts must survive the
+// marshal → unmarshal → marshal round trip byte for byte, which is what
+// the resume check (checkSpecFile) compares, and must enumerate cells
+// with unique IDs, since each ID names a checkpoint file.
+func FuzzSpec(f *testing.F) {
+	repeated := tinySpec()
+	repeated.Seeds = []uint64{1, 1}
+	for _, s := range []Spec{tinySpec(), repeated} {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, seed := range []string{
+		`{"name":"x","sizes":[8],"stacks":[{"name":"clean"}],"models":["ideal"],"seeds":[`,
+		`{"sizes":"eight"}`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	// maxCells caps the grids whose cells are enumerated, so a short
+	// input cannot make the target allocate without bound.
+	const maxCells = 1 << 12
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+			return
+		}
+		b1, err := json.MarshalIndent(s, "", "  ")
+		if err != nil {
+			t.Fatalf("valid spec does not marshal: %v", err)
+		}
+		var back Spec
+		if err := json.Unmarshal(b1, &back); err != nil {
+			t.Fatalf("marshaled spec %s does not decode: %v", b1, err)
+		}
+		b2, err := json.MarshalIndent(back, "", "  ")
+		if err != nil || string(b2) != string(b1) {
+			t.Fatalf("round trip changed the spec: %s -> %s (%v)", b1, b2, err)
+		}
+		n := len(s.Sizes) * len(s.Stacks)
+		if n > maxCells || n*len(s.Models) > maxCells || n*len(s.Models)*len(s.Seeds) > maxCells {
+			return
+		}
+		ids := map[string]bool{}
+		for _, c := range s.Cells() {
+			if ids[c.ID()] {
+				t.Fatalf("%s: cell ID %s enumerated twice", b1, c.ID())
+			}
+			ids[c.ID()] = true
+		}
+	})
 }
 
 func TestSpecJSONRoundTrip(t *testing.T) {

@@ -249,9 +249,6 @@ func NewBatchSolver(cfg Config, g *linalg.Dense) (*BatchSolver, error) {
 	return s, nil
 }
 
-// Conductances returns a copy of the programmed conductance matrix.
-func (s *BatchSolver) Conductances() *linalg.Dense { return s.g.Clone() }
-
 func (s *BatchSolver) newInstance() (*Crossbar, error) {
 	xb, err := New(s.cfg)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"geniex/internal/linalg"
+	"geniex/internal/obs"
 )
 
 func randomBatch(cfg Config, r *linalg.RNG, batch int) *linalg.Dense {
@@ -244,5 +245,55 @@ func TestBatchSolverItemsDoNotAllocate(t *testing.T) {
 	}
 	if small, large := allocs(4), allocs(16); large != small {
 		t.Errorf("allocations per call grow with the batch: %v at 4 items, %v at 16", small, large)
+	}
+}
+
+// A NaN drive is an input error on the block path as on the one-item
+// path: its item fails with the drive error, without a solve counted
+// in xbar.solver.failures, and every other item matches a clean batch.
+func TestBatchSolverRejectsNaNDrive(t *testing.T) {
+	cfg := smallConfig()
+	r := linalg.NewRNG(57)
+	g := randomLevels(cfg, r)
+	vs := randomBatch(cfg, r, 2*blockLanes(cfg))
+	const bad = 5
+	poisoned := vs.Clone()
+	poisoned.Set(bad, 3, math.NaN())
+	for _, workers := range []int{1, 2} {
+		c := cfg
+		c.BatchWorkers = workers
+		s, err := NewBatchSolver(c, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, _, err := s.SolveReport(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failures0 := obs.Snapshot().Counters["xbar.solver.failures"]
+		out, rep, err := s.SolveReport(poisoned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := rep.Outcomes[bad]; o.Status != ItemFailed || o.Err == nil || errors.Is(o.Err, ErrNewtonDiverged) {
+			t.Errorf("workers=%d: NaN item outcome %+v, want an input error", workers, o)
+		}
+		if d := obs.Snapshot().Counters["xbar.solver.failures"] - failures0; d != 0 {
+			t.Errorf("workers=%d: xbar.solver.failures moved by %d, want 0", workers, d)
+		}
+		if rep.Failed != 1 {
+			t.Errorf("workers=%d: report %v, want one failed item", workers, rep)
+		}
+		for b := 0; b < vs.Rows; b++ {
+			for j, got := range out.Row(b) {
+				want := clean.At(b, j)
+				if b == bad {
+					want = 0
+				}
+				if got != want {
+					t.Fatalf("workers=%d item %d column %d: %v, want %v", workers, b, j, got, want)
+				}
+			}
+		}
 	}
 }

@@ -209,7 +209,7 @@ func (s *BatchSolver) chordBlock(ctx context.Context, xb *Crossbar, w *blockScra
 		for l := m - 1; l >= 0; l-- {
 			resid := relResid(f2[l], b2[l])
 			switch {
-			case xb.accepted(resid, w.last[l]):
+			case accepted(resid, w.last[l]):
 				b := w.item[l]
 				xb.currentsInto(out.Row(b), w.volt[l:], ld)
 				outcomes[b] = ItemOutcome{Status: ItemOK, Converged: true, Residual: resid, NewtonIters: w.iters[l]}

@@ -134,7 +134,8 @@ type Config struct {
 
 	// SelectorGonFactor sets the access-device low-bias conductance to
 	// SelectorGonFactor/Ron; the access device must be much more
-	// conductive than the memory cell or it dominates the state.
+	// conductive than the memory cell or it dominates the state, and
+	// Validate requires it to exceed 1.
 	SelectorGonFactor float64
 	// SelectorVsat is the saturation voltage scale of the access
 	// device (volts).
@@ -251,9 +252,12 @@ func (c Config) Validate() error {
 			c.Rsource, c.Rsink, c.Rwire)
 	case c.Vsupply <= 0:
 		return fmt.Errorf("xbar: Vsupply must be positive, got %g", c.Vsupply)
-	case c.SelectorGonFactor <= 0 || c.SelectorVsat <= 0:
-		return fmt.Errorf("xbar: selector parameters must be positive, got factor=%g vsat=%g",
-			c.SelectorGonFactor, c.SelectorVsat)
+	case !(c.SelectorGonFactor > 1+windowSlack):
+		// Program's series calibration needs the access device to
+		// conduct more than any in-window cell, Gon·(1+windowSlack).
+		return fmt.Errorf("xbar: SelectorGonFactor must exceed 1+%g, got %g", windowSlack, c.SelectorGonFactor)
+	case c.SelectorVsat <= 0:
+		return fmt.Errorf("xbar: SelectorVsat must be positive, got %g", c.SelectorVsat)
 	case c.RRAM.I0 <= 0 || c.RRAM.D0 <= 0 || c.RRAM.V0 <= 0:
 		return fmt.Errorf("xbar: RRAM parameters must be positive, got %+v", c.RRAM)
 	case c.Policy < PolicyRecover || c.Policy > PolicyBestEffort:

@@ -13,10 +13,14 @@ import (
 // parallel workloads (it clones per worker).
 type Crossbar struct {
 	cfg Config
-	g   *linalg.Dense // programmed low-bias conductances, Rows×Cols
 
-	sel  device.Element   // access device, shared by all cells
-	cell []device.Element // RRAM per cell, row-major
+	// The programmed array as device-law parameters: every cell's
+	// access device has low-bias conductance gsel, and cell holds each
+	// cell's RRAM state, row-major — its sinh prefactor I0·exp(−d/d0)
+	// under the non-linear law, its conductance under the linear one
+	// (see programCells). Program overwrites cell in place.
+	gsel float64
+	cell []float64
 
 	volt []float64 // node voltages; the iterate
 	prev []float64 // iterate before the last Newton update
@@ -28,9 +32,7 @@ type Crossbar struct {
 	// and RRAM differential conductance, as kcl records them.
 	jsel, jcell []float64
 
-	// iteration controls
-	maxNewton int
-	tolV      float64
+	maxNewton int // update budget per rung (see setFaults)
 
 	// Per-programming zero-bias factorization cache (see factor.go).
 	// fact is built lazily on the first non-cold solve after a Program
@@ -68,10 +70,9 @@ func New(cfg Config) (*Crossbar, error) {
 		return nil, err
 	}
 	x := &Crossbar{
-		cfg:       cfg,
-		sel:       newSelector(cfg),
-		maxNewton: defaultMaxNewton,
-		tolV:      1e-10,
+		cfg:  cfg,
+		gsel: cfg.SelectorGonFactor / cfg.Ron,
+		cell: make([]float64, cfg.Rows*cfg.Cols),
 	}
 	x.setFaults(cfg.faults)
 	n := x.numNodes()
@@ -92,54 +93,24 @@ func New(cfg Config) (*Crossbar, error) {
 	return x, nil
 }
 
-func newSelector(cfg Config) device.Element {
-	gon := cfg.SelectorGonFactor / cfg.Ron
-	if cfg.NonLinear {
-		return device.NewSelector(gon, cfg.SelectorVsat)
-	}
-	return device.NewLinear(gon)
-}
-
 // Config returns the design point of this crossbar.
 func (x *Crossbar) Config() Config { return x.cfg }
 
 // Program loads a conductance matrix (siemens). Values must lie within
 // [Goff, Gon] up to a small tolerance; out-of-window values are an
 // error rather than silently clamped, since they indicate a bug in the
-// caller's weight mapping.
-//
-// Programming is calibrated the way closed-loop write-verify hardware
-// does it: the stored RRAM state is chosen so that the series
-// combination of access device and RRAM has the target low-bias
-// conductance. Without this, the access device's on-resistance would
-// shift every weight systematically, which a real programming loop
-// compensates for.
+// caller's weight mapping, and leave the previous programming in place.
+// Each cell is series-calibrated against its access device, as
+// closed-loop write-verify hardware programs it (see programCells).
+// Program allocates nothing: it overwrites the cell states in place.
 func (x *Crossbar) Program(g *linalg.Dense) error {
 	if g.Rows != x.cfg.Rows || g.Cols != x.cfg.Cols {
 		return fmt.Errorf("xbar: Program with %dx%d matrix on %dx%d crossbar",
 			g.Rows, g.Cols, x.cfg.Rows, x.cfg.Cols)
 	}
-	prog := g.Clone()
-	lo, hi := x.cfg.Goff(), x.cfg.Gon()
-	slack := 1e-9 * hi
-	gsel := x.cfg.SelectorGonFactor / x.cfg.Ron
-	cells := make([]device.Element, len(prog.Data))
-	for idx, gv := range prog.Data {
-		if !(gv >= lo-slack && gv <= hi+slack) { // NaN fails both tests
-			return fmt.Errorf("xbar: conductance %g outside window [%g, %g] at cell %d", gv, lo, hi, idx)
-		}
-		// Series calibration: 1/gCell = 1/gv − 1/gsel. The selector is
-		// SelectorGonFactor× more conductive than Gon, so gCell stays
-		// positive by construction.
-		gCell := 1 / (1/gv - 1/gsel)
-		if x.cfg.NonLinear {
-			cells[idx] = device.NewRRAM(gCell, x.cfg.RRAM)
-		} else {
-			cells[idx] = device.NewLinear(gCell)
-		}
+	if err := programCells(x.cfg, x.cell, g.Data); err != nil {
+		return err
 	}
-	x.g = prog
-	x.cell = cells
 	// Reprogramming (including nonideal re-lowering, which arrives
 	// through Program) invalidates the zero-bias factorization.
 	if x.fact != nil {
@@ -147,6 +118,42 @@ func (x *Crossbar) Program(g *linalg.Dense) error {
 		mFactorInvalidations.Inc()
 	}
 	x.factErr = false
+	return nil
+}
+
+// windowSlack is the relative tolerance, in units of Gon, by which a
+// programmed conductance may leave the window [Goff, Gon].
+const windowSlack = 1e-9
+
+// programCells is the programming step shared by Program and
+// WriteSPICE. It checks that every target low-bias conductance in g
+// lies in [Goff, Gon] up to windowSlack (NaN does not), and only then
+// writes each cell's device state into cell.
+//
+// Programming is calibrated the way closed-loop write-verify hardware
+// does it: the RRAM conductance gcell is chosen so that its series
+// combination with the access device has the target conductance,
+// 1/gcell = 1/g − 1/gsel. Without this, the access device's
+// on-resistance would shift every weight systematically, which a real
+// programming loop compensates for. Config.Validate keeps gsel above
+// Gon·(1+windowSlack), so gcell is positive and finite.
+func programCells(cfg Config, cell, g []float64) error {
+	lo, hi := cfg.Goff(), cfg.Gon()
+	slack := windowSlack * hi
+	for k, gv := range g {
+		if !(gv >= lo-slack && gv <= hi+slack) { // NaN fails both tests
+			return fmt.Errorf("xbar: conductance %g outside window [%g, %g] at cell %d", gv, lo, hi, k)
+		}
+	}
+	gsel := cfg.SelectorGonFactor / cfg.Ron
+	for k, gv := range g {
+		gcell := 1 / (1/gv - 1/gsel)
+		if cfg.NonLinear {
+			cell[k] = gcell * cfg.RRAM.V0 // the sinh prefactor I0·exp(−d/d0)
+		} else {
+			cell[k] = gcell
+		}
+	}
 	return nil
 }
 
@@ -169,9 +176,6 @@ func (x *Crossbar) ensureFactor() *opFactor {
 	}
 	return x.fact
 }
-
-// Conductances returns a copy of the programmed conductance matrix.
-func (x *Crossbar) Conductances() *linalg.Dense { return x.g.Clone() }
 
 // kcl evaluates the network at the iterate x.volt under the drive
 // vector v, node by node from the wire, source, sink and device
@@ -232,8 +236,7 @@ func (x *Crossbar) kclLanes(v, volt, res []float64, ld int, f2, b2 []float64, st
 			for l := range f2 {
 				vr, vm, vc := volt[r+l], volt[mid+l], volt[c+l]
 				vs, vd := vr-vm, vm-vc
-				is, gs := x.sel.Eval(vs)
-				id, gd := cell.Eval(vd)
+				is, gs, id, gd := x.devices(cell, vs, vd)
 				qs, qd := is-gs*vs, id-gd*vd // companion sources
 
 				fr, br := is, -qs
@@ -265,6 +268,18 @@ func (x *Crossbar) kclLanes(v, volt, res []float64, ld int, f2, b2 []float64, st
 			}
 		}
 	}
+}
+
+// devices evaluates one cell's device laws: its access device at
+// branch voltage vs and its RRAM, in state cell, at vd. Each returns
+// its current and differential conductance.
+func (x *Crossbar) devices(cell, vs, vd float64) (is, gs, id, gd float64) {
+	if !x.cfg.NonLinear {
+		return x.gsel * vs, x.gsel, cell * vd, cell
+	}
+	is, gs = device.SelectorLaw(x.gsel, x.cfg.SelectorVsat, vs)
+	id, gd = device.RRAMLaw(cell, x.cfg.RRAM.V0, vd)
+	return is, gs, id, gd
 }
 
 // NodeVoltage reports the solved voltage of an internal node; kind is

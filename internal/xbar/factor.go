@@ -63,10 +63,8 @@ func newFactorScratch(cfg Config) *factorScratch {
 func (x *Crossbar) zeroBiasFactor() (*opFactor, error) {
 	gsel := make([]float64, len(x.cell))
 	gcell := make([]float64, len(x.cell))
-	_, g := x.sel.Eval(0)
 	for k, cell := range x.cell {
-		gsel[k] = g
-		_, gcell[k] = cell.Eval(0)
+		_, gsel[k], _, gcell[k] = x.devices(cell, 0, 0)
 	}
 	return buildFactor(x.cfg, gsel, gcell)
 }

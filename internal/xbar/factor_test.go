@@ -93,7 +93,7 @@ func TestFactorSolvesLinearizedSystem(t *testing.T) {
 	for _, gs := range xb.jsel {
 		lo, hi = min(lo, gs), max(hi, gs)
 	}
-	if _, g0 := xb.sel.Eval(0); !(hi/lo > 10 && lo < g0/10) {
+	if g0 := xb.gsel; !(hi/lo > 10 && lo < g0/10) {
 		t.Fatalf("selector conductances [%g, %g] at the iterate, J₀ has %g: not saturated", lo, hi, g0)
 	}
 	f, err := buildFactor(cfg, xb.jsel, xb.jcell)

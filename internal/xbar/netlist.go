@@ -28,6 +28,11 @@ func WriteSPICE(w io.Writer, cfg Config, g *linalg.Dense, v []float64) error {
 	if len(v) != cfg.Rows {
 		return fmt.Errorf("xbar: WriteSPICE with %d drives for %d rows", len(v), cfg.Rows)
 	}
+	// The cells are programmed exactly as Crossbar.Program does it.
+	cell := make([]float64, len(g.Data))
+	if err := programCells(cfg, cell, g.Data); err != nil {
+		return err
+	}
 
 	p := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
 	p("* GENIEx crossbar netlist — %s", cfg.String())
@@ -57,20 +62,20 @@ func WriteSPICE(w io.Writer, cfg Config, g *linalg.Dense, v []float64) error {
 		p("Rsnk%d c_%d_%d 0 %g", j, cfg.Rows-1, j, cfg.Rsink)
 	}
 	p("")
-	// Cells: selector (row→mid) and RRAM (mid→col). The programmed
-	// low-bias conductance is series-calibrated exactly as
-	// Crossbar.Program does.
+	// Cells: selector (row→mid) and RRAM (mid→col), each RRAM in its
+	// programmed state: the sinh prefactor, or the conductance of a
+	// linear cell.
 	for i := 0; i < cfg.Rows; i++ {
 		for j := 0; j < cfg.Cols; j++ {
-			gCell := 1 / (1/g.At(i, j) - 1/gsel)
+			state := cell[i*cfg.Cols+j]
 			if cfg.NonLinear {
 				p("Gsel_%d_%d r_%d_%d m_%d_%d CUR='gsel*vsat*tanh(V(r_%d_%d,m_%d_%d)/vsat)'",
 					i, j, i, j, i, j, i, j, i, j)
 				p("Gmem_%d_%d m_%d_%d c_%d_%d CUR='%g*sinh(V(m_%d_%d,c_%d_%d)/v0)'",
-					i, j, i, j, i, j, gCell*cfg.RRAM.V0, i, j, i, j)
+					i, j, i, j, i, j, state, i, j, i, j)
 			} else {
 				p("Rsel_%d_%d r_%d_%d m_%d_%d %g", i, j, i, j, i, j, 1/gsel)
-				p("Rmem_%d_%d m_%d_%d c_%d_%d %g", i, j, i, j, i, j, 1/gCell)
+				p("Rmem_%d_%d m_%d_%d c_%d_%d %g", i, j, i, j, i, j, 1/state)
 			}
 		}
 	}

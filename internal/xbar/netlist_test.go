@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -85,6 +86,7 @@ func TestWriteSPICEErrors(t *testing.T) {
 		t.Error("expected shape error")
 	}
 	g := linalg.NewDense(cfg.Rows, cfg.Cols)
+	linalg.Fill(g.Data, cfg.Goff())
 	if err := WriteSPICE(&b, cfg, g, make([]float64, 1)); err == nil {
 		t.Error("expected drive length error")
 	}
@@ -92,5 +94,14 @@ func TestWriteSPICEErrors(t *testing.T) {
 	bad.Ron = -1
 	if err := WriteSPICE(&b, bad, g, make([]float64, cfg.Rows)); err == nil {
 		t.Error("expected config error")
+	}
+	// Out-of-window cells are refused as Program refuses them, before
+	// any of the deck is written.
+	for _, gv := range []float64{cfg.Gon() * 2, math.NaN(), 0} {
+		g.Set(2, 3, gv)
+		b.Reset()
+		if err := WriteSPICE(&b, cfg, g, make([]float64, cfg.Rows)); err == nil || b.Len() != 0 {
+			t.Errorf("conductance %v: error %v after %d bytes, want a window error and no deck", gv, err, b.Len())
+		}
 	}
 }

@@ -30,6 +30,10 @@ const (
 	// minDamping bounds how far the damped rung may shorten a Newton
 	// step before accepting it anyway.
 	minDamping = 1.0 / 64
+	// stepTol is the update length (volts) below which an iterate has
+	// stopped moving: accepted if the residual meets kclOK, a stall
+	// otherwise.
+	stepTol = 1e-10
 )
 
 // ErrNewtonDiverged is the sentinel matched by errors.Is when the
@@ -171,14 +175,14 @@ func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, 
 }
 
 // checkDrive rejects a drive vector of the wrong length or with a
-// voltage outside [0, Vsupply].
+// voltage outside [0, Vsupply], NaN included.
 func (x *Crossbar) checkDrive(v []float64) error {
 	cfg := x.cfg
 	if len(v) != cfg.Rows {
 		return fmt.Errorf("xbar: Solve with %d inputs on %d rows", len(v), cfg.Rows)
 	}
 	for i, vi := range v {
-		if vi < -1e-12 || vi > cfg.Vsupply*(1+1e-9) {
+		if !(vi >= -1e-12 && vi <= cfg.Vsupply*(1+1e-9)) { // NaN fails both tests
 			return fmt.Errorf("xbar: input %d voltage %g outside [0, %g]", i, vi, cfg.Vsupply)
 		}
 	}
@@ -308,8 +312,8 @@ func (x *Crossbar) currentsInto(dst, volt []float64, ld int) {
 // accepted is the acceptance test shared by every rung: the relative
 // KCL residual meets kclTol, or the last applied step has vanished and
 // the residual still meets the looser kclOK.
-func (x *Crossbar) accepted(resid, lastStep float64) bool {
-	return resid <= kclTol || (lastStep < x.tolV && resid <= kclOK)
+func accepted(resid, lastStep float64) bool {
+	return resid <= kclTol || (lastStep < stepTol && resid <= kclOK)
 }
 
 // ctxErr reports a done ctx (nil means no cancellation) as the error
@@ -344,7 +348,7 @@ func (x *Crossbar) chordIterate(ctx context.Context, v []float64, f *opFactor, s
 		if update > 0 {
 			sol.MaxStep = lastStep
 		}
-		if x.accepted(resid, lastStep) {
+		if accepted(resid, lastStep) {
 			sol.Converged = true
 			return true, nil
 		}
@@ -411,11 +415,11 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 		} else {
 			sol.MaxStep = lastStep
 		}
-		if x.accepted(resid, lastStep) {
+		if accepted(resid, lastStep) {
 			sol.Converged = true
 			return true, nil
 		}
-		if lastStep < x.tolV {
+		if lastStep < stepTol {
 			// Steps vanished while KCL is still violated: a stall the
 			// pre-diagnostics solver would have returned silently.
 			return false, nil

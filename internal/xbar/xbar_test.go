@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -44,6 +45,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Vsupply = 0 },
 		func(c *Config) { c.SelectorVsat = 0 },
 		func(c *Config) { c.RRAM.V0 = 0 },
+		// The access device must out-conduct every in-window cell: at
+		// 0.5 a Gon cell needs a negative RRAM conductance, at 1 an
+		// infinite one.
+		func(c *Config) { c.SelectorGonFactor = 0.5 },
+		func(c *Config) { c.SelectorGonFactor = 1 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()
@@ -234,6 +240,12 @@ func TestSolveInputValidation(t *testing.T) {
 	if _, err := xb.Solve(bad); err == nil {
 		t.Error("expected over-voltage error")
 	}
+	// A NaN drive is an input error, not a solve that fails to
+	// converge (which callers would count and retry).
+	bad[0] = math.NaN()
+	if _, err := xb.Solve(bad); err == nil || errors.Is(err, ErrNewtonDiverged) {
+		t.Errorf("NaN drive: got %v, want an input error", err)
+	}
 }
 
 func TestProgramValidation(t *testing.T) {
@@ -252,6 +264,25 @@ func TestProgramValidation(t *testing.T) {
 	}
 	if err := xb.Program(linalg.NewDense(2, 2)); err == nil {
 		t.Error("expected shape error")
+	}
+}
+
+// Program overwrites the cell states in place: reprogramming a
+// crossbar allocates nothing, whatever its size.
+func TestProgramDoesNotAllocate(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Rows, cfg.Cols = 32, 32
+	xb, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := randomLevels(cfg, linalg.NewRNG(12))
+	if n := testing.AllocsPerRun(10, func() {
+		if err := xb.Program(g); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Program at 32x32 makes %v allocations, want 0", n)
 	}
 }
 
