@@ -8,6 +8,7 @@ package geniex_bench
 import (
 	"math"
 	"testing"
+	"time"
 
 	"geniex/internal/core"
 	"geniex/internal/dataset"
@@ -310,7 +311,7 @@ func rrmse(got, ref *linalg.Dense) float64 {
 // bit-identical in both.
 //
 // The cold/seeded sub-benchmarks compare the two rung-0 strategies at
-// fixed serial execution: cold runs Newton–CG from a zero state (the
+// fixed serial execution: cold runs Newton from a zero state (the
 // pre-cache behaviour) and seeded starts from the cached MNA
 // factorization's direct solve and chord-iterates on the same factor
 // (the default). Each is gated on probe-statistic rRMSE against a cold
@@ -363,6 +364,56 @@ func BenchmarkMVMCircuit(b *testing.B) {
 				b.Fatalf("%s output diverges from cold reference: rRMSE %g", sc.name, r)
 			}
 			runMVM(b, mat, dst, x)
+		})
+	}
+}
+
+// BenchmarkSurrogateFit measures what a surrogate for a new design
+// point costs: core.Generate labels fresh samples on the circuit
+// solver, then core.NewModel + Train fits the MLP. It reports the two
+// stages' wall time per fit beside allocations. "32x32" is perfbench's
+// surrogate-fit op (400 samples, 64 hidden units, 15 epochs); "64x64"
+// is the paper's tile with its 500 hidden units, at 200 samples and 2
+// epochs — a FullScale fit (2,000 samples, 150 epochs) scales labels
+// by 10× and training by 750×.
+func BenchmarkSurrogateFit(b *testing.B) {
+	for _, bc := range []struct {
+		name                  string
+		tile, samples, hidden int
+		epochs                int
+	}{
+		{"32x32", 32, 400, 64, 15},
+		{"64x64", 64, 200, 500, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg, err := xbar.NewConfig(bc.tile, bc.tile)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var label, train time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seed := uint64(i)
+				t0 := time.Now()
+				ds, err := core.Generate(cfg, core.GenOptions{Samples: bc.samples, StreamBits: 4, SliceBits: 4, Seed: seed})
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				m, err := core.NewModel(cfg, bc.hidden, seed+1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Train(ds, core.TrainOptions{Epochs: bc.epochs, Seed: seed + 2}); err != nil {
+					b.Fatal(err)
+				}
+				label += t1.Sub(t0)
+				train += time.Since(t1)
+			}
+			perOp := float64(time.Millisecond) * float64(b.N)
+			b.ReportMetric(float64(label)/perOp, "label-ms/op")
+			b.ReportMetric(float64(train)/perOp, "train-ms/op")
 		})
 	}
 }

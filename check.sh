@@ -15,11 +15,15 @@ go test -run '^$' -bench 'BenchmarkMVMCircuit/(cold|seeded)$' -benchtime 1x .
 # solver API, so vet and test it on its own.
 (cd perfbench && go vet ./... && go test ./...)
 # Packages whose MVM/batch/solver code fans out across goroutines,
-# plus the calibrator (hot-swaps models from a background goroutine)
-# and the sweep runner (executes cells concurrently).
+# plus the calibrator (hot-swaps models from a background goroutine),
+# the sweep runner (executes cells concurrently) and nn (Adam splits
+# large parameters across workers).
 # -short skips the circuit-in-the-loop pipeline tests that are too slow
 # under race instrumentation.
-go test -race -short ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve ./internal/calib ./internal/sweep
+go test -race -short ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve ./internal/calib ./internal/sweep ./internal/nn
+# core's training step fans its products and Adam out; its tests run
+# under race on their own, since the whole core suite is slow there.
+go test -race -short -run 'TestTrainMatchesSequentialReference|TestTunerStepMatchesSequentialReference|TestTrainStepAllocatesNothing|TestModelTrainingReducesError' ./internal/core
 # Fuzz the parsers of untrusted input, the /v1/infer body, the
 # nonideal scenario envelope and the sweep spec file, beyond their
 # seed corpora.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"geniex/internal/linalg"
+	"geniex/internal/nn"
 	"geniex/internal/nonideal"
 	"geniex/internal/xbar"
 )
@@ -183,7 +184,7 @@ func TestPredictWithContextMatchesNetForward(t *testing.T) {
 		in := linalg.NewDense(1, cfg.Rows+cfg.Rows*cfg.Cols)
 		m.normalizeV(in.Row(0)[:cfg.Rows], batch.Row(b))
 		m.normalizeG(in.Row(0)[cfg.Rows:], g.Data)
-		raw := m.net().Forward(in, false)
+		raw := nn.NewSequential(m.L1, nn.NewReLU(), m.L2).Forward(in, false)
 		span := m.FRMax - m.FRMin
 		for j := 0; j < cfg.Cols; j++ {
 			want := m.FRMin + raw.At(0, j)*span

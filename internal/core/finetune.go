@@ -24,11 +24,7 @@ func cloneParam(p *nn.Param) *nn.Param {
 	if p == nil {
 		return nil
 	}
-	return &nn.Param{
-		Name: p.Name,
-		W:    p.W.Clone(),
-		Grad: linalg.NewDense(p.Grad.Rows, p.Grad.Cols),
-	}
+	return &nn.Param{Name: p.Name, W: p.W.Clone()}
 }
 
 func cloneLinear(l *nn.Linear) *nn.Linear {
@@ -55,28 +51,28 @@ func (m *Model) Clone() *Model {
 }
 
 // Tuner fine-tunes one model incrementally: it holds the model's
-// network and a persistent Adam optimizer, so moments accumulate
-// across minibatches the way Train's inner loop accumulates them
-// across epochs. Not safe for concurrent Step calls.
+// training step with a persistent Adam optimizer, so moments accumulate
+// across minibatches the way Train's inner loop accumulates them across
+// epochs. Each Step is Train's step on the batch it is handed, and
+// allocates nothing once the batch shape has been seen. Not safe for
+// concurrent Step calls.
 type Tuner struct {
-	m   *Model
-	inc *nn.Incremental
+	step *trainStep
 }
 
 // NewTuner prepares the model for incremental fine-tuning with Adam
 // at the given learning rate. The tuner trains the model in place —
 // Clone first if another reader holds it.
 func (m *Model) NewTuner(lr float64) *Tuner {
-	net := m.net()
-	return &Tuner{m: m, inc: nn.NewIncremental(net, nn.NewAdam(net.Params(), lr))}
+	return &Tuner{step: newTrainStep(m, lr)}
 }
 
 // Model returns the model the tuner trains.
-func (t *Tuner) Model() *Model { return t.m }
+func (t *Tuner) Model() *Model { return t.step.m }
 
 // Step runs one minibatch update on rows assembled by AssembleInput /
 // AssembleLabel and returns the batch's pre-update MSE loss.
-func (t *Tuner) Step(x, y *linalg.Dense) float64 { return t.inc.Step(x, y) }
+func (t *Tuner) Step(x, y *linalg.Dense) float64 { return t.step.run(x, y) }
 
 // AssembleInput writes one normalized input row [Vn | Gn] for a
 // (V, G) pair into dst (length InputDim), the same normalization

@@ -47,11 +47,20 @@ func NewModel(cfg xbar.Config, hidden int, seed uint64) (*Model, error) {
 	return &Model{
 		Cfg:    cfg,
 		Hidden: hidden,
-		L1:     nn.NewLinear(in, hidden, true, rng),
-		L2:     nn.NewLinear(hidden, cfg.Cols, true, rng),
+		L1:     newLayer(in, hidden, rng),
+		L2:     newLayer(hidden, cfg.Cols, rng),
 		FRMin:  0,
 		FRMax:  1,
 	}, nil
+}
+
+// newLayer is nn.NewLinear with a bias and without gradient storage: a
+// Model holds only its weights and biases, and training keeps the
+// gradients in its trainStep.
+func newLayer(in, out int, rng *linalg.RNG) *nn.Linear {
+	l := nn.NewLinear(in, out, true, rng)
+	l.Weight.Grad, l.Bias.Grad = nil, nil
+	return l
 }
 
 // normalizeV scales voltages into [0, 1].
@@ -80,11 +89,6 @@ func (m *Model) inputs(ds *Dataset) *linalg.Dense {
 		m.normalizeG(row[m.Cfg.Rows:], ds.G.Row(s))
 	}
 	return in
-}
-
-// net wraps the two layers as a Sequential with ReLU for training.
-func (m *Model) net() *nn.Sequential {
-	return nn.NewSequential(m.L1, nn.NewReLU(), m.L2)
 }
 
 // TrainOptions controls GENIEx training.
@@ -139,9 +143,7 @@ func (m *Model) Train(ds *Dataset, opt TrainOptions) error {
 		labels.Data[i] = (f - m.FRMin) * inv
 	}
 
-	net := m.net()
-	params := net.Params()
-	optim := nn.NewAdam(params, opt.LR)
+	step := newTrainStep(m, opt.LR)
 	rng := linalg.NewRNG(opt.Seed)
 	n := ds.Len()
 
@@ -154,18 +156,8 @@ func (m *Model) Train(ds *Dataset, opt TrainOptions) error {
 			if hi > n {
 				hi = n
 			}
-			bx := linalg.NewDense(hi-lo, in.Cols)
-			by := linalg.NewDense(hi-lo, labels.Cols)
-			for i, s := range perm[lo:hi] {
-				copy(bx.Row(i), in.Row(s))
-				copy(by.Row(i), labels.Row(s))
-			}
-			nn.ZeroGrad(params)
-			pred := net.Forward(bx, true)
-			loss, grad := nn.MSE(pred, by)
-			net.Backward(grad)
-			optim.Step()
-			epochLoss += loss
+			step.gather(in, labels, perm[lo:hi])
+			epochLoss += step.run(step.bx, step.by)
 			batches++
 		}
 		if opt.Verbose != nil {

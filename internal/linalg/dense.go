@@ -186,10 +186,24 @@ func GatherMulAdd(out []float64, off []int, val []float64, b []float64) {
 	}
 }
 
-// matMulRange computes rows [lo,hi) of out = A·B. Per row of A it
-// gathers the entries ≠ 0 (NaN kept, ±0 skipped) with the offsets of
-// the B rows they scale, and hands each chunk to GatherMulAdd: the ikj
-// loop with its zero skip, register-blocked over the output row.
+// MatMulRows computes rows [lo, hi) of out = A·B, the row range
+// MatMulInto hands each worker. Per row of A it gathers the entries ≠ 0
+// (NaN kept, ±0 skipped) with the offsets of the B rows they scale,
+// and hands each chunk to GatherMulAdd: the ikj loop with its zero
+// skip, register-blocked over the output row.
+//
+// The three …Rows kernels are for callers that fan out themselves: a
+// ParallelFor body built once and reused calls them without the
+// per-call closure the fanning wrappers allocate. They check only that
+// the shapes agree.
+func MatMulRows(out, a, b *Dense, lo, hi int) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("linalg: MatMulRows %dx%d = %dx%d by %dx%d",
+			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	matMulRange(out, a, b, lo, hi)
+}
+
 func matMulRange(out, a, b *Dense, lo, hi int) {
 	n := b.Cols
 	var off [GatherChunk]int
@@ -223,70 +237,88 @@ func nonZero(v float64) int {
 	return 0
 }
 
-// MatMulATB returns Aᵀ·B without materializing the transpose.
+// MatMulATB returns Aᵀ·B without materializing the transpose, fanning
+// its output rows out across ParallelFor.
 func MatMulATB(a, b *Dense) *Dense {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("linalg: MatMulATB %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Cols, b.Cols)
-	// out[k][j] = Σ_i a[i][k]·b[i][j]: output row k gathers the
-	// non-zero entries of A's column k, rows ascending. Workers own
-	// disjoint ranges of output rows.
-	ParallelFor(a.Cols, func(lo, hi int) {
-		n := b.Cols
-		var off [GatherChunk]int
-		var val [GatherChunk]float64
-		for k := lo; k < hi; k++ {
-			orow := out.Data[k*n : (k+1)*n]
-			for i0 := 0; i0 < a.Rows; i0 += GatherChunk {
-				i1 := min(i0+GatherChunk, a.Rows)
-				cnt := 0
-				for i := i0; i < i1; i++ {
-					av := a.Data[i*a.Cols+k]
-					off[cnt] = i * n
-					val[cnt] = av
-					cnt += nonZero(av)
-				}
-				GatherMulAdd(orow, off[:cnt], val[:cnt], b.Data)
-			}
-		}
-	})
+	ParallelFor(a.Cols, func(lo, hi int) { MatMulATBRows(out, a, b, lo, hi) })
 	return out
 }
 
-// MatMulABT returns A·Bᵀ without materializing the transpose. Each
-// output is Dot of a row of A with a row of B (no zero skip, k
-// ascending); four of them share one pass over A's row.
+// MatMulATBRows computes rows [lo, hi) of out = Aᵀ·B (see MatMulRows).
+// out[k][j] = Σ_i a[i][k]·b[i][j]: output row k starts at 0 and
+// gathers the non-zero entries of A's column k, rows ascending.
+func MatMulATBRows(out, a, b *Dense, lo, hi int) {
+	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
+		panic(fmt.Sprintf("linalg: MatMulATBRows %dx%d = (%dx%d)ᵀ by %dx%d",
+			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	n := b.Cols
+	var off [GatherChunk]int
+	var val [GatherChunk]float64
+	for k := lo; k < hi; k++ {
+		orow := out.Data[k*n : (k+1)*n]
+		for t := range orow {
+			orow[t] = 0
+		}
+		for i0 := 0; i0 < a.Rows; i0 += GatherChunk {
+			i1 := min(i0+GatherChunk, a.Rows)
+			cnt := 0
+			for i := i0; i < i1; i++ {
+				av := a.Data[i*a.Cols+k]
+				off[cnt] = i * n
+				val[cnt] = av
+				cnt += nonZero(av)
+			}
+			GatherMulAdd(orow, off[:cnt], val[:cnt], b.Data)
+		}
+	}
+}
+
+// MatMulABT returns A·Bᵀ without materializing the transpose, fanning
+// its output rows out across ParallelFor.
 func MatMulABT(a, b *Dense) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: MatMulABT %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Rows, b.Rows)
-	ParallelFor(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			j := 0
-			for ; j+4 <= b.Rows; j += 4 {
-				b0 := b.Row(j)[:len(arow)]
-				b1 := b.Row(j + 1)[:len(arow)]
-				b2 := b.Row(j + 2)[:len(arow)]
-				b3 := b.Row(j + 3)[:len(arow)]
-				var s0, s1, s2, s3 float64
-				for k, av := range arow {
-					s0 += av * b0[k]
-					s1 += av * b1[k]
-					s2 += av * b2[k]
-					s3 += av * b3[k]
-				}
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-			}
-			for ; j < b.Rows; j++ {
-				orow[j] = Dot(arow, b.Row(j))
-			}
-		}
-	})
+	ParallelFor(a.Rows, func(lo, hi int) { MatMulABTRows(out, a, b, lo, hi) })
 	return out
+}
+
+// MatMulABTRows computes rows [lo, hi) of out = A·Bᵀ (see MatMulRows).
+// Each output is Dot of a row of A with a row of B (no zero skip, k
+// ascending); four of them share one pass over A's row.
+func MatMulABTRows(out, a, b *Dense, lo, hi int) {
+	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
+		panic(fmt.Sprintf("linalg: MatMulABTRows %dx%d = %dx%d by (%dx%d)ᵀ",
+			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	for i := lo; i < hi; i++ {
+		arow := a.Row(i)
+		orow := out.Row(i)
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0 := b.Row(j)[:len(arow)]
+			b1 := b.Row(j + 1)[:len(arow)]
+			b2 := b.Row(j + 2)[:len(arow)]
+			b3 := b.Row(j + 3)[:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
+			orow[j] = Dot(arow, b.Row(j))
+		}
+	}
 }
 
 // ParallelFor splits [0, n) into contiguous chunks and runs body on

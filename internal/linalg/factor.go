@@ -28,22 +28,26 @@ import (
 
 // Tridiag is the LDLᵀ factorization of a symmetric tridiagonal matrix.
 // Factor once, then SolveInto for as many right-hand sides as needed.
+// The zero value is an empty factor ready for Factor.
 type Tridiag struct {
 	n int
 	d []float64 // pivots of D
 	l []float64 // subdiagonal multipliers of unit L, length n-1
 }
 
-// FactorTridiag factors the symmetric tridiagonal matrix with the
-// given diagonal (length n) and symmetric off-diagonal (length n-1).
-// The matrix must be positive definite; a non-positive (or NaN) pivot
-// returns an error matching ErrSingular.
-func FactorTridiag(diag, off []float64) (*Tridiag, error) {
+// Factor factors the symmetric tridiagonal matrix with the given
+// diagonal (length n) and symmetric off-diagonal (length n-1) into t,
+// reusing t's storage when it is large enough. The matrix must be
+// positive definite; a non-positive (or NaN) pivot returns an error
+// matching ErrSingular and leaves t unusable until the next Factor.
+func (t *Tridiag) Factor(diag, off []float64) error {
 	n := len(diag)
 	if len(off) != n-1 && !(n == 0 && len(off) == 0) {
-		panic(fmt.Sprintf("linalg: FactorTridiag n=%d len(off)=%d", n, len(off)))
+		panic(fmt.Sprintf("linalg: Tridiag.Factor n=%d len(off)=%d", n, len(off)))
 	}
-	t := &Tridiag{n: n, d: make([]float64, n), l: make([]float64, max(n-1, 0))}
+	t.n = n
+	t.d = grow(t.d, n)
+	t.l = grow(t.l, max(n-1, 0))
 	prev := 0.0
 	for i := 0; i < n; i++ {
 		piv := diag[i]
@@ -51,7 +55,7 @@ func FactorTridiag(diag, off []float64) (*Tridiag, error) {
 			piv -= t.l[i-1] * prev
 		}
 		if !(piv > 0) {
-			return nil, fmt.Errorf("linalg: tridiagonal pivot %g at row %d: %w", piv, i, ErrSingular)
+			return fmt.Errorf("linalg: tridiagonal pivot %g at row %d: %w", piv, i, ErrSingular)
 		}
 		t.d[i] = piv
 		if i+1 < n {
@@ -59,7 +63,16 @@ func FactorTridiag(diag, off []float64) (*Tridiag, error) {
 			prev = off[i]
 		}
 	}
-	return t, nil
+	return nil
+}
+
+// grow returns s resized to n, reusing its backing array when capacity
+// allows. Contents are unspecified.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // N returns the factored dimension.
@@ -131,21 +144,23 @@ func checkBlock(kind string, n, lx, lb, m, ld int) {
 }
 
 // Cholesky is the lower-triangular factorization A = L·Lᵀ of a dense
-// symmetric positive definite matrix.
+// symmetric positive definite matrix. The zero value is an empty
+// factor ready for Factor.
 type Cholesky struct {
 	n int
 	l *Dense // lower triangle, including the diagonal
 }
 
-// FactorCholesky factors the symmetric positive definite matrix a in
-// place (a's storage becomes the factor; only its lower triangle is
-// read) and returns the handle. A non-positive pivot returns an error
-// matching ErrSingular.
-func FactorCholesky(a *Dense) (*Cholesky, error) {
+// Factor factors the symmetric positive definite matrix a in place
+// into c: a's storage becomes the factor (only its lower triangle is
+// read), so c allocates nothing. A non-positive pivot returns an error
+// matching ErrSingular and leaves c unusable until the next Factor.
+func (c *Cholesky) Factor(a *Dense) error {
 	if a.Rows != a.Cols {
-		panic(fmt.Sprintf("linalg: FactorCholesky on %dx%d matrix", a.Rows, a.Cols))
+		panic(fmt.Sprintf("linalg: Cholesky.Factor on %dx%d matrix", a.Rows, a.Cols))
 	}
 	n := a.Rows
+	c.n, c.l = 0, nil
 	for j := 0; j < n; j++ {
 		rowJ := a.Row(j)
 		s := rowJ[j]
@@ -153,7 +168,7 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 			s -= rowJ[k] * rowJ[k]
 		}
 		if !(s > 0) {
-			return nil, fmt.Errorf("linalg: Cholesky pivot %g at row %d: %w", s, j, ErrSingular)
+			return fmt.Errorf("linalg: Cholesky pivot %g at row %d: %w", s, j, ErrSingular)
 		}
 		piv := math.Sqrt(s)
 		rowJ[j] = piv
@@ -166,7 +181,8 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 			rowI[j] = s / piv
 		}
 	}
-	return &Cholesky{n: n, l: a}, nil
+	c.n, c.l = n, a
+	return nil
 }
 
 // N returns the factored dimension.
@@ -309,62 +325,75 @@ func (c *Cholesky) SolveBlockInto(x, b []float64, m, ld int) {
 // tridiagonal matrix whose off-diagonal blocks are diagonal — exactly
 // the structure the crossbar's bit-line levels expose after the
 // word-line chains are eliminated. Diagonal blocks are dense bs×bs;
-// the block between levels i and i+1 is diag(off[i]).
+// the block between levels i and i+1 is diag(off[i]). The zero value
+// is an empty factor ready for Factor.
 type BlockTridiag struct {
 	levels, bs int
-	chol       []*Cholesky // factored Schur complements, one per level
+	chol       []Cholesky  // factored Schur complements, one per level
 	off        [][]float64 // diagonal off-blocks (copied), length levels-1
+	work       []float64   // bs×bs Schur columns T_{i-1}⁻¹·diag(e)
 }
 
-// FactorBlockTridiag factors the block tridiagonal matrix with the
-// given dense diagonal blocks (each bs×bs) and diagonal off-blocks
-// (each length bs, levels-1 of them). It takes ownership of the diag
-// blocks — their storage is overwritten with factor data — and copies
-// off. The matrix must be positive definite.
-func FactorBlockTridiag(diag []*Dense, off [][]float64) (*BlockTridiag, error) {
+// Factor factors the block tridiagonal matrix with the given dense
+// diagonal blocks (each bs×bs) and diagonal off-blocks (each length
+// bs, levels-1 of them) into f, reusing f's storage when its shape
+// matches, so a refactor of the same shape allocates nothing. It takes
+// ownership of the diag blocks — their storage is overwritten with
+// factor data — and copies off. The matrix must be positive definite;
+// otherwise Factor returns an error and f is unusable until the next
+// Factor.
+//
+// Each level's Schur update T_i = D_i − E·T_{i-1}⁻¹·E, E = diag(e),
+// solves for all bs columns of T_{i-1}⁻¹·E at once: one
+// Cholesky.SolveBlockInto over the diagonal block E, whose lane k is
+// the column the one-vector solve of e[k]·unit(k) gives, bit for bit.
+func (f *BlockTridiag) Factor(diag []*Dense, off [][]float64) error {
 	levels := len(diag)
 	if levels == 0 {
-		panic("linalg: FactorBlockTridiag with no blocks")
+		panic("linalg: BlockTridiag.Factor with no blocks")
 	}
 	bs := diag[0].Rows
 	if len(off) != levels-1 {
-		panic(fmt.Sprintf("linalg: FactorBlockTridiag levels=%d len(off)=%d", levels, len(off)))
+		panic(fmt.Sprintf("linalg: BlockTridiag.Factor levels=%d len(off)=%d", levels, len(off)))
 	}
-	f := &BlockTridiag{
-		levels: levels,
-		bs:     bs,
-		chol:   make([]*Cholesky, levels),
-		off:    make([][]float64, levels-1),
+	if f.levels != levels || f.bs != bs {
+		f.levels, f.bs = levels, bs
+		f.chol = make([]Cholesky, levels)
+		f.off = make([][]float64, levels-1)
+		for i := range f.off {
+			f.off[i] = make([]float64, bs)
+		}
+		f.work = make([]float64, bs*bs)
 	}
-	col := make([]float64, bs) // one column of T_{i-1}⁻¹·diag(e)
 	for i := 0; i < levels; i++ {
 		t := diag[i]
 		if t.Rows != bs || t.Cols != bs {
-			panic(fmt.Sprintf("linalg: FactorBlockTridiag block %d is %dx%d, want %dx%d", i, t.Rows, t.Cols, bs, bs))
+			panic(fmt.Sprintf("linalg: BlockTridiag.Factor block %d is %dx%d, want %dx%d", i, t.Rows, t.Cols, bs, bs))
 		}
 		if i > 0 {
-			// Schur update: T_i = D_i − E·T_{i-1}⁻¹·E with E = diag(e).
 			e := off[i-1]
 			if len(e) != bs {
-				panic(fmt.Sprintf("linalg: FactorBlockTridiag off-block %d has length %d, want %d", i-1, len(e), bs))
+				panic(fmt.Sprintf("linalg: BlockTridiag.Factor off-block %d has length %d, want %d", i-1, len(e), bs))
 			}
-			f.off[i-1] = append([]float64(nil), e...)
-			for k := 0; k < bs; k++ {
-				Fill(col, 0)
-				col[k] = e[k]
-				f.chol[i-1].SolveInto(col, col)
-				for j := 0; j < bs; j++ {
-					t.Data[j*bs+k] -= e[j] * col[j]
+			copy(f.off[i-1], e)
+			w := f.work
+			Fill(w, 0)
+			for k, ek := range e {
+				w[k*bs+k] = ek
+			}
+			f.chol[i-1].SolveBlockInto(w, w, bs, bs)
+			for j, ej := range e {
+				row, col := t.Data[j*bs:(j+1)*bs], w[j*bs:(j+1)*bs]
+				for k := range row {
+					row[k] -= ej * col[k]
 				}
 			}
 		}
-		c, err := FactorCholesky(t)
-		if err != nil {
-			return nil, fmt.Errorf("linalg: block tridiagonal level %d: %w", i, err)
+		if err := f.chol[i].Factor(t); err != nil {
+			return fmt.Errorf("linalg: block tridiagonal level %d: %w", i, err)
 		}
-		f.chol[i] = c
 	}
-	return f, nil
+	return nil
 }
 
 // N returns the factored dimension levels·bs.

@@ -38,8 +38,8 @@ func TestTridiagSolveMatchesDense(t *testing.T) {
 	r := NewRNG(41)
 	for _, n := range []int{1, 2, 5, 33} {
 		diag, off := randSPDTridiag(r, n)
-		f, err := FactorTridiag(diag, off)
-		if err != nil {
+		f := &Tridiag{}
+		if err := f.Factor(diag, off); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		b := make([]float64, n)
@@ -68,7 +68,7 @@ func TestTridiagSolveMatchesDense(t *testing.T) {
 }
 
 func TestTridiagRejectsIndefinite(t *testing.T) {
-	if _, err := FactorTridiag([]float64{1, -2}, []float64{0}); !errors.Is(err, ErrSingular) {
+	if err := new(Tridiag).Factor([]float64{1, -2}, []float64{0}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
@@ -98,8 +98,8 @@ func TestCholeskySolveMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := FactorCholesky(a.Clone())
-		if err != nil {
+		c := &Cholesky{}
+		if err := c.Factor(a.Clone()); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		got := make([]float64, n)
@@ -116,7 +116,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewDense(2, 2)
 	a.Set(0, 0, 1)
 	a.Set(1, 1, -1)
-	if _, err := FactorCholesky(a); !errors.Is(err, ErrSingular) {
+	if err := new(Cholesky).Factor(a); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
@@ -167,8 +167,8 @@ func TestBlockTridiagSolveMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := FactorBlockTridiag(diag, off)
-		if err != nil {
+		f := &BlockTridiag{}
+		if err := f.Factor(diag, off); err != nil {
 			t.Fatalf("levels=%d bs=%d: %v", levels, bs, err)
 		}
 		if f.N() != n || f.BlockSize() != bs {
@@ -199,17 +199,17 @@ func TestSolveBlockIntoMatchesSolveInto(t *testing.T) {
 	r := NewRNG(44)
 	levels, bs := 5, 7
 	diagT, offT := randSPDTridiag(r, bs)
-	tri, err := FactorTridiag(diagT, offT)
-	if err != nil {
+	tri := &Tridiag{}
+	if err := tri.Factor(diagT, offT); err != nil {
 		t.Fatal(err)
 	}
-	chol, err := FactorCholesky(randSPD(r, bs))
-	if err != nil {
+	chol := &Cholesky{}
+	if err := chol.Factor(randSPD(r, bs)); err != nil {
 		t.Fatal(err)
 	}
 	diag, off, _ := blockTridiagSystem(r, levels, bs)
-	bt, err := FactorBlockTridiag(diag, off)
-	if err != nil {
+	bt := &BlockTridiag{}
+	if err := bt.Factor(diag, off); err != nil {
 		t.Fatal(err)
 	}
 	tmp1 := make([]float64, bs)
@@ -249,6 +249,76 @@ func TestSolveBlockIntoMatchesSolveInto(t *testing.T) {
 					if x[i*ld+l] != want[l][i] || b[i*ld+l] != want[l][i] {
 						t.Fatalf("%s m=%d lane %d row %d: block %v, in place %v, one-vector %v",
 							s.name, m, l, i, x[i*ld+l], b[i*ld+l], want[l][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// refFactorBlockTridiag is the column-at-a-time Schur update: each
+// column of T_{i-1}⁻¹·diag(e) from one single-vector Cholesky solve.
+// It factors diag in place and returns the per-level factors.
+func refFactorBlockTridiag(t *testing.T, diag []*Dense, off [][]float64) []*Cholesky {
+	bs := diag[0].Rows
+	chol := make([]*Cholesky, len(diag))
+	col := make([]float64, bs)
+	for i, d := range diag {
+		if i > 0 {
+			e := off[i-1]
+			for k := 0; k < bs; k++ {
+				Fill(col, 0)
+				col[k] = e[k]
+				chol[i-1].SolveInto(col, col)
+				for j := 0; j < bs; j++ {
+					d.Data[j*bs+k] -= e[j] * col[j]
+				}
+			}
+		}
+		chol[i] = &Cholesky{}
+		if err := chol[i].Factor(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return chol
+}
+
+// BlockTridiag.Factor's block Schur columns must give the factor the
+// column-at-a-time reference gives, bit for bit, and refactoring into
+// reused storage (a repeated shape, then a new one) must too.
+func TestBlockTridiagFactorMatchesColumnReference(t *testing.T) {
+	r := NewRNG(45)
+	var reused BlockTridiag
+	for _, dims := range [][2]int{{1, 4}, {3, 1}, {4, 5}, {6, 8}, {6, 8}, {4, 5}} {
+		levels, bs := dims[0], dims[1]
+		diag, off, _ := blockTridiagSystem(r, levels, bs)
+		// Scale the off-blocks to near the SPD limit (the diagonal
+		// blocks' eigenvalues are at least bs+4), so the Schur terms
+		// are as large as the diagonal and a last-bit change in a Schur
+		// column survives the subtraction.
+		for _, e := range off {
+			Scale(0.45*float64(bs+4), e)
+		}
+		clone := func() []*Dense {
+			c := make([]*Dense, levels)
+			for i, d := range diag {
+				c[i] = d.Clone()
+			}
+			return c
+		}
+		want := refFactorBlockTridiag(t, clone(), off)
+		fresh := &BlockTridiag{}
+		if err := fresh.Factor(clone(), off); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Factor(clone(), off); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*BlockTridiag{fresh, &reused} {
+			for i, c := range want {
+				for k, v := range c.l.Data {
+					if g := got.chol[i].l.Data[k]; math.Float64bits(g) != math.Float64bits(v) {
+						t.Fatalf("levels=%d bs=%d level %d entry %d: %v, reference %v", levels, bs, i, k, g, v)
 					}
 				}
 			}

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"geniex/internal/linalg"
@@ -510,5 +512,57 @@ func TestDropoutZeroProbIsIdentity(t *testing.T) {
 	x := randInput(r, 2, 5)
 	if y := d.Forward(x, true); y != x {
 		t.Error("p=0 dropout should pass through")
+	}
+}
+
+// Adam's update is element-wise, so splitting a large parameter across
+// workers steps it to the same bits at GOMAXPROCS 1 and 2.
+func TestAdamParallelMatchesSerial(t *testing.T) {
+	run := func(procs int) []float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r := linalg.NewRNG(5)
+		w := newParam("w", 3, adamParallelMin) // split at 2 workers
+		b := newParam("b", 1, 7)               // stepped serially
+		for _, p := range []*Param{w, b} {
+			for i := range p.W.Data {
+				p.W.Data[i] = r.Norm()
+			}
+		}
+		opt := NewAdam([]*Param{w, b}, 1e-3)
+		for step := 0; step < 5; step++ {
+			for _, p := range []*Param{w, b} {
+				for i := range p.Grad.Data {
+					p.Grad.Data[i] = r.Norm()
+				}
+			}
+			opt.Step()
+		}
+		return append(w.W.Data, b.W.Data...)
+	}
+	serial, parallel := run(1), run(2)
+	for i := range serial {
+		if math.Float64bits(serial[i]) != math.Float64bits(parallel[i]) {
+			t.Fatalf("element %d: %v at GOMAXPROCS 1, %v at 2", i, serial[i], parallel[i])
+		}
+	}
+}
+
+// BenchmarkAdamStep times one Adam step over a single parameter of
+// each size; run with -cpu 1,2 to see where adamParallelMin's split
+// starts to pay.
+func BenchmarkAdamStep(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 16, 1 << 18} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			p := newParam("w", 1, n)
+			for i := range p.Grad.Data {
+				p.Grad.Data[i] = float64(i%7) - 3
+			}
+			opt := NewAdam([]*Param{p}, 1e-3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt.Step()
+			}
+		})
 	}
 }

@@ -261,7 +261,7 @@ func (s *BatchSolver) newInstance() (*Crossbar, error) {
 		// Factor once per array; later instances adopt the shared
 		// factor instead of rebuilding it. A nil result (build failure)
 		// simply leaves every instance on the cold-start fallback.
-		s.factOnce.Do(func() { s.fact = xb.ensureFactor() })
+		s.factOnce.Do(func() { s.fact = xb.shareFactor() })
 		if s.fact != nil && xb.fact == nil {
 			xb.fact = s.fact
 		}

@@ -138,7 +138,7 @@ func (s *BatchSolver) solveBlock(ctx context.Context, xb *Crossbar, vs, out *lin
 	m, ld := 0, w.lanes
 	for b := lo; b < hi; b++ {
 		v := vs.Row(b)
-		if s.faults.covers(b) || xb.checkDrive(v) != nil {
+		if s.faults.covers(b) || checkDrive(xb.cfg, v) != nil {
 			w.redo = append(w.redo, b)
 			continue
 		}

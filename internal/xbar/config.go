@@ -243,22 +243,23 @@ func (c Config) Validate() error {
 	switch {
 	case c.Rows <= 0 || c.Cols <= 0:
 		return fmt.Errorf("xbar: dimensions must be positive, got %dx%d", c.Rows, c.Cols)
-	case c.Ron <= 0:
+	// Every test below is written !(x > bound), which NaN fails too.
+	case !(c.Ron > 0):
 		return fmt.Errorf("xbar: Ron must be positive, got %g", c.Ron)
-	case c.OnOffRatio <= 1:
+	case !(c.OnOffRatio > 1):
 		return fmt.Errorf("xbar: OnOffRatio must exceed 1, got %g", c.OnOffRatio)
-	case c.Rsource <= 0 || c.Rsink <= 0 || c.Rwire <= 0:
+	case !(c.Rsource > 0 && c.Rsink > 0 && c.Rwire > 0):
 		return fmt.Errorf("xbar: parasitic resistances must be positive, got Rsource=%g Rsink=%g Rwire=%g",
 			c.Rsource, c.Rsink, c.Rwire)
-	case c.Vsupply <= 0:
+	case !(c.Vsupply > 0):
 		return fmt.Errorf("xbar: Vsupply must be positive, got %g", c.Vsupply)
 	case !(c.SelectorGonFactor > 1+windowSlack):
 		// Program's series calibration needs the access device to
 		// conduct more than any in-window cell, Gon·(1+windowSlack).
 		return fmt.Errorf("xbar: SelectorGonFactor must exceed 1+%g, got %g", windowSlack, c.SelectorGonFactor)
-	case c.SelectorVsat <= 0:
+	case !(c.SelectorVsat > 0):
 		return fmt.Errorf("xbar: SelectorVsat must be positive, got %g", c.SelectorVsat)
-	case c.RRAM.I0 <= 0 || c.RRAM.D0 <= 0 || c.RRAM.V0 <= 0:
+	case !(c.RRAM.I0 > 0 && c.RRAM.D0 > 0 && c.RRAM.V0 > 0):
 		return fmt.Errorf("xbar: RRAM parameters must be positive, got %+v", c.RRAM)
 	case c.Policy < PolicyRecover || c.Policy > PolicyBestEffort:
 		return fmt.Errorf("xbar: invalid solver policy %d", int(c.Policy))

@@ -37,10 +37,16 @@ type Crossbar struct {
 	// Per-programming zero-bias factorization cache (see factor.go).
 	// fact is built lazily on the first non-cold solve after a Program
 	// and invalidated by the next one; factScr is this instance's
-	// scratch for every factored solve.
-	fact    *opFactor
-	factScr *factorScratch
-	factErr bool // factor build failed; cold-start until reprogrammed
+	// scratch for every factored solve. zero is the storage this
+	// instance owns for J₀: each build after a Program refactors it in
+	// place, and fact then points at it. A fact adopted from a
+	// BatchSolver pool, or handed to one, is shared: zero is nil then,
+	// so nothing rebuilds a shared factor. jac is the storage every
+	// Newton update refactors J(v) into; it is never shared.
+	fact      *opFactor
+	zero, jac *opFactor
+	factScr   *factorScratch
+	factErr   bool // factor build failed; cold-start until reprogrammed
 
 	// faults is the active test-only fault-injection plan (usually nil).
 	faults *FaultPlan
@@ -158,23 +164,35 @@ func programCells(cfg Config, cell, g []float64) error {
 }
 
 // ensureFactor returns the cached zero-bias factorization, building it
-// on first use after a Program. It returns nil when the configuration
-// forbids it (StartCold) or when a build failed — the caller then
-// falls back to the cold start.
+// into the storage this instance owns on first use after a Program. It
+// returns nil when the configuration forbids it (StartCold) or when a
+// build failed — the caller then falls back to the cold start.
 func (x *Crossbar) ensureFactor() *opFactor {
 	if x.cfg.Start == StartCold || x.factErr {
 		return nil
 	}
 	if x.fact == nil {
-		f, err := x.zeroBiasFactor()
-		if err != nil {
+		if x.zero == nil {
+			x.zero = newOpFactor(x.cfg)
+		}
+		if err := x.zeroBiasFactor(x.zero); err != nil {
 			x.factErr = true
 			return nil
 		}
-		x.fact = f
+		x.fact = x.zero
 		mFactorBuilds.Inc()
 	}
 	return x.fact
+}
+
+// shareFactor returns the zero-bias factorization for other instances
+// programmed identically to adopt, and gives up this instance's claim
+// on its storage: a later Program rebuilds J₀ into fresh storage, never
+// into the factor the others read.
+func (x *Crossbar) shareFactor() *opFactor {
+	f := x.ensureFactor()
+	x.zero = nil
+	return f
 }
 
 // kcl evaluates the network at the iterate x.volt under the drive

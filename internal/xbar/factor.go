@@ -21,8 +21,12 @@ import (
 //     word-line level, −gw·I between adjacent levels.
 //
 // Factoring costs O(Rows·Cols³); each solve is O(Rows·Cols²) of pure
-// back-substitution. A factor is immutable after construction and safe
-// to share — per-instance scratch lives in factorScratch.
+// back-substitution. An opFactor owns all of its storage, conductances
+// included, and build refactors it in place, so a crossbar that keeps
+// one allocates it once. Between builds it is read-only and safe to
+// share — per-instance scratch lives in factorScratch — and a shared
+// factor is never rebuilt: whoever shares it gives up its storage (see
+// Crossbar.shareFactor).
 //
 // Every rung solves through it. The zero-bias factor J₀ (every device
 // at 0 V) is built once per Program and shared by a BatchSolver pool;
@@ -37,8 +41,17 @@ type opFactor struct {
 	gcell      []float64 // per-cell RRAM conductance, row-major
 	gs         []float64 // per-cell series conductance, row-major
 
-	rowTri []*linalg.Tridiag    // word-line chain factors, one per row
-	col    *linalg.BlockTridiag // bit-line level system factor
+	rowTri []linalg.Tridiag    // word-line chain factors, one per row
+	col    linalg.BlockTridiag // bit-line level system factor
+
+	// Build storage: the per-level Schur blocks the column factor takes
+	// over and its off-blocks, one word-line chain's diagonal and
+	// off-diagonal, and that chain's Schur columns.
+	blocks    []*linalg.Dense
+	offBlocks [][]float64 // Rows−1 levels of −gw
+	diag      []float64   // Cols
+	wire      []float64   // Cols−1 of −gw
+	work      []float64   // Cols×Cols: A_i⁻¹·diag(gs_i)
 }
 
 // factorScratch is the per-Crossbar workspace for opFactor solves. The
@@ -58,45 +71,60 @@ func newFactorScratch(cfg Config) *factorScratch {
 	}
 }
 
-// zeroBiasFactor factors J₀, the Jacobian with every device at 0 V,
-// for the current programming.
-func (x *Crossbar) zeroBiasFactor() (*opFactor, error) {
-	gsel := make([]float64, len(x.cell))
-	gcell := make([]float64, len(x.cell))
-	for k, cell := range x.cell {
-		_, gsel[k], _, gcell[k] = x.devices(cell, 0, 0)
+// newOpFactor allocates the storage of a factor for cfg's dimensions.
+// Fill gsel and gcell, then build.
+func newOpFactor(cfg Config) *opFactor {
+	R, C := cfg.Rows, cfg.Cols
+	f := &opFactor{
+		rows:      R,
+		cols:      C,
+		gsrc:      1 / cfg.Rsource,
+		gsel:      make([]float64, R*C),
+		gcell:     make([]float64, R*C),
+		gs:        make([]float64, R*C),
+		rowTri:    make([]linalg.Tridiag, R),
+		blocks:    make([]*linalg.Dense, R),
+		offBlocks: make([][]float64, max(R-1, 0)),
+		diag:      make([]float64, C),
+		wire:      make([]float64, max(C-1, 0)),
+		work:      make([]float64, C*C),
 	}
-	return buildFactor(x.cfg, gsel, gcell)
+	for i := range f.blocks {
+		f.blocks[i] = linalg.NewDense(C, C)
+	}
+	gw := 1 / cfg.Rwire
+	linalg.Fill(f.wire, -gw)
+	for i := range f.offBlocks {
+		f.offBlocks[i] = make([]float64, C)
+		linalg.Fill(f.offBlocks[i], -gw)
+	}
+	return f
 }
 
-// buildFactor factors the MNA Jacobian whose cell k has selector
-// conductance gsel[k] and RRAM conductance gcell[k] (row-major). The
-// factor keeps both slices; the caller must not change them while it
-// solves through the factor. It fails on a non-positive-definite
-// reduction (a NaN conductance, or a cell whose selector and RRAM
-// both conduct nothing), which callers treat as a failed rung.
-func buildFactor(cfg Config, gsel, gcell []float64) (*opFactor, error) {
+// zeroBiasFactor factors J₀, the Jacobian with every device at 0 V,
+// for the current programming into f.
+func (x *Crossbar) zeroBiasFactor(f *opFactor) error {
+	for k, cell := range x.cell {
+		_, f.gsel[k], _, f.gcell[k] = x.devices(cell, 0, 0)
+	}
+	return f.build(x.cfg)
+}
+
+// build factors, into f's storage, the MNA Jacobian whose cell k has
+// selector conductance f.gsel[k] and RRAM conductance f.gcell[k]
+// (row-major). It allocates nothing. It fails on a
+// non-positive-definite reduction (a NaN conductance, or a cell whose
+// selector and RRAM both conduct nothing), which callers treat as a
+// failed rung; f then solves nothing until the next successful build.
+func (f *opFactor) build(cfg Config) error {
 	R, C := cfg.Rows, cfg.Cols
 	gw := 1 / cfg.Rwire
-	f := &opFactor{
-		rows:  R,
-		cols:  C,
-		gsrc:  1 / cfg.Rsource,
-		gsel:  gsel,
-		gcell: gcell,
-		gs:    make([]float64, R*C),
-	}
-	for k, gc := range gcell {
-		f.gs[k] = gsel[k] * gc / (gsel[k] + gc)
+	for k, gc := range f.gcell {
+		f.gs[k] = f.gsel[k] * gc / (f.gsel[k] + gc)
 	}
 
 	// Word-line chains: tridiagonal over the row nodes of each row.
-	diag := make([]float64, C)
-	off := make([]float64, max(C-1, 0))
-	for i := range off {
-		off[i] = -gw
-	}
-	f.rowTri = make([]*linalg.Tridiag, R)
+	diag := f.diag
 	for i := 0; i < R; i++ {
 		for j := 0; j < C; j++ {
 			deg := 0
@@ -111,22 +139,21 @@ func buildFactor(cfg Config, gsel, gcell []float64) (*opFactor, error) {
 				diag[j] += f.gsrc
 			}
 		}
-		t, err := linalg.FactorTridiag(diag, off)
-		if err != nil {
-			return nil, err
+		if err := f.rowTri[i].Factor(diag, f.wire); err != nil {
+			return err
 		}
-		f.rowTri[i] = t
 	}
 
 	// Bit-line levels: dense Schur-complement blocks
 	// D_i = diag(cdiag_i) − diag(gs_i)·A_i⁻¹·diag(gs_i), with −gw·I
-	// between adjacent levels.
+	// between adjacent levels. One block solve gives all C columns of
+	// A_i⁻¹·diag(gs_i): lane k is the one-vector solve of gs_ik·unit(k),
+	// bit for bit.
 	gsnk := 1 / cfg.Rsink
-	blocks := make([]*linalg.Dense, R)
-	offBlocks := make([][]float64, max(R-1, 0))
-	col := make([]float64, C)
+	w := f.work
 	for i := 0; i < R; i++ {
-		d := linalg.NewDense(C, C)
+		d := f.blocks[i]
+		linalg.Fill(d.Data, 0)
 		for j := 0; j < C; j++ {
 			deg := 0
 			if i > 0 {
@@ -141,27 +168,20 @@ func buildFactor(cfg Config, gsel, gcell []float64) (*opFactor, error) {
 			}
 			d.Set(j, j, cd)
 		}
-		for k := 0; k < C; k++ {
-			linalg.Fill(col, 0)
-			col[k] = f.gs[i*C+k]
-			f.rowTri[i].SolveInto(col, col)
-			for j := 0; j < C; j++ {
-				d.Data[j*C+k] -= f.gs[i*C+j] * col[j]
+		gs := f.gs[i*C : (i+1)*C]
+		linalg.Fill(w, 0)
+		for k, g := range gs {
+			w[k*C+k] = g
+		}
+		f.rowTri[i].SolveBlockInto(w, w, C, C)
+		for j, g := range gs {
+			row, col := d.Data[j*C:(j+1)*C], w[j*C:(j+1)*C]
+			for k := range row {
+				row[k] -= g * col[k]
 			}
 		}
-		blocks[i] = d
-		if i+1 < R {
-			e := make([]float64, C)
-			linalg.Fill(e, -gw)
-			offBlocks[i] = e
-		}
 	}
-	bt, err := linalg.FactorBlockTridiag(blocks, offBlocks)
-	if err != nil {
-		return nil, err
-	}
-	f.col = bt
-	return f, nil
+	return f.col.Factor(f.blocks, f.offBlocks)
 }
 
 // solveInto solves J·out = b for the full 3·R·C node vector, where J

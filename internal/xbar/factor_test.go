@@ -96,8 +96,10 @@ func TestFactorSolvesLinearizedSystem(t *testing.T) {
 	if g0 := xb.gsel; !(hi/lo > 10 && lo < g0/10) {
 		t.Fatalf("selector conductances [%g, %g] at the iterate, J₀ has %g: not saturated", lo, hi, g0)
 	}
-	f, err := buildFactor(cfg, xb.jsel, xb.jcell)
-	if err != nil {
+	f := newOpFactor(cfg)
+	copy(f.gsel, xb.jsel)
+	copy(f.gcell, xb.jcell)
+	if err := f.build(cfg); err != nil {
 		t.Fatal(err)
 	}
 	check("J(v) saturated 8x8", xb, f, d, v)
@@ -293,6 +295,292 @@ func TestValidateStart(t *testing.T) {
 		cfg.Start = s
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("expected validation error for start %d", int(s))
+		}
+	}
+}
+
+// refWordLineSchur is build's bit-line blocks computed the way the
+// factor used to compute them: each column of A_i⁻¹·diag(gs_i) from
+// one single-vector tridiagonal solve. It returns the blocks factored
+// by linalg.BlockTridiag.Factor and the word-line chain factors.
+func refWordLineSchur(t *testing.T, cfg Config, gs []float64) ([]*linalg.Dense, []*linalg.Tridiag) {
+	R, C := cfg.Rows, cfg.Cols
+	gw, gsrc, gsnk := 1/cfg.Rwire, 1/cfg.Rsource, 1/cfg.Rsink
+	diag := make([]float64, C)
+	off := make([]float64, max(C-1, 0))
+	linalg.Fill(off, -gw)
+	rowTri := make([]*linalg.Tridiag, R)
+	for i := 0; i < R; i++ {
+		for j := 0; j < C; j++ {
+			diag[j] = gw*float64(btoi(j > 0)+btoi(j+1 < C)) + gs[i*C+j]
+			if j == 0 {
+				diag[j] += gsrc
+			}
+		}
+		rowTri[i] = &linalg.Tridiag{}
+		if err := rowTri[i].Factor(diag, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks := make([]*linalg.Dense, R)
+	offBlocks := make([][]float64, max(R-1, 0))
+	col := make([]float64, C)
+	for i := 0; i < R; i++ {
+		d := linalg.NewDense(C, C)
+		for j := 0; j < C; j++ {
+			cd := gw*float64(btoi(i > 0)+btoi(i+1 < R)) + gs[i*C+j]
+			if i == R-1 {
+				cd += gsnk
+			}
+			d.Set(j, j, cd)
+		}
+		for k := 0; k < C; k++ {
+			linalg.Fill(col, 0)
+			col[k] = gs[i*C+k]
+			rowTri[i].SolveInto(col, col)
+			for j := 0; j < C; j++ {
+				d.Data[j*C+k] -= gs[i*C+j] * col[j]
+			}
+		}
+		blocks[i] = d
+		if i+1 < R {
+			offBlocks[i] = make([]float64, C)
+			linalg.Fill(offBlocks[i], -gw)
+		}
+	}
+	if err := new(linalg.BlockTridiag).Factor(blocks, offBlocks); err != nil {
+		t.Fatal(err)
+	}
+	return blocks, rowTri
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// build's block word-line Schur columns must give the blocks and the
+// solves of the column-at-a-time reference, bit for bit, on J₀ of
+// every shape TestFactorSolvesLinearizedSystem checks, built fresh and
+// rebuilt into reused storage.
+func TestBuildMatchesColumnReference(t *testing.T) {
+	r := linalg.NewRNG(51)
+	for _, dims := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {4, 7}, {8, 8}, {5, 3}} {
+		cfg := DefaultConfig()
+		cfg.Rows, cfg.Cols = dims[0], dims[1]
+		xb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused := newOpFactor(cfg)
+		for trial := 0; trial < 2; trial++ {
+			if err := xb.Program(randomLevels(cfg, r)); err != nil {
+				t.Fatal(err)
+			}
+			if err := xb.zeroBiasFactor(reused); err != nil {
+				t.Fatal(err)
+			}
+			blocks, rowTri := refWordLineSchur(t, cfg, reused.gs)
+			for i, b := range blocks {
+				for k, v := range b.Data {
+					if g := reused.blocks[i].Data[k]; math.Float64bits(g) != math.Float64bits(v) {
+						t.Fatalf("%dx%d trial %d level %d entry %d: %v, reference %v", dims[0], dims[1], trial, i, k, g, v)
+					}
+				}
+			}
+			for i, tri := range rowTri {
+				b := make([]float64, cfg.Cols)
+				for j := range b {
+					b[j] = 2*r.Float64() - 1
+				}
+				got, want := make([]float64, len(b)), make([]float64, len(b))
+				reused.rowTri[i].SolveInto(got, b)
+				tri.SolveInto(want, b)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("%dx%d word line %d: solve %v, reference %v", dims[0], dims[1], i, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A crossbar reprogrammed again and again rebuilds its factors into
+// the same storage; every programming must solve exactly as a fresh
+// crossbar programmed once does, on the seeded chord, the cold Newton
+// start and the saturated damped rung.
+func TestReprogramMatchesFresh(t *testing.T) {
+	r := linalg.NewRNG(52)
+	for _, tc := range []struct {
+		name  string
+		start SolverStart
+		vsat  float64
+	}{
+		{"seeded", StartSeeded, 0},
+		{"cold", StartCold, 0},
+		{"saturated", StartSeeded, 0.02},
+	} {
+		cfg := smallConfig()
+		cfg.Vsupply = 0.5
+		cfg.Start = tc.start
+		if tc.vsat > 0 {
+			cfg.SelectorVsat = tc.vsat
+		}
+		xb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4; k++ {
+			g, v := randomLevels(cfg, r), randomDrive(cfg, r)
+			if err := xb.Program(g); err != nil {
+				t.Fatal(err)
+			}
+			got, err := xb.Solve(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Program(g); err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Solve(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NewtonIters != want.NewtonIters || got.DampedSteps != want.DampedSteps || got.Recovery != want.Recovery ||
+				math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
+				t.Fatalf("%s programming %d: %+v, fresh %+v", tc.name, k, got, want)
+			}
+			for j := range want.Currents {
+				if math.Float64bits(got.Currents[j]) != math.Float64bits(want.Currents[j]) {
+					t.Fatalf("%s programming %d: current %d %v, fresh %v", tc.name, k, j, got.Currents[j], want.Currents[j])
+				}
+			}
+			if tc.name == "saturated" && k == 0 && got.Recovery == "" {
+				t.Fatalf("saturated point solved on rung 0; the Newton rungs went unexercised")
+			}
+		}
+	}
+}
+
+// Once a 32×32 crossbar that owns its factors has solved, a
+// Program→Solve cycle allocates no factor: it allocates exactly what a
+// Solve on the unchanged programming does, and J₀ stays in the same
+// storage. The same holds for the Newton rungs' J(v) on a cold start.
+func TestProgramSolveReusesFactorStorage(t *testing.T) {
+	r := linalg.NewRNG(53)
+	for _, start := range []SolverStart{StartSeeded, StartCold} {
+		cfg := DefaultConfig()
+		cfg.Rows, cfg.Cols = 32, 32
+		cfg.Start = start
+		xb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g1, g2, v := randomLevels(cfg, r), randomLevels(cfg, r), randomDrive(cfg, r)
+		solve := func() {
+			if _, err := xb.Solve(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		program := func(g *linalg.Dense) {
+			if err := xb.Program(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		program(g1)
+		solve()
+		zero, jac := xb.zero, xb.jac
+		solveOnly := testing.AllocsPerRun(4, solve)
+		gs, k := []*linalg.Dense{g1, g2}, 0
+		cycle := testing.AllocsPerRun(4, func() {
+			k++
+			program(gs[k%2])
+			solve()
+		})
+		if cycle > solveOnly {
+			t.Errorf("start %d: Program→Solve allocates %v times, a Solve alone %v", start, cycle, solveOnly)
+		}
+		if xb.zero != zero || xb.jac != jac {
+			t.Errorf("start %d: factor storage replaced across programmings", start)
+		}
+		if start == StartSeeded && (xb.fact != xb.zero || zero == nil) {
+			t.Errorf("J₀ is not built into the crossbar's own storage")
+		}
+		if start == StartCold && jac == nil {
+			t.Errorf("cold start ran no Newton update into owned storage")
+		}
+	}
+}
+
+// A BatchSolver pool shares one J₀; the instance that built it gives
+// up its storage, so reprogramming that instance builds a new factor
+// and never writes the shared one.
+func TestSharedFactorNeverRebuilt(t *testing.T) {
+	r := linalg.NewRNG(54)
+	cfg := smallConfig()
+	cfg.BatchWorkers = 1
+	s, err := NewBatchSolver(cfg, randomLevels(cfg, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := linalg.NewDense(6, cfg.Rows)
+	for i := range vs.Data {
+		vs.Data[i] = cfg.Vsupply * r.Float64()
+	}
+	before, _, err := s.SolveReport(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := s.fact
+	snapshot := func() []float64 {
+		var all []float64
+		all = append(all, shared.gsel...)
+		all = append(all, shared.gcell...)
+		all = append(all, shared.gs...)
+		for _, b := range shared.blocks {
+			all = append(all, b.Data...)
+		}
+		return all
+	}
+	want := snapshot()
+
+	xb, err := s.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xb.fact != shared || xb.zero != nil {
+		t.Fatalf("pooled instance: fact shared %v, owns J₀ storage %v", xb.fact == shared, xb.zero != nil)
+	}
+	if err := xb.Program(randomLevels(cfg, r)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := xb.Solve(vs.Row(0)); err != nil {
+		t.Fatal(err)
+	}
+	if xb.fact == shared {
+		t.Fatal("reprogrammed instance still solves through the shared factor")
+	}
+	for i, v := range snapshot() {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("shared factor value %d changed: %v, was %v", i, v, want[i])
+		}
+	}
+	// With that instance held, the pool builds a new one, which adopts
+	// the shared factor and still gives the same currents.
+	after, _, err := s.SolveReport(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range before.Data {
+		if math.Float64bits(after.Data[i]) != math.Float64bits(before.Data[i]) {
+			t.Fatalf("output %d: %v after the reprogramming, %v before", i, after.Data[i], before.Data[i])
 		}
 	}
 }

@@ -28,6 +28,11 @@ func WriteSPICE(w io.Writer, cfg Config, g *linalg.Dense, v []float64) error {
 	if len(v) != cfg.Rows {
 		return fmt.Errorf("xbar: WriteSPICE with %d drives for %d rows", len(v), cfg.Rows)
 	}
+	// The drives must be ones Solve accepts, checked before any of the
+	// deck is written.
+	if err := checkDrive(cfg, v); err != nil {
+		return err
+	}
 	// The cells are programmed exactly as Crossbar.Program does it.
 	cell := make([]float64, len(g.Data))
 	if err := programCells(cfg, cell, g.Data); err != nil {

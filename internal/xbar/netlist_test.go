@@ -95,6 +95,18 @@ func TestWriteSPICEErrors(t *testing.T) {
 	if err := WriteSPICE(&b, bad, g, make([]float64, cfg.Rows)); err == nil {
 		t.Error("expected config error")
 	}
+	// Drives Solve refuses are refused too, on a 0.25 V design point,
+	// before any of the deck is written.
+	low := cfg
+	low.Vsupply = 0.25
+	for _, d := range []float64{math.NaN(), 7} {
+		v := make([]float64, cfg.Rows)
+		v[1] = d
+		b.Reset()
+		if err := WriteSPICE(&b, low, g, v); err == nil || b.Len() != 0 {
+			t.Errorf("drive %v V: error %v after %d bytes, want a drive error and no deck", d, err, b.Len())
+		}
+	}
 	// Out-of-window cells are refused as Program refuses them, before
 	// any of the deck is written.
 	for _, gv := range []float64{cfg.Gon() * 2, math.NaN(), 0} {

@@ -159,7 +159,7 @@ func canceled(err error) bool {
 // into sol and records the solve in the obs registry. ctx may be nil
 // (no cancellation). On error sol holds no result.
 func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) error {
-	if err := x.checkDrive(v); err != nil {
+	if err := checkDrive(x.cfg, v); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -175,9 +175,9 @@ func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, 
 }
 
 // checkDrive rejects a drive vector of the wrong length or with a
-// voltage outside [0, Vsupply], NaN included.
-func (x *Crossbar) checkDrive(v []float64) error {
-	cfg := x.cfg
+// voltage outside [0, Vsupply], NaN included. Solve and WriteSPICE
+// share it.
+func checkDrive(cfg Config, v []float64) error {
 	if len(v) != cfg.Rows {
 		return fmt.Errorf("xbar: Solve with %d inputs on %d rows", len(v), cfg.Rows)
 	}
@@ -373,7 +373,8 @@ func (x *Crossbar) chordIterate(ctx context.Context, v []float64, f *opFactor, s
 // contents of x.volt — callers choose the starting point — toward the
 // drive vector v. Each update factors the Jacobian at the iterate
 // (J₀'s structure with the devices' differential conductances; see
-// buildFactor) and takes v ← v − J(v)⁻¹·F(v) by back-substitution. It
+// opFactor.build) into the instance's own storage and takes
+// v ← v − J(v)⁻¹·F(v) by back-substitution. It
 // reports convergence; a non-nil error means the attempt aborted on a
 // Jacobian the factorization rejected.
 func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, sol *Solution) (bool, error) {
@@ -426,11 +427,15 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 		}
 
 		update++
-		f, err := buildFactor(x.cfg, x.jsel, x.jcell)
-		if err != nil {
+		if x.jac == nil {
+			x.jac = newOpFactor(x.cfg)
+		}
+		copy(x.jac.gsel, x.jsel)
+		copy(x.jac.gcell, x.jcell)
+		if err := x.jac.build(x.cfg); err != nil {
 			return false, fmt.Errorf("xbar: Newton update %d: %w", update, err)
 		}
-		f.solveInto(x.step, x.res, x.factScr)
+		x.jac.solveInto(x.step, x.res, x.factScr)
 		sol.NewtonIters++
 		copy(x.prev, x.volt)
 		var maxStep float64

@@ -50,6 +50,17 @@ func TestConfigValidate(t *testing.T) {
 		// infinite one.
 		func(c *Config) { c.SelectorGonFactor = 0.5 },
 		func(c *Config) { c.SelectorGonFactor = 1 },
+		// NaN fails every positivity test.
+		func(c *Config) { c.Ron = math.NaN() },
+		func(c *Config) { c.OnOffRatio = math.NaN() },
+		func(c *Config) { c.Rsource = math.NaN() },
+		func(c *Config) { c.Rsink = math.NaN() },
+		func(c *Config) { c.Rwire = math.NaN() },
+		func(c *Config) { c.Vsupply = math.NaN() },
+		func(c *Config) { c.SelectorVsat = math.NaN() },
+		func(c *Config) { c.RRAM.I0 = math.NaN() },
+		func(c *Config) { c.RRAM.D0 = math.NaN() },
+		func(c *Config) { c.RRAM.V0 = math.NaN() },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()
