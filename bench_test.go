@@ -266,7 +266,9 @@ func BenchmarkMVMIdealProbed(b *testing.B) {
 
 // BenchmarkMVMGENIEx measures the surrogate-model pipeline with the
 // shared per-block voltage contexts, refilled in place; the steady
-// state must report 0 allocs/op.
+// state must report 0 allocs/op. "narrow" is MiniConvNet conv1 at
+// serving scale (3×3×3 inputs → 4 channels, one 256-patch batch): its
+// tiles evaluate only the 4 of 16 columns the layer reads.
 func BenchmarkMVMGENIEx(b *testing.B) {
 	cfg := funcsim.DefaultConfig()
 	cfg.Xbar.Rows, cfg.Xbar.Cols = 16, 16
@@ -275,12 +277,13 @@ func BenchmarkMVMGENIEx(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
+		name           string
+		workers        int
+		in, out, batch int
+	}{{"serial", 1, 48, 32, 8}, {"parallel", 0, 48, 32, 8}, {"narrow", 0, 27, 4, 256}} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg.Workers = bc.workers
-			mat, x, dst := mvmBench(b, cfg, funcsim.GENIEx{Model: model}, 48, 32, 8)
+			mat, x, dst := mvmBench(b, cfg, funcsim.GENIEx{Model: model}, bc.in, bc.out, bc.batch)
 			runMVM(b, mat, dst, x)
 		})
 	}

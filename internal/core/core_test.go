@@ -199,7 +199,8 @@ func TestPredictWithContextMatchesNetForward(t *testing.T) {
 // form it replaced: ReLU into a hidden matrix, a zero-skipping ikj
 // product with W2, then the rescale. Hidden units are driven to
 // pre-activations of exactly 0, negative values and NaN, which the
-// gather must drop just as ReLU and the zero skip do.
+// gather must drop just as ReLU and the zero skip do. A dst narrower
+// than Cols must hold the leading columns of the same result.
 func TestPredictVGIntoMatchesTwoPass(t *testing.T) {
 	for _, cols := range []int{5, 16} {
 		for _, hidden := range []int{7, 300} {
@@ -283,6 +284,18 @@ func TestPredictVGIntoMatchesTwoPass(t *testing.T) {
 			for i := range want.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("cols=%d hidden=%d: fR[%d] = %v, two-pass %v", cols, hidden, i, got.Data[i], want.Data[i])
+				}
+			}
+			// A narrow dst holds the leading ratios of the same rows.
+			for _, c := range []int{1, cols - 1} {
+				narrow := linalg.NewDense(v.Rows, c)
+				m.PredictVGInto(narrow, vc, gc)
+				for s := 0; s < v.Rows; s++ {
+					for j, got := range narrow.Row(s) {
+						if w := want.At(s, j); math.Float64bits(got) != math.Float64bits(w) {
+							t.Fatalf("cols=%d hidden=%d width %d: fR[%d][%d] = %v, two-pass %v", cols, hidden, c, s, j, got, w)
+						}
+					}
 				}
 			}
 		}

@@ -273,7 +273,9 @@ func (m *Model) VContextInto(vc *VContext, v *linalg.Dense) {
 
 // PredictVGInto evaluates fR for a cached voltage batch against a
 // cached conductance context, writing the physical (denormalized)
-// ratios into dst (batch×Cols). The output layer is one gather pass
+// ratios into dst: batch×c, the first c ≤ Cols columns, each computed
+// on its own, so a narrow dst holds exactly the leading ratios of the
+// full prediction. The output layer is one gather pass
 // per row: ReLU(base + bias) keeps the hidden units with h > 0 (NaN
 // and h ≤ 0 dropped, as ReLU zeroes them and the W2 product skips
 // them), and linalg.GatherMulAdd accumulates their W2 rows, so the
@@ -284,13 +286,13 @@ func (m *Model) VContextInto(vc *VContext, v *linalg.Dense) {
 func (m *Model) PredictVGInto(dst *linalg.Dense, vc *VContext, gc *GContext) {
 	n := vc.rows
 	cols := m.Cfg.Cols
-	if dst.Rows != n || dst.Cols != cols {
-		panic(fmt.Sprintf("core: predict into %dx%d, want %dx%d", dst.Rows, dst.Cols, n, cols))
+	if dst.Rows != n || dst.Cols > cols {
+		panic(fmt.Sprintf("core: predict into %dx%d, want %dx(≤%d)", dst.Rows, dst.Cols, n, cols))
 	}
 	var off [linalg.GatherChunk]int
 	var val [linalg.GatherChunk]float64
 	w2 := m.L2.Weight.W.Data
-	b2 := m.L2.Bias.W.Data[:cols]
+	b2 := m.L2.Bias.W.Data[:dst.Cols]
 	bias := gc.bias[:m.Hidden]
 	span := m.FRMax - m.FRMin
 	for s := 0; s < n; s++ {

@@ -110,7 +110,7 @@ func (t *calibratedTile) CurrentsInto(dst, v *linalg.Dense) error {
 }
 
 func (t *calibratedTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
-	if err := currentsInto(nil, t.inner, dst, v, vc); err != nil {
+	if err := currentsInto(nil, t.inner, dst, v, vc, len(t.gain)); err != nil {
 		return err
 	}
 	t.apply(dst)
@@ -120,20 +120,22 @@ func (t *calibratedTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) err
 // CurrentsCtxInto implements ctxTile by forwarding the context to the
 // wrapped tile, so a decorated circuit tile stays cancellable.
 func (t *calibratedTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
-	if err := currentsInto(ctx, t.inner, dst, v, nil); err != nil {
+	if err := currentsInto(ctx, t.inner, dst, v, nil, len(t.gain)); err != nil {
 		return err
 	}
 	t.apply(dst)
 	return nil
 }
 
-// apply multiplies the fitted per-column gains in place; gains are
-// read-only after calibration, so this is safe from concurrent tasks.
+// apply multiplies the fitted per-column gains of curr's (leading)
+// columns in place; gains are read-only after calibration, so this is
+// safe from concurrent tasks.
 func (t *calibratedTile) apply(curr *linalg.Dense) {
+	gain := t.gain[:curr.Cols]
 	for b := 0; b < curr.Rows; b++ {
 		row := curr.Row(b)
 		for j := range row {
-			row[j] *= t.gain[j]
+			row[j] *= gain[j]
 		}
 	}
 }

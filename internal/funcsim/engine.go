@@ -301,6 +301,9 @@ func (e *Engine) Lower(w *linalg.Dense) (*Matrix, error) {
 	wmax := float64(int64(1)<<cfg.SliceBits) - 1
 	amax := float64(int64(1)<<cfg.StreamBits) - 1
 
+	if i, j, ok := findNaN(w); ok {
+		return nil, fmt.Errorf("funcsim: weight row %d column %d is NaN", i, j)
+	}
 	e.mu.Lock()
 	model, version := e.model, e.version
 	lm := &Matrix{
@@ -522,14 +525,18 @@ func (m *Matrix) Tiles() (tr, tc, slices int) {
 func (m *Matrix) Crossbars() int { return m.crossbars }
 
 // inputBlock holds the digit-serial form of one tile row's activation
-// block for a whole batch and one sign.
+// block for a whole batch and one sign. Only its live rows reach the
+// tiles: the (b, k) digit rows with a non-zero digit sum, packed to
+// the front of vb in (b, k) order. An all-zero row drives no current
+// the pipeline would add, so no tier evaluates it.
 type inputBlock struct {
-	vb       *linalg.Dense // batch·ka × n stream voltages
+	vb       *linalg.Dense // live × n stream voltages (capacity batch·ka rows)
 	digitSum []int64       // per (b, k): Σ_i digit
-	any      bool          // any non-zero digit at all
-	// vctx is the block's shared surrogate voltage context: &vc when
-	// the run's model chain has a GENIEx surrogate and the block is
-	// live, nil otherwise. vc's buffers are refilled on every MVM.
+	row      []int         // per (b, k): its row in vb, −1 when all-zero
+	// vctx is the block's shared surrogate voltage context over the
+	// live rows: &vc when the run's model chain has a GENIEx surrogate
+	// and the block has a live row, nil otherwise. vc's buffers are
+	// refilled on every MVM.
 	vctx *core.VContext
 	vc   core.VContext
 }
@@ -548,9 +555,11 @@ type runBlock struct {
 // partial so the order tasks complete in cannot affect the result.
 type mvmTask struct {
 	tr, tc int
-	dot    []int64       // batch×tileCols signed shift-and-add partials
-	curr   *linalg.Dense // batch·ka × cols tile-current scratch
-	stats  Stats         // task-local counters, folded after the run
+	cols   int          // live columns: min(Cols, out − tc·Cols)
+	dot    []int64      // batch×cols signed shift-and-add partials
+	curr   []float64    // tile-current scratch, batch·ka × cols
+	view   linalg.Dense // the current pass's live rows × cols of curr
+	stats  Stats        // task-local counters, folded after the run
 
 	// probeArm marks this task as sampled by the fidelity probe; the
 	// first slice evaluation with a live input block offers itself and
@@ -706,13 +715,17 @@ func (r *mvmRun) doTask(idx int) {
 }
 
 // pass runs one differential pass (one sign of inputs against one sign
-// of weights) of a tile task: evaluate every weight slice's crossbar,
-// ADC-convert, and shift-and-add into the task's exact partial. gs
-// holds the slices' retained conductance matrices when the engine
-// retains them (nil otherwise); a probe-armed task offers its first
-// live slice evaluation for shadow-solving.
+// of weights) of a tile task: evaluate every weight slice's crossbar
+// over the block's live rows and the task's live columns, ADC-convert,
+// and shift-and-add into the task's exact partial. Every tier computes
+// each row and column on its own, so the skipped ones change no bit of
+// the result; the hardware counters still count every column of the
+// modelled crossbar. gs holds the slices' retained conductance
+// matrices when the engine retains them (nil otherwise); a probe-armed
+// task offers its first live slice evaluation for shadow-solving.
 func (r *mvmRun) pass(ctx context.Context, t *mvmTask, tiles []Tile, gs []*linalg.Dense, blk *inputBlock, sign int64) error {
-	if tiles == nil || !blk.any {
+	live := blk.vb.Rows
+	if tiles == nil || live == 0 {
 		t.stats.SkippedPasses++
 		return nil
 	}
@@ -720,29 +733,31 @@ func (r *mvmRun) pass(ctx context.Context, t *mvmTask, tiles []Tile, gs []*linal
 	cfg := m.eng.cfg
 	mcols := cfg.Xbar.Cols
 	ka := cfg.streamDigits()
+	curr := &t.view
+	*curr = linalg.Dense{Rows: live, Cols: t.cols, Data: t.curr[:live*t.cols]}
 	for l, tile := range tiles {
-		if err := currentsInto(ctx, tile, t.curr, blk.vb, blk.vctx); err != nil {
+		if err := currentsInto(ctx, tile, curr, blk.vb, blk.vctx, mcols); err != nil {
 			return fmt.Errorf("funcsim: tile (%d,%d) slice %d: %w", t.tr, t.tc, l, err)
 		}
 		if t.probeArm && gs != nil {
-			m.probe.offer(m.id, t.tr, t.tc, l, gs[l], blk, t.curr)
+			m.probe.offer(m.id, t.tr, t.tc, l, gs[l], blk.vb.Row(0), curr.Row(0))
 			t.probeArm = false
 		}
 		for b := 0; b < r.batch; b++ {
+			dot := t.dot[b*t.cols : (b+1)*t.cols]
 			for k := 0; k < ka; k++ {
-				ds := blk.digitSum[b*ka+k]
-				if ds == 0 {
+				row := blk.row[b*ka+k]
+				if row < 0 {
 					continue // all-zero stream: nothing to add
 				}
 				t.stats.CrossbarOps++
 				t.stats.ADCConversions += int64(mcols)
 				t.stats.ShiftAdds += int64(mcols)
-				crow := t.curr.Row(b*ka + k)
 				shift := uint(k*cfg.StreamBits + l*cfg.SliceBits)
-				off := m.kg * float64(ds)
-				for j := 0; j < mcols; j++ {
-					p := int64(math.Round(m.adc.Convert(crow[j])*m.scale - off))
-					t.dot[b*mcols+j] += sign * (p << shift)
+				off := m.kg * float64(blk.digitSum[b*ka+k])
+				for j, c := range curr.Row(row) {
+					p := int64(math.Round(m.adc.Convert(c)*m.scale - off))
+					dot[j] += sign * (p << shift)
 				}
 			}
 		}
@@ -789,6 +804,9 @@ func (m *Matrix) MVMIntoContext(ctx context.Context, dst, x *linalg.Dense) error
 	}
 	if dst.Rows != x.Rows || dst.Cols != m.out {
 		return fmt.Errorf("funcsim: MVM output is %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, m.out)
+	}
+	if i, j, ok := findNaN(x); ok {
+		return fmt.Errorf("funcsim: MVM input row %d column %d is NaN", i, j)
 	}
 	mvmStart := time.Now()
 	region := obs.StartRegion("funcsim.mvm")
@@ -838,16 +856,11 @@ func (m *Matrix) MVMIntoContext(ctx context.Context, dst, x *linalg.Dense) error
 	for i := range r.tasks {
 		t := &r.tasks[i]
 		for b := 0; b < r.batch; b++ {
-			for j := 0; j < mcols; j++ {
-				gj := t.tc*mcols + j
-				if gj >= m.out {
-					continue
-				}
-				part := cfg.Acc.Rescale(t.dot[b*mcols+j], prodFrac)
-				idx := b*m.out + gj
-				r.accOut[idx] = cfg.Acc.Add(r.accOut[idx], part)
-				total.AccOps++
+			acc := r.accOut[b*m.out+t.tc*mcols:][:t.cols]
+			for j, d := range t.dot[b*t.cols : (b+1)*t.cols] {
+				acc[j] = cfg.Acc.Add(acc[j], cfg.Acc.Rescale(d, prodFrac))
 			}
+			total.AccOps += int64(t.cols)
 		}
 		total.Add(t.stats)
 	}
@@ -882,39 +895,39 @@ func (m *Matrix) getRun(x *linalg.Dense) *mvmRun {
 		r = &mvmRun{m: m}
 		r.blocks = make([]runBlock, m.tileRows)
 		r.tasks = make([]mvmTask, m.tileRows*m.tileCols)
+		mcols := m.eng.cfg.Xbar.Cols
 		for i := range r.tasks {
-			r.tasks[i].tr = i / m.tileCols
-			r.tasks[i].tc = i % m.tileCols
+			t := &r.tasks[i]
+			t.tr, t.tc = i/m.tileCols, i%m.tileCols
+			t.cols = min(mcols, m.out-t.tc*mcols)
 		}
 	}
 
 	cfg := m.eng.cfg
 	batch := x.Rows
 	ka := cfg.streamDigits()
-	n, mcols := cfg.Xbar.Rows, cfg.Xbar.Cols
+	n := cfg.Xbar.Rows
 	r.x = x
 	r.batch = batch
 	r.failed = false
 	r.err = nil
-	r.accOut = growInt64(r.accOut, batch*m.out)
-	for i := range r.accOut {
-		r.accOut[i] = 0
-	}
+	r.accOut = grow(r.accOut, batch*m.out)
+	clear(r.accOut)
 	for i := range r.blocks {
 		rb := &r.blocks[i]
 		rb.done = false
 		for s := range rb.blocks {
 			blk := &rb.blocks[s]
 			blk.vb = linalg.GrowDense(blk.vb, batch*ka, n)
-			blk.digitSum = growInt64(blk.digitSum, batch*ka)
-			blk.any = false
+			blk.digitSum = grow(blk.digitSum, batch*ka)
+			blk.row = grow(blk.row, batch*ka)
 			blk.vctx = nil
 		}
 	}
 	for i := range r.tasks {
 		t := &r.tasks[i]
-		t.dot = growInt64(t.dot, batch*mcols)
-		t.curr = linalg.GrowDense(t.curr, batch*ka, mcols)
+		t.dot = grow(t.dot, batch*t.cols)
+		t.curr = grow(t.curr, batch*ka*t.cols)
 	}
 	if w := cfg.Workers; w >= 2 {
 		if cap(r.sem) != w {
@@ -936,22 +949,35 @@ func (m *Matrix) putRun(r *mvmRun) {
 	m.runMu.Unlock()
 }
 
-// growInt64 returns s resized to n elements, reusing its backing array
+// grow returns s resized to n elements, reusing its backing array
 // when capacity allows. Contents are unspecified.
-func growInt64(s []int64, n int) []int64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
+// findNaN reports the row and column of the first NaN in m. ±Inf is
+// not reported: quantization saturates it to full scale.
+func findNaN(m *linalg.Dense) (row, col int, ok bool) {
+	for i, v := range m.Data {
+		if v != v {
+			return i / m.Cols, i % m.Cols, true
+		}
+	}
+	return 0, 0, false
+}
+
 // quantizeBlockInto converts one tile row's activation block into the
 // positive and negative digit-serial input blocks, reusing the run's
-// buffers. When the model chain has a GENIEx surrogate, the per-block
-// voltage context is built here, once, and shared read-only by every
-// (slice, sign, tileCol) evaluation of the row. sur is the surrogate
-// of the run's pinned tileSet, so contexts and tiles always belong to
-// the same model version even while a SwapModel is in flight.
+// buffers, and packs each block's live rows to the front of its vb.
+// When the model chain has a GENIEx surrogate, the per-block voltage
+// context of the live rows is built here, once, and shared read-only
+// by every (slice, sign, tileCol) evaluation of the row. sur is the
+// surrogate of the run's pinned tileSet, so contexts and tiles always
+// belong to the same model version even while a SwapModel is in
+// flight.
 func (m *Matrix) quantizeBlockInto(rb *runBlock, x *linalg.Dense, tr int, sur *core.Model) {
 	cfg := m.eng.cfg
 	n := cfg.Xbar.Rows
@@ -961,11 +987,8 @@ func (m *Matrix) quantizeBlockInto(rb *runBlock, x *linalg.Dense, tr int, sur *c
 
 	for s := range rb.blocks {
 		blk := &rb.blocks[s]
-		linalg.Fill(blk.vb.Data, 0)
-		for i := range blk.digitSum {
-			blk.digitSum[i] = 0
-		}
-		blk.any = false
+		clear(blk.vb.Data)
+		clear(blk.digitSum)
 		blk.vctx = nil
 	}
 	for b := 0; b < batch; b++ {
@@ -985,7 +1008,6 @@ func (m *Matrix) quantizeBlockInto(rb *runBlock, x *linalg.Dense, tr int, sur *c
 				mag = uint64(-q)
 			}
 			blk := &rb.blocks[s]
-			blk.any = true
 			for k := 0; k < ka; k++ {
 				d := quant.Digit(mag, cfg.StreamBits, k)
 				if d == 0 {
@@ -996,12 +1018,24 @@ func (m *Matrix) quantizeBlockInto(rb *runBlock, x *linalg.Dense, tr int, sur *c
 			}
 		}
 	}
-	if sur != nil {
-		for s := range rb.blocks {
-			if blk := &rb.blocks[s]; blk.any {
-				sur.VContextInto(&blk.vc, blk.vb)
-				blk.vctx = &blk.vc
+	for s := range rb.blocks {
+		blk := &rb.blocks[s]
+		live := 0
+		for i, ds := range blk.digitSum {
+			if ds == 0 {
+				blk.row[i] = -1
+				continue
 			}
+			if live != i {
+				copy(blk.vb.Row(live), blk.vb.Row(i))
+			}
+			blk.row[i] = live
+			live++
+		}
+		blk.vb.Rows, blk.vb.Data = live, blk.vb.Data[:live*n]
+		if sur != nil && live > 0 {
+			sur.VContextInto(&blk.vc, blk.vb)
+			blk.vctx = &blk.vc
 		}
 	}
 }

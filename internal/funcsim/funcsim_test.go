@@ -2,6 +2,7 @@ package funcsim
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,6 +123,61 @@ func TestMVMShapeError(t *testing.T) {
 	}
 	if _, err := lm.MVM(linalg.NewDense(2, 9)); err == nil {
 		t.Error("expected shape error")
+	}
+}
+
+// A NaN weight must fail Lower with its position: quantizing NaN gives
+// the most negative code, which would silently program negative full
+// scale. ±Inf is a value, not a defect: it saturates.
+func TestLowerRejectsNaNWeight(t *testing.T) {
+	eng, err := NewEngine(exactConfig(8, 8), Ideal{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := testWorkload(90, 12, 10, 1)
+	w.Set(9, 3, math.NaN())
+	if _, err := eng.Lower(w); err == nil || !strings.Contains(err.Error(), "row 9 column 3 is NaN") {
+		t.Fatalf("Lower of a NaN weight: err = %v, want one naming row 9 column 3", err)
+	}
+	w.Set(9, 3, math.Inf(-1))
+	if _, err := eng.Lower(w); err != nil {
+		t.Fatalf("Lower of a -Inf weight: %v, want it to saturate", err)
+	}
+}
+
+// A NaN activation must fail the MVM with its position instead of
+// running as the most negative input; ±Inf saturates to full scale,
+// the same as the largest representable input.
+func TestMVMRejectsNaNInput(t *testing.T) {
+	cfg := exactConfig(8, 8)
+	eng, err := NewEngine(cfg, Ideal{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, x := testWorkload(91, 12, 10, 3)
+	mat, err := eng.Lower(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.Set(1, 5, math.NaN())
+	dst := linalg.NewDense(x.Rows, mat.Out())
+	if err := mat.MVMInto(dst, x); err == nil || !strings.Contains(err.Error(), "row 1 column 5 is NaN") {
+		t.Fatalf("MVM of a NaN input: err = %v, want one naming row 1 column 5", err)
+	}
+	x.Set(1, 5, math.Inf(1))
+	inf, err := mat.MVM(x)
+	if err != nil {
+		t.Fatalf("MVM of a +Inf input: %v, want it to saturate", err)
+	}
+	x.Set(1, 5, cfg.Act.Dequantize(cfg.Act.MaxInt()))
+	top, err := mat.MVM(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range top.Data {
+		if inf.Data[i] != top.Data[i] {
+			t.Fatalf("+Inf input: output[%d] = %v, full-scale input gives %v", i, inf.Data[i], top.Data[i])
+		}
 	}
 }
 

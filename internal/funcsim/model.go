@@ -42,6 +42,13 @@ type Model interface {
 // Tile computes analog output currents for batches of drive voltages.
 // The MVM pipeline invokes tiles from multiple worker goroutines, so
 // implementations must be safe for concurrent Currents calls.
+//
+// The pipeline's fast paths (CurrentsInto, CurrentsCtxInto and the
+// surrogate path) write into a dst of c ≤ Cols columns: a tile then
+// computes only the first c columns, which must equal the leading
+// columns of its full-width result. The engine passes the columns its
+// layer reads, so the last tile column of a layer whose output width
+// is not a multiple of Cols skips the padding.
 type Tile interface {
 	// Currents maps a batch of voltage vectors (batch×Rows, volts) to
 	// output currents (batch×Cols, amperes).
@@ -90,11 +97,12 @@ func surrogateOf(m Model) *core.Model {
 	return nil
 }
 
-// currentsInto evaluates tile into dst through the fastest interface
-// it implements: the shared-VContext surrogate path, the cancellable
-// path (when ctx is non-nil), the caller-owned-buffer path, or plain
-// Currents plus a copy.
-func currentsInto(ctx context.Context, tile Tile, dst, v *linalg.Dense, vc *core.VContext) error {
+// currentsInto evaluates the first dst.Cols of a tile's cols columns
+// into dst through the fastest interface it implements: the
+// shared-VContext surrogate path, the cancellable path (when ctx is
+// non-nil), the caller-owned-buffer path, or plain Currents (which
+// must return every column) plus a copy of the leading ones.
+func currentsInto(ctx context.Context, tile Tile, dst, v *linalg.Dense, vc *core.VContext, cols int) error {
 	if vc != nil {
 		if st, ok := tile.(surrogateTile); ok {
 			return st.currentsVC(dst, v, vc)
@@ -112,11 +120,13 @@ func currentsInto(ctx context.Context, tile Tile, dst, v *linalg.Dense, vc *core
 	if err != nil {
 		return err
 	}
-	if out.Rows != dst.Rows || out.Cols != dst.Cols {
+	if out.Rows != dst.Rows || out.Cols != cols {
 		return fmt.Errorf("funcsim: tile returned %dx%d currents, expected %dx%d",
-			out.Rows, out.Cols, dst.Rows, dst.Cols)
+			out.Rows, out.Cols, dst.Rows, cols)
 	}
-	copy(dst.Data, out.Data)
+	for b := 0; b < dst.Rows; b++ {
+		copy(dst.Row(b), out.Row(b))
+	}
 	return nil
 }
 
@@ -205,7 +215,7 @@ type geniexTile struct {
 	free []*linalg.Dense
 }
 
-func (t *geniexTile) getFR(rows int) *linalg.Dense {
+func (t *geniexTile) getFR(rows, cols int) *linalg.Dense {
 	t.mu.Lock()
 	var fr *linalg.Dense
 	if n := len(t.free); n > 0 {
@@ -213,7 +223,7 @@ func (t *geniexTile) getFR(rows int) *linalg.Dense {
 		t.free = t.free[:n-1]
 	}
 	t.mu.Unlock()
-	return linalg.GrowDense(fr, rows, t.g.Cols)
+	return linalg.GrowDense(fr, rows, cols)
 }
 
 func (t *geniexTile) putFR(fr *linalg.Dense) {
@@ -239,7 +249,7 @@ func (t *geniexTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
 		vc = t.m.NewVContext(v)
 	}
 	linalg.MatMulSerialInto(dst, v, t.g) // ideal currents
-	fr := t.getFR(v.Rows)
+	fr := t.getFR(v.Rows, dst.Cols)
 	t.m.PredictVGInto(fr, vc, t.ctx)
 	for b := 0; b < dst.Rows; b++ {
 		drow, frow := dst.Row(b), fr.Row(b)

@@ -59,6 +59,7 @@ func (n *Noisy) NewTile(g *linalg.Dense) (Tile, error) {
 	n.mu.Unlock()
 	return &noisyTile{
 		inner: inner,
+		cols:  g.Cols,
 		std:   n.Sigma * n.FullScale,
 		rng:   linalg.NewRNG(n.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15),
 	}, nil
@@ -66,6 +67,7 @@ func (n *Noisy) NewTile(g *linalg.Dense) (Tile, error) {
 
 type noisyTile struct {
 	inner Tile
+	cols  int // the tile's columns; every one draws, live or not
 	std   float64
 
 	// The RNG stream advances with every draw; parallel tile tasks may
@@ -94,7 +96,7 @@ func (t *noisyTile) CurrentsInto(dst, v *linalg.Dense) error {
 }
 
 func (t *noisyTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
-	if err := currentsInto(nil, t.inner, dst, v, vc); err != nil {
+	if err := currentsInto(nil, t.inner, dst, v, vc, t.cols); err != nil {
 		return err
 	}
 	t.perturb(dst)
@@ -104,23 +106,33 @@ func (t *noisyTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
 // CurrentsCtxInto implements ctxTile by forwarding the context to the
 // wrapped tile, so a decorated circuit tile stays cancellable.
 func (t *noisyTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
-	if err := currentsInto(ctx, t.inner, dst, v, nil); err != nil {
+	if err := currentsInto(ctx, t.inner, dst, v, nil, t.cols); err != nil {
 		return err
 	}
 	t.perturb(dst)
 	return nil
 }
 
+// perturb adds noise to curr's (leading) columns. Each row draws one
+// sample per tile column and adds only the ones curr holds, so a
+// narrow curr leaves the stream where a full-width one would.
 func (t *noisyTile) perturb(curr *linalg.Dense) {
 	if t.std == 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range curr.Data {
-		curr.Data[i] += t.rng.NormScaled(0, t.std)
-		if curr.Data[i] < 0 {
-			curr.Data[i] = 0 // a sense amplifier cannot report negative current
+	for b := 0; b < curr.Rows; b++ {
+		row := curr.Row(b)
+		for j := 0; j < t.cols; j++ {
+			e := t.rng.NormScaled(0, t.std)
+			if j >= len(row) {
+				continue
+			}
+			row[j] += e
+			if row[j] < 0 {
+				row[j] = 0 // a sense amplifier cannot report negative current
+			}
 		}
 	}
 }

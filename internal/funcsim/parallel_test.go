@@ -251,7 +251,9 @@ func TestGENIExSharedVContextMatchesDirect(t *testing.T) {
 // once the matrix's run pool is warm — in serial mode and through the
 // worker pool, with the always-on obs instrumentation (its cost
 // contract: no metric op allocates). GENIEx input blocks refill their
-// voltage contexts in place and its tiles pool their fR buffers.
+// voltage contexts in place and its tiles pool their fR buffers. The
+// narrow shape reads 3 of 8 tile columns and its input has all-zero
+// digit rows, so its passes run on views of fewer rows and columns.
 func TestIdealMVMIntoSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates")
@@ -260,34 +262,45 @@ func TestIdealMVMIntoSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	full, fullX := testWorkload(68, 20, 12, 4)
+	narrow, _ := testWorkload(69, 10, 3, 1)
+	shapes := []struct{ w, x *linalg.Dense }{{full, fullX}, {narrow, liveInput(70, 4, 10)}}
 	for _, model := range []Model{Ideal{}, GENIEx{Model: sur}} {
 		for _, workers := range []int{1, 0} {
-			cfg := exactConfig(8, 8)
-			cfg.Workers = workers
-			eng, err := NewEngine(cfg, model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, x := testWorkload(68, 20, 12, 4)
-			mat, err := eng.Lower(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := linalg.NewDense(x.Rows, mat.Out())
-			for i := 0; i < 5; i++ { // warm the run pool and the worker pool
-				if err := mat.MVMInto(dst, x); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := mat.MVMInto(dst, x); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s workers=%d: steady-state MVMInto allocates %.1f objects per call, want 0",
-					model.Name(), workers, allocs)
+			for _, sh := range shapes {
+				checkMVMAllocs(t, model, workers, sh.w, sh.x)
 			}
 		}
+	}
+}
+
+// checkMVMAllocs fails the test if a warm steady-state MVMInto of x
+// through w allocates.
+func checkMVMAllocs(t *testing.T, model Model, workers int, w, x *linalg.Dense) {
+	t.Helper()
+	cfg := exactConfig(8, 8)
+	cfg.Workers = workers
+	eng, err := NewEngine(cfg, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := eng.Lower(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := linalg.NewDense(x.Rows, mat.Out())
+	for i := 0; i < 5; i++ { // warm the run pool and the worker pool
+		if err := mat.MVMInto(dst, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := mat.MVMInto(dst, x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%s workers=%d %dx%d: steady-state MVMInto allocates %.1f objects per call, want 0",
+			model.Name(), workers, w.Rows, w.Cols, allocs)
 	}
 }

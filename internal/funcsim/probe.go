@@ -36,11 +36,12 @@ const probeDutyFactor = 32
 
 // Probe is the online fidelity monitor of the functional simulator: at
 // a configured 1-in-N rate it samples a live tile MVM — the tile's
-// programmed conductances, one drive-voltage row, and the analog
-// model's output currents — and shadow-solves the same inputs through
-// the xbar circuit solver on a background goroutine. Each solve
-// publishes the relative RMSE of the model's currents against the
-// circuit solver's (the online analogue of the paper's Fig. 5
+// programmed conductances, its first live drive-voltage row, and the
+// analog model's output currents for that row over the columns the
+// layer reads — and shadow-solves the same inputs through the xbar
+// circuit solver on a background goroutine. Each solve publishes the
+// relative RMSE of the model's currents against the circuit solver's
+// over those columns (the online analogue of the paper's Fig. 5
 // divergence metric) into the funcsim.probe.rrmse histogram and counts
 // itself in funcsim.probe.solved. Stats holds the rest: the outcome
 // counters, a smoothed divergence level (EWMA), the baseline recorded
@@ -207,21 +208,12 @@ func (p *Probe) tick() bool {
 }
 
 // offer captures one sampled tile evaluation and enqueues it for
-// shadow-solving. blk is the quantized input block the tile just
-// consumed (offer picks its first active stream row); curr holds the
-// model's output currents for the same rows. It never blocks: with no
+// shadow-solving. v is the first live drive row of the input block the
+// tile just consumed, and curr the model's currents for that row over
+// the columns the layer reads (the leading columns of the tile), so
+// the shadow rRMSE compares exactly those. It never blocks: with no
 // free job or no queue slot the sample is dropped and counted.
-func (p *Probe) offer(mat, tr, tc, slice int, g *linalg.Dense, blk *inputBlock, curr *linalg.Dense) {
-	row := -1
-	for i, ds := range blk.digitSum {
-		if ds != 0 {
-			row = i
-			break
-		}
-	}
-	if row < 0 {
-		return // all-zero block: nothing the circuit could disagree on
-	}
+func (p *Probe) offer(mat, tr, tc, slice int, g *linalg.Dense, v, curr []float64) {
 	p.sampled.Inc()
 
 	// Duty-cycle bound: refuse the sample while inside the cool-down
@@ -246,10 +238,10 @@ func (p *Probe) offer(mat, tr, tc, slice int, g *linalg.Dense, blk *inputBlock, 
 
 	j.mat, j.tr, j.tc, j.slice = mat, tr, tc, slice
 	j.g = g
-	j.v = growFloats(j.v, g.Rows)
-	copy(j.v, blk.vb.Row(row))
-	j.model = growFloats(j.model, g.Cols)
-	copy(j.model, curr.Row(row))
+	j.v = grow(j.v, len(v))
+	copy(j.v, v)
+	j.model = grow(j.model, len(curr))
+	copy(j.model, curr)
 
 	select {
 	case p.jobs <- j:
@@ -493,8 +485,9 @@ func (s ProbeStats) String() string {
 }
 
 // relRMSE is the probe's divergence metric: the RMSE between the
-// model's and the circuit's column currents, normalized by the RMS of
-// the circuit currents (floored at a fraction of the design point's
+// model's column currents and the circuit's leading ones (model may
+// cover fewer columns than circuit), normalized by the RMS of those
+// circuit currents (floored at a fraction of the design point's
 // full-scale current so dark tiles cannot blow the ratio up).
 func relRMSE(model, circuit []float64, cfg xbar.Config) float64 {
 	if len(model) == 0 {
@@ -513,13 +506,4 @@ func relRMSE(model, circuit []float64, cfg xbar.Config) float64 {
 		rms = floor
 	}
 	return math.Sqrt(num/n) / rms
-}
-
-// growFloats returns s resized to n elements, reusing its backing
-// array when capacity allows. Contents are unspecified.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }

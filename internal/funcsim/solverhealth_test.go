@@ -169,14 +169,14 @@ func TestCircuitTileReportsDoNotAllocatePerItem(t *testing.T) {
 			v.Data[i] = cfg.Vsupply * r.Float64()
 		}
 		dst := linalg.NewDense(items, cfg.Cols)
-		if err := currentsInto(nil, tile, dst, v, nil); err != nil { // warm the report
+		if err := currentsInto(nil, tile, dst, v, nil, cfg.Cols); err != nil { // warm the report
 			t.Fatal(err)
 		}
 		const calls = 4
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < calls; i++ {
-			if err := currentsInto(nil, tile, dst, v, nil); err != nil {
+			if err := currentsInto(nil, tile, dst, v, nil, cfg.Cols); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -112,12 +112,16 @@ func MatMulInto(out, a, b *Dense) {
 	ParallelFor(a.Rows, func(lo, hi int) { matMulRange(out, a, b, lo, hi) })
 }
 
-// MatMulSerialInto computes out = A·B into a preallocated matrix on
-// the calling goroutine only — no fan-out regardless of size. Callers
-// that are themselves worker tasks (the funcsim tile pipeline) use it
-// to keep nested parallelism and per-call allocations at zero.
+// MatMulSerialInto computes the first out.Cols columns of A·B into a
+// preallocated matrix on the calling goroutine only — no fan-out
+// regardless of size. out must be a.Rows×c with c ≤ b.Cols; each
+// output column is computed on its own, so a narrow out holds exactly
+// the leading columns of the full product. Callers that are themselves
+// worker tasks (the funcsim tile pipeline) use it to keep nested
+// parallelism and per-call allocations at zero, and to skip the
+// columns they would discard.
 func MatMulSerialInto(out, a, b *Dense) {
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols > b.Cols {
 		panic(fmt.Sprintf("linalg: MatMulSerialInto %dx%d = %dx%d by %dx%d",
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -204,12 +208,14 @@ func MatMulRows(out, a, b *Dense, lo, hi int) {
 	matMulRange(out, a, b, lo, hi)
 }
 
+// matMulRange computes rows [lo, hi) of the first out.Cols columns of
+// A·B; B's rows keep their stride b.Cols.
 func matMulRange(out, a, b *Dense, lo, hi int) {
-	n := b.Cols
+	n, w := b.Cols, out.Cols
 	var off [GatherChunk]int
 	var val [GatherChunk]float64
 	for i := lo; i < hi; i++ {
-		orow := out.Data[i*n : (i+1)*n]
+		orow := out.Data[i*w : (i+1)*w]
 		for t := range orow {
 			orow[t] = 0
 		}

@@ -266,11 +266,21 @@ func sameBits(t *testing.T, name string, got, want *Dense) {
 	}
 }
 
+// leadingCols copies the first c columns of m.
+func leadingCols(m *Dense, c int) *Dense {
+	out := NewDense(m.Rows, c)
+	for i := 0; i < m.Rows; i++ {
+		copy(out.Row(i), m.Row(i)[:c])
+	}
+	return out
+}
+
 // The register-blocked gather kernel keeps every output's products and
 // their order, so each product equals its unblocked loop bit for bit:
 // output widths 1–19 cover the 8/4/1 tails, an inner dimension of 300
 // crosses a gather chunk, and the last case is large enough for
-// MatMul to fan out across workers.
+// MatMul to fan out across workers. MatMulSerialInto into a narrower
+// out must give the leading columns of the same product.
 func TestMatMulBitIdenticalToReference(t *testing.T) {
 	r := NewRNG(23)
 	type shape struct{ m, k, n int }
@@ -290,6 +300,15 @@ func TestMatMulBitIdenticalToReference(t *testing.T) {
 		serial := NewDense(sh.m, sh.n)
 		MatMulSerialInto(serial, a, b)
 		sameBits(t, name("MatMulSerialInto"), serial, want)
+		// A narrow out holds the leading columns of the full product.
+		for _, c := range []int{1, sh.n / 2, sh.n - 1} {
+			if c < 1 || c >= sh.n {
+				continue
+			}
+			narrow := NewDense(sh.m, c)
+			MatMulSerialInto(narrow, a, b)
+			sameBits(t, name(fmt.Sprintf("MatMulSerialInto[:%d]", c)), narrow, leadingCols(want, c))
+		}
 
 		// Aᵀ·B: A is k×m here so the inner dimension is k.
 		at := specialDense(r, sh.k, sh.m)

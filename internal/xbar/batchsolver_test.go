@@ -108,6 +108,49 @@ func TestBatchSolverSerialWorkersMatch(t *testing.T) {
 	}
 }
 
+// An output narrower than Cols receives the leading currents of a
+// full-width solve, bit for bit, on both paths: the block chord (a
+// serial batch of nine runs lockstep blocks) and the one-item ladder
+// (item 2's fault plan sends it there). A wider output is refused.
+func TestBatchSolverNarrowOutput(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BatchWorkers = 1
+	r := linalg.NewRNG(52)
+	g := randomLevels(cfg, r)
+	vs := randomBatch(cfg, r, 9)
+	s, err := NewBatchSolver(cfg.WithFaults(&FaultPlan{FailAttempts: 1, Items: []int{2}}), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, fullRep, err := s.SolveReport(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fullRep.AllOK() || fullRep.Recovered != 1 {
+		t.Fatalf("full-width batch: %v, want all converged with item 2 recovered", fullRep)
+	}
+	for _, c := range []int{1, cfg.Cols - 3} {
+		out := linalg.NewDense(vs.Rows, c)
+		rep, err := s.SolveReportInto(out, vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Solved != fullRep.Solved || rep.Recovered != fullRep.Recovered || rep.NewtonIters != fullRep.NewtonIters {
+			t.Errorf("width %d: %v, full width %v", c, rep, fullRep)
+		}
+		for b := 0; b < vs.Rows; b++ {
+			for j, got := range out.Row(b) {
+				if want := full.At(b, j); got != want {
+					t.Fatalf("width %d: item %d current %d = %v, full width %v", c, b, j, got, want)
+				}
+			}
+		}
+	}
+	if _, err := s.SolveReportInto(linalg.NewDense(vs.Rows, cfg.Cols+1), vs); err == nil {
+		t.Error("an output wider than the array was accepted")
+	}
+}
+
 // Best-effort items accepted without convergence must not pass
 // silently: the report's strict gate and the BatchSolve convenience
 // wrapper both surface them as ErrNewtonDiverged.

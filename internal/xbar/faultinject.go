@@ -36,7 +36,10 @@ type FaultPlan struct {
 	MaxNewton int `json:"max_newton,omitempty"`
 	// Items restricts the plan to these batch item indices during
 	// BatchSolve; nil applies it to every item (and to direct Solve
-	// calls).
+	// calls). Through funcsim, a circuit tile's batch holds only the
+	// live rows of its input block (the digit rows with a non-zero
+	// digit), packed in (batch row, stream digit) order, so index 0 is
+	// the first live row of each tile call, not the first batch row.
 	Items []int `json:"items,omitempty"`
 }
 
