@@ -21,6 +21,11 @@ go test -run '^$' -bench 'BenchmarkMVMCircuit/(cold|seeded)$' -benchtime 1x .
 # -short skips the circuit-in-the-loop pipeline tests that are too slow
 # under race instrumentation.
 go test -race -short ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve ./internal/calib ./internal/sweep ./internal/nn
+# The fan-out pool's contract (every index once, the width bound,
+# nesting inside busy workers, panics reaching the caller), twenty
+# passes under race so that recruitment, nesting and completion
+# interleave differently on each (a few seconds).
+go test -race -count 20 -run 'Pool|ParallelEach|ParallelFor' ./internal/linalg
 # core's training step fans its products and Adam out; its tests run
 # under race on their own, since the whole core suite is slow there.
 go test -race -short -run 'TestTrainMatchesSequentialReference|TestTunerStepMatchesSequentialReference|TestTrainStepAllocatesNothing|TestModelTrainingReducesError' ./internal/core

@@ -103,9 +103,10 @@ func run() error {
 	// any setting: pooled circuit batches are bit-identical at any
 	// BatchWorkers count, including nested under the tile fan-out
 	// (TestMVMCircuitBatchWorkersBitIdentical). The auto default still
-	// picks 1 when tile tasks already fan out across the cores —
-	// nesting a second fan-out there adds scheduling overhead without
-	// adding parallelism. -batch-workers overrides the heuristic for
+	// picks 1 when tile tasks already fan out across the cores: a
+	// nested solve recruits only idle workers, so it adds no
+	// parallelism there, but it splits each batch into smaller blocks
+	// to spread it. -batch-workers overrides the heuristic for
 	// flat workloads (one huge tile) where intra-batch concurrency is
 	// the only parallelism available.
 	batchWorkers := *batchWork

@@ -27,7 +27,7 @@ func WithADCBits(n int) Option { return func(c *Config) { c.ADCBits = n } }
 func WithAcc(acc quant.Acc) Option { return func(c *Config) { c.Acc = acc } }
 
 // WithWorkers bounds how many tile tasks of one MVM run concurrently
-// (0 = shared pool at full width, 1 = serial; see Config.Workers).
+// (0 = GOMAXPROCS, 1 = serial on the caller; see Config.Workers).
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithProbeRate enables the online fidelity probe at a 1-in-n tile

@@ -34,12 +34,15 @@ type Config struct {
 	// Acc is the saturating output accumulator.
 	Acc quant.Acc
 	// Workers bounds how many (tileRow, tileCol) tile tasks of one MVM
-	// execute concurrently. 0 (the default) uses the shared worker pool
-	// at full width (GOMAXPROCS); 1 runs the whole MVM serially on the
-	// calling goroutine with no goroutines at all; n ≥ 2 keeps at most
-	// n tasks in flight. The merge into the saturating accumulator is
-	// always serial and in fixed tile order, so MVM results are
-	// bit-identical at every setting.
+	// execute concurrently on the process's fan-out pool
+	// (linalg.ParallelEach): 0 (the default) means GOMAXPROCS; 1 runs
+	// the whole MVM in order on the calling goroutine; n ≥ 2 runs at
+	// most n tasks at once, and never more than GOMAXPROCS. The caller
+	// runs tasks itself and recruits only idle workers, so an MVM
+	// inside another fan-out (a sweep cell) adds no goroutines beyond
+	// the pool's. The merge into the saturating accumulator is always
+	// serial and in fixed tile order, so MVM results are bit-identical
+	// at every setting.
 	Workers int
 	// ProbeRate enables the online fidelity probe: every ProbeRate-th
 	// tile task samples its inputs and shadow-solves them through the
@@ -578,45 +581,14 @@ type mvmRun struct {
 	accOut []int64
 	blocks []runBlock
 	tasks  []mvmTask
-	sem    chan struct{} // in-flight bound when Config.Workers ≥ 2
+	// task is execTask bound to the run once, the body every MVM's
+	// fan-out runs, so handing it to linalg.ParallelEach allocates
+	// nothing.
+	task func(idx int)
 
-	wg     sync.WaitGroup
 	failMu sync.Mutex
 	failed bool
 	err    error
-}
-
-// mvmPool is the package-wide persistent worker pool. Spawning
-// goroutines per MVM call would allocate closures and stacks on every
-// invocation; a fixed pool keeps the steady state allocation-free and
-// bounds total compute concurrency at GOMAXPROCS regardless of how
-// many matrices execute at once.
-var (
-	mvmPoolOnce sync.Once
-	mvmPoolCh   chan mvmTaskRef
-)
-
-type mvmTaskRef struct {
-	run *mvmRun
-	idx int
-}
-
-func mvmPool() chan<- mvmTaskRef {
-	mvmPoolOnce.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		if n < 1 {
-			n = 1
-		}
-		mvmPoolCh = make(chan mvmTaskRef, 8*n)
-		for i := 0; i < n; i++ {
-			go func() {
-				for ref := range mvmPoolCh {
-					ref.run.execTask(ref.idx)
-				}
-			}()
-		}
-	})
-	return mvmPoolCh
 }
 
 func (r *mvmRun) setErr(err error) {
@@ -635,19 +607,15 @@ func (r *mvmRun) hasFailed() bool {
 	return f
 }
 
-// execTask is the pool-side wrapper: it releases the in-flight slot,
-// converts panics into run errors (a dead pool worker would hang every
-// later MVM), and signals completion.
+// execTask runs one tile task and turns a panic into the MVM's error,
+// on every path, serial or pooled: a panicking tile fails its MVM, and
+// a caller such as the serving ladder can fall over to another tier.
 func (r *mvmRun) execTask(idx int) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.setErr(fmt.Errorf("funcsim: MVM tile task (%d,%d) panicked: %v",
 				r.tasks[idx].tr, r.tasks[idx].tc, p))
 		}
-		if r.sem != nil {
-			<-r.sem
-		}
-		r.wg.Done()
 	}()
 	r.doTask(idx)
 }
@@ -785,8 +753,8 @@ func (m *Matrix) MVMContext(ctx context.Context, x *linalg.Dense) (*linalg.Dense
 	return out, nil
 }
 
-// MVMInto executes y = x·W into dst (batch×out). Tile passes fan out
-// across the shared worker pool (see Config.Workers); the saturating
+// MVMInto executes y = x·W into dst (batch×out). Tile tasks fan out
+// across the process's fan-out pool (see Config.Workers); the saturating
 // accumulator merge is serial in fixed (tileRow, tileCol) order, so
 // the result is bit-identical to a fully serial execution at any
 // worker count. Steady-state calls allocate nothing: all scratch comes
@@ -828,21 +796,7 @@ func (m *Matrix) MVMIntoContext(ctx context.Context, dst, x *linalg.Dense) error
 		m.putRun(r)
 	}()
 
-	if cfg.Workers == 1 || len(r.tasks) == 1 {
-		for i := range r.tasks {
-			r.doTask(i)
-		}
-	} else {
-		pool := mvmPool()
-		r.wg.Add(len(r.tasks))
-		for i := range r.tasks {
-			if r.sem != nil {
-				r.sem <- struct{}{}
-			}
-			pool <- mvmTaskRef{run: r, idx: i}
-		}
-		r.wg.Wait()
-	}
+	linalg.ParallelEach(len(r.tasks), cfg.Workers, r.task)
 	if r.err != nil {
 		return r.err
 	}
@@ -893,6 +847,7 @@ func (m *Matrix) getRun(x *linalg.Dense) *mvmRun {
 	} else {
 		mFreelistMisses.Inc()
 		r = &mvmRun{m: m}
+		r.task = r.execTask
 		r.blocks = make([]runBlock, m.tileRows)
 		r.tasks = make([]mvmTask, m.tileRows*m.tileCols)
 		mcols := m.eng.cfg.Xbar.Cols
@@ -928,13 +883,6 @@ func (m *Matrix) getRun(x *linalg.Dense) *mvmRun {
 		t := &r.tasks[i]
 		t.dot = grow(t.dot, batch*t.cols)
 		t.curr = grow(t.curr, batch*ka*t.cols)
-	}
-	if w := cfg.Workers; w >= 2 {
-		if cap(r.sem) != w {
-			r.sem = make(chan struct{}, w)
-		}
-	} else {
-		r.sem = nil
 	}
 	return r
 }

@@ -331,8 +331,10 @@ func (c SolverHealthCounts) String() string {
 // exists for validation on small workloads.
 //
 // When the functional simulator parallelizes across tiles (the default
-// MVM pipeline), set Cfg.BatchWorkers = 1 so each tile solve stays on
-// its worker instead of fanning out a second time.
+// MVM pipeline), set Cfg.BatchWorkers = 1 so each tile solve runs its
+// blocks whole on its tile task: a nested solve at a wider setting
+// only recruits workers that sit idle, but splits its batch into
+// smaller blocks to spread it over them.
 type Circuit struct {
 	Cfg xbar.Config
 	// Degraded selects failed-batch-item handling: false (the default)

@@ -1,8 +1,11 @@
 package funcsim
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"geniex/internal/core"
@@ -302,5 +305,66 @@ func checkMVMAllocs(t *testing.T, model Model, workers int, w, x *linalg.Dense) 
 	if allocs != 0 {
 		t.Errorf("%s workers=%d %dx%d: steady-state MVMInto allocates %.1f objects per call, want 0",
 			model.Name(), workers, w.Rows, w.Cols, allocs)
+	}
+}
+
+// faultyModel is Ideal with tiles that panic on the first Currents call
+// after armed is set, whichever tile makes it.
+type faultyModel struct{ armed *atomic.Bool }
+
+func (faultyModel) Name() string { return "faulty" }
+
+func (m faultyModel) NewTile(g *linalg.Dense) (Tile, error) {
+	inner, err := Ideal{}.NewTile(g)
+	return faultyTile{inner, m.armed}, err
+}
+
+type faultyTile struct {
+	inner Tile
+	armed *atomic.Bool
+}
+
+func (t faultyTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
+	if t.armed.CompareAndSwap(true, false) {
+		panic("tile fault")
+	}
+	return t.inner.Currents(v)
+}
+
+// A panicking tile fails its MVM with an error at every Workers
+// setting, on a one-task matrix (run on the caller) as on a multi-task
+// one, and the matrix serves the next MVM.
+func TestTilePanicIsMVMError(t *testing.T) {
+	for _, workers := range []int{0, 1, 2} {
+		for _, size := range []int{8, 40} { // 1 and 5×5 tile tasks
+			cfg := exactConfig(8, 8)
+			cfg.Workers = workers
+			var armed atomic.Bool
+			eng, err := NewEngine(cfg, faultyModel{&armed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, x := testWorkload(65, size, size, 2)
+			mat, err := eng.Lower(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			armed.Store(true)
+			err = func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic escaped Matrix.MVM: %v", p)
+					}
+				}()
+				_, err = mat.MVM(x)
+				return err
+			}()
+			if err == nil || !strings.Contains(err.Error(), "panicked: tile fault") {
+				t.Errorf("workers=%d, %d×%d: MVM error %v, want the tile panic", workers, size, size, err)
+			}
+			if _, err := mat.MVM(x); err != nil {
+				t.Errorf("workers=%d, %d×%d: MVM after the panic: %v", workers, size, size, err)
+			}
+		}
 	}
 }

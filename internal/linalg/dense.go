@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Dense is a row-major dense matrix of float64. The zero value is an
 // empty matrix; use NewDense to allocate.
@@ -116,10 +112,10 @@ func MatMulInto(out, a, b *Dense) {
 // preallocated matrix on the calling goroutine only — no fan-out
 // regardless of size. out must be a.Rows×c with c ≤ b.Cols; each
 // output column is computed on its own, so a narrow out holds exactly
-// the leading columns of the full product. Callers that are themselves
-// worker tasks (the funcsim tile pipeline) use it to keep nested
-// parallelism and per-call allocations at zero, and to skip the
-// columns they would discard.
+// the leading columns of the full product. The funcsim tile tasks use
+// it to skip the columns they would discard; they are fan-out bodies
+// whose siblings already hold the pool's workers, and MatMulInto's
+// fan-out would allocate its closure on every call.
 func MatMulSerialInto(out, a, b *Dense) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols > b.Cols {
 		panic(fmt.Sprintf("linalg: MatMulSerialInto %dx%d = %dx%d by %dx%d",
@@ -325,35 +321,4 @@ func MatMulABTRows(out, a, b *Dense, lo, hi int) {
 			orow[j] = Dot(arow, b.Row(j))
 		}
 	}
-}
-
-// ParallelFor splits [0, n) into contiguous chunks and runs body on
-// each chunk from its own goroutine, returning when all complete. It
-// uses at most GOMAXPROCS workers and degrades to a direct call for
-// tiny n.
-func ParallelFor(n int, body func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			body(0, n)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

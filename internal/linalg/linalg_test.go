@@ -347,22 +347,6 @@ func TestMatMulIdentityProperty(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversAll(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 17, 1000} {
-		hit := make([]int32, n)
-		ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hit[i]++
-			}
-		})
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("n=%d index %d visited %d times", n, i, h)
-			}
-		}
-	}
-}
-
 func TestLUSolveKnown(t *testing.T) {
 	a := NewDenseFrom(2, 2, []float64{2, 1, 1, 3})
 	x, err := SolveDense(a, []float64{5, 10})

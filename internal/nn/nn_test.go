@@ -440,81 +440,6 @@ func TestNumParams(t *testing.T) {
 	}
 }
 
-func TestAvgPoolGradients(t *testing.T) {
-	r := linalg.NewRNG(21)
-	net := NewSequential(NewAvgPool2D(2, 4, 4, 2))
-	checkGradients(t, "avgpool", net, randInput(r, 2, 2*4*4), 1e-6)
-}
-
-func TestAvgPoolValue(t *testing.T) {
-	p := NewAvgPool2D(1, 2, 2, 2)
-	x := linalg.NewDenseFrom(1, 4, []float64{1, 2, 3, 4})
-	y := p.Forward(x, false)
-	if y.Cols != 1 || y.At(0, 0) != 2.5 {
-		t.Errorf("avg pool = %v, want 2.5", y.At(0, 0))
-	}
-}
-
-func TestLeakyReLUGradients(t *testing.T) {
-	r := linalg.NewRNG(22)
-	net := NewSequential(NewLinear(4, 4, true, r), NewLeakyReLU(0.1))
-	checkGradients(t, "leakyrelu", net, randInput(r, 3, 4), 1e-5)
-}
-
-func TestTanhGradients(t *testing.T) {
-	r := linalg.NewRNG(23)
-	net := NewSequential(NewLinear(4, 4, true, r), NewTanh())
-	checkGradients(t, "tanh", net, randInput(r, 3, 4), 1e-5)
-}
-
-func TestDropoutTrainEval(t *testing.T) {
-	r := linalg.NewRNG(24)
-	d := NewDropout(0.5, 7)
-	x := randInput(r, 4, 50)
-	// Eval mode: identity.
-	y := d.Forward(x, false)
-	for i := range x.Data {
-		if y.Data[i] != x.Data[i] {
-			t.Fatal("dropout not identity at inference")
-		}
-	}
-	// Train mode: some units dropped, survivors scaled by 2.
-	yt := d.Forward(x, true)
-	dropped, scaled := 0, 0
-	for i := range x.Data {
-		switch yt.Data[i] {
-		case 0:
-			dropped++
-		case 2 * x.Data[i]:
-			scaled++
-		default:
-			if x.Data[i] != 0 {
-				t.Fatalf("unexpected dropout output %v for input %v", yt.Data[i], x.Data[i])
-			}
-		}
-	}
-	if dropped == 0 || scaled == 0 {
-		t.Errorf("dropout degenerate: %d dropped, %d scaled", dropped, scaled)
-	}
-	// Backward mirrors the mask.
-	grad := randInput(r, 4, 50)
-	dx := d.Backward(grad)
-	for i := range grad.Data {
-		if yt.Data[i] == 0 && dx.Data[i] != 0 {
-			t.Fatal("gradient flowed through a dropped unit")
-		}
-	}
-}
-
-func TestDropoutZeroProbIsIdentity(t *testing.T) {
-	r := linalg.NewRNG(25)
-	d := NewDropout(0, 1)
-	x := randInput(r, 2, 5)
-	if y := d.Forward(x, true); y != x {
-		t.Error("p=0 dropout should pass through")
-	}
-}
-
 // Adam's update is element-wise, so splitting a large parameter across
 // workers steps it to the same bits at GOMAXPROCS 1 and 2.
 func TestAdamParallelMatchesSerial(t *testing.T) {

@@ -52,10 +52,10 @@ func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
 // adamParallelMin is the parameter size from which Adam.Step splits
 // one parameter's update across linalg.ParallelFor. The update costs
-// about 8 ns per element, so below this size the goroutine hand-off
-// costs about what the split saves: BenchmarkAdamStep on a 2-vCPU VM
-// (go1.24) broke even at 8–16K elements and split 64K elements 1.35×
-// faster.
+// about 8 ns per element, so below this size the hand-off to a pool
+// worker costs about what the split saves: BenchmarkAdamStep on a
+// 2-vCPU VM (go1.24) broke even at 8–16K elements and split 64K
+// elements 1.35× faster.
 const adamParallelMin = 1 << 14
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction. Its

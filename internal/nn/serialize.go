@@ -19,10 +19,6 @@ func init() {
 	gob.Register(&GlobalAvgPool2D{})
 	gob.Register(&BatchNorm{})
 	gob.Register(&Residual{})
-	gob.Register(&AvgPool2D{})
-	gob.Register(&LeakyReLU{})
-	gob.Register(&Tanh{})
-	gob.Register(&Dropout{})
 }
 
 // Save serializes a network to w. Only exported configuration and

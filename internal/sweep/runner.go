@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -68,11 +67,13 @@ type Outcome struct {
 var cellHook func(Cell)
 
 // Run executes the sweep grid, checkpointing each completed cell
-// atomically under opt.Dir. Cells run concurrently (Jobs-bounded) but
-// every cell is individually deterministic, so the result set is
-// independent of scheduling. On context cancellation Run stops
-// dispatching, waits for in-flight cells, and returns the context
-// error; completed checkpoints stay valid for a later -resume.
+// atomically under opt.Dir. Cells are claimed one at a time on the
+// process's fan-out pool (linalg.ParallelEach) with Jobs as the width,
+// but every cell is individually deterministic, so the result set is
+// independent of scheduling. On context cancellation Run skips the
+// cells not yet started, without recording them as failures, waits
+// for the in-flight ones, and returns the context error; completed
+// checkpoints stay valid for a later -resume.
 func Run(ctx context.Context, spec Spec, opt Options) (*Outcome, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -115,35 +116,13 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Outcome, error) {
 	if jobs <= 0 {
 		jobs = spec.Jobs
 	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(pending) && len(pending) > 0 {
-		jobs = len(pending)
-	}
-
 	r := &runner{spec: spec, opt: opt, cellsDir: cellsDir, out: out}
-	work := make(chan Cell)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				r.execute(ctx, c)
-			}
-		}()
-	}
-dispatch:
-	for _, c := range pending {
-		select {
-		case <-ctx.Done():
-			break dispatch
-		case work <- c:
+	r.trainSurrogates(ctx, pending)
+	linalg.ParallelEach(len(pending), jobs, func(i int) {
+		if ctx.Err() == nil {
+			r.execute(ctx, pending[i])
 		}
-	}
-	close(work)
-	wg.Wait()
+	})
 
 	sort.Slice(out.Results, func(i, j int) bool { return out.Results[i].ID < out.Results[j].ID })
 	sort.Slice(out.Failures, func(i, j int) bool { return out.Failures[i].ID < out.Failures[j].ID })
@@ -167,9 +146,16 @@ type runner struct {
 	mu  sync.Mutex
 	out *Outcome
 
-	// surrogates memoizes one trained GENIEx model per array size.
-	surMu      sync.Mutex
-	surrogates map[int]*core.Model
+	// surrogates holds each array size's GENIEx surrogate. It is
+	// filled before any cell runs, so cells only read it.
+	surrogates map[int]surrogate
+}
+
+// surrogate is one array size's trained GENIEx model, or the error
+// that training it gave.
+type surrogate struct {
+	m   *core.Model
+	err error
 }
 
 // execute runs one cell with panic isolation: a panicking cell is
@@ -222,7 +208,7 @@ func (r *runner) execute(ctx context.Context, c Cell) {
 // cellConfig builds the cell's functional-simulator architecture: the
 // paper's digit widths on a cheap 8-bit numeric format, serial batch
 // solving (grid-level concurrency is the parallelism axis; each MVM's
-// tiles still fan out across the shared funcsim pool).
+// tiles still fan out to whatever pool workers sit idle).
 func (r *runner) cellConfig(size int, sc *nonideal.Scenario) (funcsim.Config, xbar.Config, error) {
 	xcfg, err := xbar.NewConfig(size, size, xbar.WithBatchWorkers(1))
 	if err != nil {
@@ -290,11 +276,11 @@ func (r *runner) runCell(c Cell) (Result, error) {
 	// pathological cell cannot wedge the sweep.
 	params := funcsim.ModelParams{Xbar: xcfg, Degraded: true}
 	if spec.NeedsSurrogate {
-		sur, err := r.surrogateFor(xcfg)
-		if err != nil {
-			return Result{}, err
+		sur := r.surrogates[c.Size]
+		if sur.err != nil {
+			return Result{}, sur.err
 		}
-		params.Surrogate = sur
+		params.Surrogate = sur.m
 	}
 	model, err := spec.New(params)
 	if err != nil {
@@ -342,15 +328,49 @@ func (r *runner) runCell(c Cell) (Result, error) {
 	}, nil
 }
 
-// surrogateFor trains (once per size, memoized) the GENIEx surrogate
-// of the cell's design point. The training seed derives from the size
-// alone, and dataset generation and Adam are both deterministic, so a
-// resumed sweep retrains bit-identical surrogates.
-func (r *runner) surrogateFor(xcfg xbar.Config) (*core.Model, error) {
-	r.surMu.Lock()
-	defer r.surMu.Unlock()
-	if m, ok := r.surrogates[xcfg.Rows]; ok {
-		return m, nil
+// trainSurrogates trains, before any cell runs, the GENIEx surrogate of
+// every size that a pending cell needs one for. It trains on the
+// caller, so dataset generation and Adam fan out over the whole pool.
+// Trained by the first cell of its size, a fit would run on one core
+// while the size's other cells held the pool's other workers waiting
+// for it. A training error or panic fails every cell of the size, as
+// it did the cell that trained.
+func (r *runner) trainSurrogates(ctx context.Context, pending []Cell) {
+	r.surrogates = map[int]surrogate{}
+	for _, c := range pending {
+		if ctx.Err() != nil {
+			return
+		}
+		spec, err := funcsim.ModelByName(c.Model)
+		if _, done := r.surrogates[c.Size]; done || err != nil || !spec.NeedsSurrogate {
+			continue
+		}
+		var s surrogate
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					s.err = fmt.Errorf("panicked: %v", p)
+				}
+			}()
+			s.m, s.err = r.trainSurrogate(c.Size)
+		}()
+		r.surrogates[c.Size] = s
+		if s.err != nil {
+			r.opt.logf("sweep: %dx%d GENIEx surrogate failed: %v", c.Size, c.Size, s.err)
+		} else {
+			r.opt.logf("sweep: trained the %dx%d GENIEx surrogate", c.Size, c.Size)
+		}
+	}
+}
+
+// trainSurrogate trains the GENIEx surrogate of one array size's
+// design point. The training seed derives from the size alone, and
+// dataset generation and Adam are both deterministic, so a resumed
+// sweep retrains bit-identical surrogates.
+func (r *runner) trainSurrogate(size int) (*core.Model, error) {
+	_, xcfg, err := r.cellConfig(size, nil)
+	if err != nil {
+		return nil, err
 	}
 	g := r.spec.GENIEx.withDefaults()
 	seed := nonideal.DeriveSeed(0x9e11e, uint64(xcfg.Rows))
@@ -367,10 +387,6 @@ func (r *runner) surrogateFor(xcfg xbar.Config) (*core.Model, error) {
 	if err := m.Train(ds, core.TrainOptions{Epochs: g.Epochs, Seed: seed + 2}); err != nil {
 		return nil, fmt.Errorf("surrogate training: %w", err)
 	}
-	if r.surrogates == nil {
-		r.surrogates = map[int]*core.Model{}
-	}
-	r.surrogates[xcfg.Rows] = m
 	return m, nil
 }
 

@@ -41,9 +41,9 @@ type StackSpec struct {
 
 // GENIExSpec bounds the surrogate training a sweep performs when its
 // model list includes "geniex". One surrogate is trained per array
-// size (the surrogate models the design point, not the faults) from a
-// seed derived from the size alone, so retraining after a resume
-// reproduces the same model.
+// size (the surrogate models the design point, not the faults), before
+// any cell runs, from a seed derived from the size alone, so
+// retraining after a resume reproduces the same model.
 type GENIExSpec struct {
 	Samples int `json:"samples,omitempty"` // circuit-labelled samples (default 256)
 	Epochs  int `json:"epochs,omitempty"`  // Adam epochs (default 30)
@@ -83,9 +83,10 @@ type Spec struct {
 	Time float64 `json:"time,omitempty"`
 	// Batch is the number of evaluation input rows (default 4).
 	Batch int `json:"batch,omitempty"`
-	// Jobs bounds how many cells run concurrently (default GOMAXPROCS).
-	// Each cell's own MVM tiles additionally fan out across the shared
-	// funcsim worker pool, which is bounded at GOMAXPROCS globally.
+	// Jobs bounds how many cells run concurrently: 0 (the default)
+	// means GOMAXPROCS, and no more than GOMAXPROCS run at once. Cells
+	// and each cell's MVM tiles share the process's one fan-out pool,
+	// so the tiles use only the workers no cell holds.
 	Jobs int `json:"jobs,omitempty"`
 	// GENIEx bounds the per-size surrogate training for "geniex" cells.
 	GENIEx GENIExSpec `json:"geniex,omitempty"`

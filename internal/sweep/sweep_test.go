@@ -3,10 +3,12 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"geniex/internal/nonideal"
@@ -342,6 +344,91 @@ func TestResultsIndependentOfJobs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref.Results, par.Results) {
 		t.Fatal("results differ between Jobs=1 and Jobs=4")
+	}
+}
+
+// GENIEx cells share one surrogate per size, trained before any cell
+// runs, so the fit fans out over the whole pool instead of running in
+// one cell while the size's other cells wait. A resumed run trains only
+// the sizes whose geniex cells are still pending.
+func TestSurrogatesTrainBeforeCells(t *testing.T) {
+	spec := Spec{
+		Name:   "geniex",
+		Sizes:  []int{4, 6},
+		Stacks: []StackSpec{{Name: "clean"}},
+		Models: []string{ModelIdeal, ModelGENIEx},
+		Seeds:  []uint64{1, 2},
+		GENIEx: GENIExSpec{Samples: 16, Epochs: 2, Hidden: 4},
+	}
+	run := func(dir string, jobs int, resume bool) (*Outcome, []string) {
+		t.Helper()
+		var mu sync.Mutex
+		var trained []string
+		done := false
+		out, err := Run(context.Background(), spec, Options{Dir: dir, Jobs: jobs, Resume: resume,
+			Logf: func(format string, args ...any) {
+				line := fmt.Sprintf(format, args...)
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case strings.HasPrefix(line, "sweep: done"):
+					done = true
+				case strings.HasPrefix(line, "sweep: trained"):
+					if done {
+						t.Errorf("%q logged after a cell finished", line)
+					}
+					trained = append(trained, line)
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Failures) != 0 {
+			t.Fatalf("failures: %v", out.Failures)
+		}
+		return out, trained
+	}
+
+	dir := t.TempDir()
+	par, trained := run(dir, 0, false)
+	want := []string{"sweep: trained the 4x4 GENIEx surrogate", "sweep: trained the 6x6 GENIEx surrogate"}
+	if !reflect.DeepEqual(trained, want) {
+		t.Fatalf("trained %q, want %q", trained, want)
+	}
+	if ref, _ := run(t.TempDir(), 1, false); !reflect.DeepEqual(ref.Results, par.Results) {
+		t.Fatal("results differ between Jobs=1 and Jobs=0")
+	}
+
+	// Rerun a 4×4 geniex cell and a 6×6 ideal one: only 4×4 retrains.
+	for _, c := range spec.Cells() {
+		if (c.Size == 4 && c.Model == ModelGENIEx && c.Seed == 2) || (c.Size == 6 && c.Model == ModelIdeal && c.Seed == 1) {
+			if err := os.Remove(filepath.Join(dir, "cells", c.ID()+".json")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res, trained := run(dir, 0, true)
+	if res.Executed != 2 || !reflect.DeepEqual(trained, want[:1]) {
+		t.Fatalf("resume executed %d cells and trained %q, want 2 and %q", res.Executed, trained, want[:1])
+	}
+	if !reflect.DeepEqual(res.Results, par.Results) {
+		t.Fatal("resumed results differ from an uninterrupted run's")
+	}
+
+	// A surrogate that fails to train fails every geniex cell of its
+	// size, and only those.
+	spec.GENIEx.Samples = -1
+	out, err := Run(context.Background(), spec, Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Executed != 4 || len(out.Failures) != 4 {
+		t.Fatalf("executed=%d failures=%v, want 4 ideal cells run and 4 geniex cells failed", out.Executed, out.Failures)
+	}
+	for _, f := range out.Failures {
+		if !strings.Contains(f.ID, ModelGENIEx) || !strings.HasPrefix(f.Err, "surrogate dataset:") {
+			t.Errorf("failure %+v, want a geniex cell failing on its surrogate dataset", f)
+		}
 	}
 }
 

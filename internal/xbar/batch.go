@@ -226,8 +226,65 @@ type BatchSolver struct {
 	factOnce sync.Once
 	fact     *opFactor
 
-	mu   sync.Mutex
-	free []*Crossbar // programmed instances ready to solve
+	mu    sync.Mutex
+	free  []*Crossbar  // programmed instances ready to solve
+	calls []*batchCall // finished call records
+}
+
+// batchCall is what one SolveReportIntoContext call shares with the
+// blocks it fans out. Solvers recycle the records, and each binds its
+// block body once, so a call allocates no closure.
+type batchCall struct {
+	s        *BatchSolver
+	ctx      context.Context
+	vs, out  *linalg.Dense
+	outcomes []ItemOutcome
+	block    int         // items per block
+	run      func(k int) // runBlock, bound once
+	mu       sync.Mutex
+	err      error // the first acquire error
+}
+
+// getCall takes a finished call record or makes one.
+func (s *BatchSolver) getCall() *batchCall {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.calls); n > 0 {
+		c := s.calls[n-1]
+		s.calls = s.calls[:n-1]
+		return c
+	}
+	c := &batchCall{s: s}
+	c.run = c.runBlock
+	return c
+}
+
+// putCall drops the call's references and recycles the record.
+func (s *BatchSolver) putCall(c *batchCall) {
+	c.ctx, c.vs, c.out, c.outcomes, c.err = nil, nil, nil, nil, nil
+	s.mu.Lock()
+	s.calls = append(s.calls, c)
+	s.mu.Unlock()
+}
+
+// runBlock solves block k of the call on a pooled instance. Once ctx is
+// done, blocks not yet started are skipped.
+func (c *batchCall) runBlock(k int) {
+	if c.ctx != nil && c.ctx.Err() != nil {
+		return
+	}
+	xb, err := c.s.acquire()
+	if err != nil {
+		c.mu.Lock()
+		if c.err == nil {
+			c.err = err
+		}
+		c.mu.Unlock()
+		return
+	}
+	lo, hi := k*c.block, min((k+1)*c.block, c.vs.Rows)
+	c.s.solveBlock(c.ctx, xb, c.vs, c.out, c.outcomes, lo, hi)
+	c.s.release(xb)
 }
 
 // NewBatchSolver validates the design point, programs one crossbar
@@ -330,16 +387,18 @@ func (s *BatchSolver) SolveReportInto(out *linalg.Dense, vs *linalg.Dense) (*Bat
 // SolveReportIntoContext is SolveReportInto into a caller-owned report,
 // under cooperative cancellation. It overwrites rep, reusing the
 // capacity of rep.Outcomes, so a caller that keeps its report makes
-// steady-state calls whose allocations do not grow with the batch.
-// Workers stop drawing new blocks once ctx is done, the in-flight
-// solves abort at their next update, and the call returns an error
-// matching ctx.Err(). On cancellation the output and report are
-// incomplete and must be discarded — cancellation is a whole-call
-// outcome, not a per-item one. A nil ctx means no cancellation.
+// steady-state calls that allocate nothing. Blocks not yet started are
+// skipped once ctx is done, the in-flight solves abort at their next
+// update, and the call returns an error matching ctx.Err(). On
+// cancellation the output and report are incomplete and must be
+// discarded — cancellation is a whole-call outcome, not a per-item
+// one. A nil ctx means no cancellation.
 //
-// Items run in blocks of up to blockLanes(cfg): each block runs the
-// seeded rung 0 of the items it can finish in lockstep and everything
-// else on the one-item ladder (see solveBlock).
+// Items run in blocks of up to blockLanes(cfg), claimed one at a time
+// on the process's fan-out pool (linalg.ParallelEach) with
+// Config.BatchWorkers as the width; each block runs on a pooled
+// instance the seeded rung 0 of the items it can finish in lockstep
+// and everything else on the one-item ladder (see solveBlock).
 func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, rep *BatchReport, out *linalg.Dense, vs *linalg.Dense) error {
 	cfg := s.cfg
 	if vs.Cols != cfg.Rows {
@@ -366,76 +425,21 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, rep *BatchRepo
 		clear(outcomes)
 	}
 	*rep = BatchReport{Outcomes: outcomes}
+	// The pool runs at most GOMAXPROCS blocks at once, whatever the width.
 	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		workers = procs
 	}
 	// Blocks are whole work units: with several workers they shrink so
 	// that a small batch still spreads across all of them.
 	block := max(1, min(blockLanes(cfg), (vs.Rows+workers-1)/workers))
-	blocks := (vs.Rows + block - 1) / block
-	workers = max(1, min(workers, blocks))
-	bounds := func(k int) (int, int) { return k * block, min((k+1)*block, vs.Rows) }
-
-	if workers == 1 {
-		// Serial fast path: no goroutines, one pooled instance.
-		xb, err := s.acquire()
-		if err != nil {
-			return err
-		}
-		for k := 0; k < blocks; k++ {
-			if ctx != nil && ctx.Err() != nil {
-				break
-			}
-			lo, hi := bounds(k)
-			s.solveBlock(ctx, xb, vs, out, outcomes, lo, hi)
-		}
-		s.release(xb)
-	} else {
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			setupErr error
-		)
-		next := make(chan int, blocks)
-		for k := 0; k < blocks; k++ {
-			next <- k
-		}
-		close(next)
-
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				xb, err := s.acquire()
-				if err != nil {
-					mu.Lock()
-					if setupErr == nil {
-						setupErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				defer s.release(xb)
-				for k := range next {
-					if ctx != nil && ctx.Err() != nil {
-						return
-					}
-					mu.Lock()
-					dead := setupErr != nil
-					mu.Unlock()
-					if dead {
-						return
-					}
-					lo, hi := bounds(k)
-					s.solveBlock(ctx, xb, vs, out, outcomes, lo, hi)
-				}
-			}()
-		}
-		wg.Wait()
-		if setupErr != nil {
-			return setupErr
-		}
+	c := s.getCall()
+	c.ctx, c.vs, c.out, c.outcomes, c.block = ctx, vs, out, outcomes, block
+	linalg.ParallelEach((vs.Rows+block-1)/block, s.workers, c.run)
+	err := c.err
+	s.putCall(c)
+	if err != nil {
+		return err
 	}
 	if ctx != nil {
 		if cerr := ctx.Err(); cerr != nil {

@@ -155,12 +155,17 @@ type Config struct {
 	// per-programming factorization.
 	Start SolverStart
 
-	// BatchWorkers bounds the goroutines a batch solve fans out across.
-	// Zero (the default) means GOMAXPROCS; 1 forces a fully serial
-	// solve with no goroutines — callers that already parallelize at a
-	// coarser grain (the functional simulator's tile pipeline) use it
-	// to avoid oversubscription, and benchmarks use it as the serial
-	// baseline. Negative values are invalid.
+	// BatchWorkers bounds how many blocks of a batch solve run at once
+	// on the process's fan-out pool (linalg.ParallelEach). Zero (the
+	// default) means GOMAXPROCS; 1 solves every block in order on the
+	// calling goroutine; n runs at most n blocks at once, and never
+	// more than GOMAXPROCS. A nested solve (a funcsim tile task's)
+	// recruits only idle workers, so no setting oversubscribes, but
+	// blocks shrink to spread a batch over the width (at most
+	// GOMAXPROCS): callers that already parallelize at a coarser grain
+	// (the functional simulator's tile pipeline) use 1 to keep whole
+	// blocks, and benchmarks use it as the serial baseline. Negative
+	// values are invalid.
 	BatchWorkers int
 
 	// faults carries a test-only fault-injection plan; see WithFaults.
@@ -215,8 +220,8 @@ func WithPolicy(p SolverPolicy) Option { return func(c *Config) { c.Policy = p }
 // WithStart sets how the solver's first rung runs (seeded or cold).
 func WithStart(s SolverStart) Option { return func(c *Config) { c.Start = s } }
 
-// WithBatchWorkers bounds the goroutines a batch solve fans out
-// across (0 = GOMAXPROCS, 1 = serial).
+// WithBatchWorkers bounds how many blocks of a batch solve run at once
+// (0 = GOMAXPROCS, 1 = serial).
 func WithBatchWorkers(n int) Option { return func(c *Config) { c.BatchWorkers = n } }
 
 // NewConfig builds a validated design point: the paper's nominal
