@@ -18,28 +18,38 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "geniex-train:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// minSamples is the smallest dataset geniex-train accepts: the held-out
+// split needs one sample to train on and one to validate against.
+const minSamples = 2
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("geniex-train", flag.ExitOnError)
 	var (
-		size     = flag.Int("size", 16, "crossbar rows = cols")
-		ron      = flag.Float64("ron", 100e3, "ON resistance (ohms)")
-		onoff    = flag.Float64("onoff", 6, "conductance ON/OFF ratio")
-		vdd      = flag.Float64("vdd", 0.25, "supply voltage (volts)")
-		samples  = flag.Int("samples", 500, "training samples (circuit solves)")
-		hidden   = flag.Int("hidden", 128, "hidden layer width (paper: 500)")
-		epochs   = flag.Int("epochs", 150, "training epochs")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		out      = flag.String("o", "", "output path for the trained model (gob)")
-		saveData = flag.String("save-data", "", "also save the generated dataset (gob)")
-		loadData = flag.String("load-data", "", "load a previously saved dataset instead of generating")
-		verbose  = flag.Bool("v", false, "log per-epoch training loss")
+		size     = fs.Int("size", 16, "crossbar rows = cols")
+		ron      = fs.Float64("ron", 100e3, "ON resistance (ohms)")
+		onoff    = fs.Float64("onoff", 6, "conductance ON/OFF ratio")
+		vdd      = fs.Float64("vdd", 0.25, "supply voltage (volts)")
+		samples  = fs.Int("samples", 500, "training samples (circuit solves), at least 2")
+		hidden   = fs.Int("hidden", 128, "hidden layer width (paper: 500)")
+		epochs   = fs.Int("epochs", 150, "training epochs")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		out      = fs.String("o", "", "output path for the trained model (gob)")
+		saveData = fs.String("save-data", "", "also save the generated dataset (gob)")
+		loadData = fs.String("load-data", "", "load a previously saved dataset instead of generating")
+		verbose  = fs.Bool("v", false, "log per-epoch training loss")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *loadData == "" && *samples < minSamples {
+		return fmt.Errorf("-samples %d: need at least %d, one to train on and one to validate against", *samples, minSamples)
+	}
 
 	cfg, err := xbar.NewConfig(*size, *size,
 		xbar.WithRon(*ron), xbar.WithOnOffRatio(*onoff), xbar.WithVsupply(*vdd))
@@ -53,6 +63,9 @@ func run() error {
 		var err error
 		if ds, err = core.LoadDatasetFile(*loadData); err != nil {
 			return err
+		}
+		if ds.Len() < minSamples {
+			return fmt.Errorf("-load-data %s: %d samples, need at least %d, one to train on and one to validate against", *loadData, ds.Len(), minSamples)
 		}
 		cfg = ds.Cfg
 		fmt.Printf("loaded %d samples from %s (design point %s)\n", ds.Len(), *loadData, cfg.String())

@@ -109,6 +109,31 @@ func TestSplit(t *testing.T) {
 			t.Fatalf("value %v appears with residual count %d", v, c)
 		}
 	}
+
+	// Two samples are the fewest Split accepts: one each side.
+	train, val = testDataset(t, cfg, 2, 4).Split(0.25, 9)
+	if train.Len() != 1 || val.Len() != 1 {
+		t.Fatalf("2-sample split sizes %d/%d, want 1/1", train.Len(), val.Len())
+	}
+	// One sample would leave the validation set empty, and none the
+	// training set too; both must panic with Split's own message.
+	for _, n := range []int{1, 0} {
+		small := &Dataset{
+			Cfg: cfg,
+			V:   linalg.NewDense(n, ds.V.Cols),
+			G:   linalg.NewDense(n, ds.G.Cols),
+			FR:  linalg.NewDense(n, ds.FR.Cols),
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "at least 2 samples") {
+					t.Errorf("%d-sample Split panicked with %q, want Split's minimum", n, msg)
+				}
+			}()
+			small.Split(0.25, 9)
+		}()
+	}
 }
 
 // trainSmallModel trains a compact GENIEx for the shared config and

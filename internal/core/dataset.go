@@ -170,9 +170,13 @@ func fillConductances(dst []float64, cfg xbar.Config, bits int, sparsity float64
 }
 
 // Split partitions the dataset into train and validation subsets with
-// a deterministic shuffle.
+// a deterministic shuffle. Each subset gets at least one sample, so the
+// dataset must hold at least two; Split panics on a smaller one.
 func (d *Dataset) Split(valFraction float64, seed uint64) (train, val *Dataset) {
 	n := d.Len()
+	if n < 2 {
+		panic(fmt.Sprintf("core: Split of a %d-sample dataset; train and validation subsets need at least 2 samples", n))
+	}
 	nVal := int(float64(n) * valFraction)
 	if nVal < 1 {
 		nVal = 1

@@ -131,6 +131,55 @@ func (t *Tridiag) SolveBlockInto(x, b []float64, m, ld int) {
 	}
 }
 
+// SchurLower subtracts G·A⁻¹·G, G = diag(g), from the lower triangle
+// and the diagonal of d (n×n), where A is the matrix t factors, using w
+// (n·n) as scratch. d's strict upper triangle keeps its values.
+//
+// Column k of A⁻¹·G is the solve of g_k·unit(k), and only its rows
+// k … n−1 are needed, so row i of each sweep runs lanes 0 … i only:
+// lane k enters the forward sweep at its own row, above which its
+// iterates are exact zeros, and leaves the backward sweep there. Every
+// kept entry is bit for bit what SolveBlockInto over diag(g) gives it,
+// for half the work.
+func (t *Tridiag) SchurLower(d *Dense, g, w []float64) {
+	n := t.n
+	if d.Rows != n || d.Cols != n || len(g) != n || len(w) < n*n {
+		panic(fmt.Sprintf("linalg: Tridiag.SchurLower n=%d d %dx%d len(g)=%d len(w)=%d", n, d.Rows, d.Cols, len(g), len(w)))
+	}
+	// Forward: L y = G.
+	for i := 0; i < n; i++ {
+		wi := w[i*n : i*n+i+1]
+		Fill(wi, 0)
+		wi[i] = g[i]
+		if i > 0 {
+			l := t.l[i-1]
+			for k, v := range w[(i-1)*n : (i-1)*n+i] {
+				wi[k] -= l * v
+			}
+		}
+	}
+	// Diagonal and backward: D z = y, Lᵀ x = z; then row i of the
+	// update.
+	for i := n - 1; i >= 0; i-- {
+		wi, di := w[i*n:i*n+i+1], t.d[i]
+		if i+1 < n {
+			l, wn := t.l[i], w[(i+1)*n:(i+1)*n+i+1]
+			for k := range wi {
+				wi[k] /= di
+				wi[k] -= l * wn[k]
+			}
+		} else {
+			for k := range wi {
+				wi[k] /= di
+			}
+		}
+		gi, row := g[i], d.Data[i*n:i*n+i+1]
+		for k := range row {
+			row[k] -= gi * wi[k]
+		}
+	}
+}
+
 // checkBlock panics unless x and b hold n rows of stride ld with
 // 1 ≤ m ≤ ld lanes each.
 func checkBlock(kind string, n, lx, lb, m, ld int) {
@@ -146,6 +195,14 @@ func checkBlock(kind string, n, lx, lb, m, ld int) {
 // Cholesky is the lower-triangular factorization A = L·Lᵀ of a dense
 // symmetric positive definite matrix. The zero value is an empty
 // factor ready for Factor.
+//
+// Factor and SolveInto each work several rows per pass: the rows keep
+// separate running sums side by side, so that several dependent
+// chains of subtractions run at once where one row at a time runs one.
+// Every row still subtracts its terms in the row-at-a-time order and
+// divides by its pivot, with no reciprocal and no reassociation, so
+// the factor and the solutions are bit for bit what one row at a time
+// gives.
 type Cholesky struct {
 	n int
 	l *Dense // lower triangle, including the diagonal
@@ -155,28 +212,46 @@ type Cholesky struct {
 // into c: a's storage becomes the factor (only its lower triangle is
 // read), so c allocates nothing. A non-positive pivot returns an error
 // matching ErrSingular and leaves c unusable until the next Factor.
+//
+// Column j below the pivot is computed four rows per pass over the
+// pivot row.
 func (c *Cholesky) Factor(a *Dense) error {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("linalg: Cholesky.Factor on %dx%d matrix", a.Rows, a.Cols))
 	}
 	n := a.Rows
 	c.n, c.l = 0, nil
+	l := a.Data
 	for j := 0; j < n; j++ {
-		rowJ := a.Row(j)
-		s := rowJ[j]
-		for k := 0; k < j; k++ {
-			s -= rowJ[k] * rowJ[k]
+		rowJ := l[j*n:][:j]
+		s := l[j*n+j]
+		for _, ljk := range rowJ {
+			s -= ljk * ljk
 		}
 		if !(s > 0) {
 			return fmt.Errorf("linalg: Cholesky pivot %g at row %d: %w", s, j, ErrSingular)
 		}
 		piv := math.Sqrt(s)
-		rowJ[j] = piv
-		for i := j + 1; i < n; i++ {
-			rowI := a.Row(i)
+		l[j*n+j] = piv
+		rest := l[(j+1)*n:]
+		for ; len(rest) >= 4*n; rest = rest[4*n:] {
+			r0, r1 := rest[:j+1], rest[n:][:j+1]
+			r2, r3 := rest[2*n:][:j+1], rest[3*n:][:j+1]
+			s0, s1, s2, s3 := r0[j], r1[j], r2[j], r3[j]
+			q0, q1, q2, q3 := r0[:j], r1[:j], r2[:j], r3[:j]
+			for k, ljk := range rowJ {
+				s0 -= q0[k] * ljk
+				s1 -= q1[k] * ljk
+				s2 -= q2[k] * ljk
+				s3 -= q3[k] * ljk
+			}
+			r0[j], r1[j], r2[j], r3[j] = s0/piv, s1/piv, s2/piv, s3/piv
+		}
+		for ; len(rest) >= n; rest = rest[n:] {
+			rowI := rest[:j+1]
 			s := rowI[j]
-			for k := 0; k < j; k++ {
-				s -= rowI[k] * rowJ[k]
+			for k, ljk := range rowJ {
+				s -= rowI[k] * ljk
 			}
 			rowI[j] = s / piv
 		}
@@ -190,23 +265,70 @@ func (c *Cholesky) N() int { return c.n }
 
 // SolveInto solves A·x = b using the factorization. x may alias b; the
 // solve is in place and allocation-free.
+//
+// Both sweeps take four rows per pass (the last n%4 go one at a time).
+// The forward sweep keeps the four rows' sums over the rows already
+// solved side by side, then finishes the four in order. The backward
+// sweep reads L by rows: once x[i] is final, row i of L holds its
+// coefficient in every earlier equation, and each earlier x[k] takes
+// the four rows' terms in one pass, in the order i, i−1, i−2, i−3.
 func (c *Cholesky) SolveInto(x, b []float64) {
-	if len(x) != c.n || len(b) != c.n {
-		panic(fmt.Sprintf("linalg: Cholesky.SolveInto n=%d len(x)=%d len(b)=%d", c.n, len(x), len(b)))
+	n := c.n
+	if len(x) != n || len(b) != n {
+		panic(fmt.Sprintf("linalg: Cholesky.SolveInto n=%d len(x)=%d len(b)=%d", n, len(x), len(b)))
 	}
+	l := c.l.Data
 	// Forward: L y = b.
-	for i := 0; i < c.n; i++ {
-		row := c.l.Row(i)
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= row[k] * x[k]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		xs := x[:i]
+		r0, r1 := l[i*n:][:i+4], l[(i+1)*n:][:i+4]
+		r2, r3 := l[(i+2)*n:][:i+4], l[(i+3)*n:][:i+4]
+		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
+		p0, p1, p2, p3 := r0[:i], r1[:i], r2[:i], r3[:i]
+		for k, xk := range xs {
+			s0 -= p0[k] * xk
+			s1 -= p1[k] * xk
+			s2 -= p2[k] * xk
+			s3 -= p3[k] * xk
 		}
-		x[i] = s / row[i]
+		x0 := s0 / r0[i]
+		s1 -= r1[i] * x0
+		s2 -= r2[i] * x0
+		s3 -= r3[i] * x0
+		x1 := s1 / r1[i+1]
+		s2 -= r2[i+1] * x1
+		s3 -= r3[i+1] * x1
+		x2 := s2 / r2[i+2]
+		s3 -= r3[i+2] * x2
+		x[i], x[i+1], x[i+2], x[i+3] = x0, x1, x2, s3/r3[i+3]
 	}
-	// Backward: Lᵀ x = y, reading L by rows. Once x[i] is final, row i
-	// of L holds its coefficient in every earlier equation.
-	for i := c.n - 1; i >= 0; i-- {
-		row := c.l.Row(i)[:i+1]
+	for ; i < n; i++ {
+		xs, row := x[:i], l[i*n:][:i]
+		s := b[i]
+		for k, xk := range xs {
+			s -= row[k] * xk
+		}
+		x[i] = s / l[i*n+i]
+	}
+	// Backward: Lᵀ x = y.
+	i = n - 1
+	for ; i >= 3; i -= 4 {
+		r0, r1 := l[i*n:][:i+1], l[(i-1)*n:][:i]
+		r2, r3 := l[(i-2)*n:][:i-1], l[(i-3)*n:][:i-2]
+		x0 := x[i] / r0[i]
+		x1 := (x[i-1] - r0[i-1]*x0) / r1[i-1]
+		x2 := (x[i-2] - r0[i-2]*x0 - r1[i-2]*x1) / r2[i-2]
+		x3 := (x[i-3] - r0[i-3]*x0 - r1[i-3]*x1 - r2[i-3]*x2) / r3[i-3]
+		x[i], x[i-1], x[i-2], x[i-3] = x0, x1, x2, x3
+		xs := x[:i-3]
+		p0, p1, p2, p3 := r0[:i-3], r1[:i-3], r2[:i-3], r3[:i-3]
+		for k := range xs {
+			xs[k] = xs[k] - p0[k]*x0 - p1[k]*x1 - p2[k]*x2 - p3[k]*x3
+		}
+	}
+	for ; i >= 0; i-- {
+		row := l[i*n:][:i+1]
 		xi := x[i] / row[i]
 		x[i] = xi
 		for k, lik := range row[:i] {
@@ -218,18 +340,55 @@ func (c *Cholesky) SolveInto(x, b []float64) {
 // SolveBlockInto solves A·x = b for the m lane-minor right-hand sides
 // in b (row stride ld), lane for lane bit-identical to SolveInto. x
 // may alias b.
+func (c *Cholesky) SolveBlockInto(x, b []float64, m, ld int) {
+	checkBlock("Cholesky", c.n, len(x), len(b), m, ld)
+	triSolveBlock(c.l.Data, c.n, c.n, x, b, m, ld)
+}
+
+// schurLower subtracts E·A⁻¹·E, E = diag(e), from the lower triangle
+// and the diagonal of t, where A is the matrix c factors, using w (n·n)
+// as scratch. t's strict upper triangle, which Factor never reads,
+// keeps its values.
+//
+// Column k of A⁻¹·E is the solve of e_k·unit(k), and only its rows
+// k … n−1 are needed. The columns are solved eight at a time, and a
+// group whose first column is r solves rows r … n−1 only: that is the
+// block solve by the trailing factor L[r:, r:]. Above row r the
+// group's right-hand sides are zero, so are its forward iterates, and
+// the full solve subtracts their products with L[i][k<r] as exact
+// zeros. Every kept entry is therefore bit for bit what
+// SolveBlockInto gives it, for about a third of the work.
+func (c *Cholesky) schurLower(t *Dense, e, w []float64) {
+	n := c.n
+	Fill(w, 0)
+	for k, ek := range e {
+		w[k*n+k] = ek
+	}
+	for r := 0; r < n; r += 8 {
+		sub := r*n + r
+		triSolveBlock(c.l.Data[sub:], n, n-r, w[sub:], w[sub:], min(8, n-r), n)
+	}
+	for j, ej := range e {
+		row, col := t.Data[j*n:j*n+j+1], w[j*n:j*n+j+1]
+		for k := range row {
+			row[k] -= ej * col[k]
+		}
+	}
+}
+
+// triSolveBlock solves L·Lᵀ·x = b for the m lane-minor right-hand
+// sides in b (row stride ld), where L is the n×n lower triangle stored
+// at l with row stride ldl, lane for lane bit-identical to
+// Cholesky.SolveInto. x may alias b.
 //
 // Both sweeps keep eight lanes' running sums in registers (then four,
 // then one) while they walk the factor. The backward sweep takes
 // SolveInto's updates to x[k] as one running sum over i = n−1 … k+1,
 // which is the order SolveInto applies them in.
-func (c *Cholesky) SolveBlockInto(x, b []float64, m, ld int) {
-	n := c.n
-	checkBlock("Cholesky", n, len(x), len(b), m, ld)
-	l := c.l.Data
+func triSolveBlock(l []float64, ldl, n int, x, b []float64, m, ld int) {
 	// Forward: L y = b.
 	for i := 0; i < n; i++ {
-		row := l[i*n : i*n+i+1]
+		row := l[i*ldl : i*ldl+i+1]
 		piv := row[i]
 		r := 0
 		for ; r+8 <= m; r += 8 {
@@ -273,13 +432,13 @@ func (c *Cholesky) SolveBlockInto(x, b []float64, m, ld int) {
 	}
 	// Backward: Lᵀ x = y.
 	for k := n - 1; k >= 0; k-- {
-		piv := l[k*n+k]
+		piv := l[k*ldl+k]
 		r := 0
 		for ; r+8 <= m; r += 8 {
 			xk := x[k*ld+r : k*ld+r+8]
 			s0, s1, s2, s3, s4, s5, s6, s7 := xk[0], xk[1], xk[2], xk[3], xk[4], xk[5], xk[6], xk[7]
 			for i := n - 1; i > k; i-- {
-				lik := l[i*n+k]
+				lik := l[i*ldl+k]
 				xi := x[i*ld+r : i*ld+r+8]
 				s0 -= lik * xi[0]
 				s1 -= lik * xi[1]
@@ -297,7 +456,7 @@ func (c *Cholesky) SolveBlockInto(x, b []float64, m, ld int) {
 			xk := x[k*ld+r : k*ld+r+4]
 			s0, s1, s2, s3 := xk[0], xk[1], xk[2], xk[3]
 			for i := n - 1; i > k; i-- {
-				lik := l[i*n+k]
+				lik := l[i*ldl+k]
 				xi := x[i*ld+r : i*ld+r+4]
 				s0 -= lik * xi[0]
 				s1 -= lik * xi[1]
@@ -307,11 +466,11 @@ func (c *Cholesky) SolveBlockInto(x, b []float64, m, ld int) {
 			xk[0], xk[1], xk[2], xk[3] = s0/piv, s1/piv, s2/piv, s3/piv
 		}
 	}
-	// The last m%4 lanes run SolveInto's own loop, which reads L by
-	// rows.
+	// The last m%4 lanes run the one-row-at-a-time backward loop, which
+	// reads L by rows.
 	for r := m - m%4; r < m; r++ {
 		for i := n - 1; i >= 0; i-- {
-			row := l[i*n : i*n+i+1]
+			row := l[i*ldl : i*ldl+i+1]
 			xi := x[i*ld+r] / row[i]
 			x[i*ld+r] = xi
 			for k, lik := range row[:i] {
@@ -339,14 +498,15 @@ type BlockTridiag struct {
 // bs, levels-1 of them) into f, reusing f's storage when its shape
 // matches, so a refactor of the same shape allocates nothing. It takes
 // ownership of the diag blocks — their storage is overwritten with
-// factor data — and copies off. The matrix must be positive definite;
-// otherwise Factor returns an error and f is unusable until the next
-// Factor.
+// factor data, and only their lower triangles are read — and copies
+// off. The matrix must be positive definite; otherwise Factor returns
+// an error and f is unusable until the next Factor.
 //
 // Each level's Schur update T_i = D_i − E·T_{i-1}⁻¹·E, E = diag(e),
-// solves for all bs columns of T_{i-1}⁻¹·E at once: one
-// Cholesky.SolveBlockInto over the diagonal block E, whose lane k is
-// the column the one-vector solve of e[k]·unit(k) gives, bit for bit.
+// reduces only the lower triangle of D_i, the part Cholesky.Factor
+// reads, and so solves for T_{i-1}⁻¹·E at and below its diagonal
+// only, a group of columns at a time (Cholesky.schurLower). Each entry
+// is the one the one-vector solve of e[k]·unit(k) gives, bit for bit.
 func (f *BlockTridiag) Factor(diag []*Dense, off [][]float64) error {
 	levels := len(diag)
 	if levels == 0 {
@@ -376,18 +536,7 @@ func (f *BlockTridiag) Factor(diag []*Dense, off [][]float64) error {
 				panic(fmt.Sprintf("linalg: BlockTridiag.Factor off-block %d has length %d, want %d", i-1, len(e), bs))
 			}
 			copy(f.off[i-1], e)
-			w := f.work
-			Fill(w, 0)
-			for k, ek := range e {
-				w[k*bs+k] = ek
-			}
-			f.chol[i-1].SolveBlockInto(w, w, bs, bs)
-			for j, ej := range e {
-				row, col := t.Data[j*bs:(j+1)*bs], w[j*bs:(j+1)*bs]
-				for k := range row {
-					row[k] -= ej * col[k]
-				}
-			}
+			f.chol[i-1].schurLower(t, e, f.work)
 		}
 		if err := f.chol[i].Factor(t); err != nil {
 			return fmt.Errorf("linalg: block tridiagonal level %d: %w", i, err)

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -256,12 +257,161 @@ func TestSolveBlockIntoMatchesSolveInto(t *testing.T) {
 	}
 }
 
-// refFactorBlockTridiag is the column-at-a-time Schur update: each
-// column of T_{i-1}⁻¹·diag(e) from one single-vector Cholesky solve.
-// It factors diag in place and returns the per-level factors.
-func refFactorBlockTridiag(t *testing.T, diag []*Dense, off [][]float64) []*Cholesky {
+// refCholeskyFactor is Cholesky.Factor one row at a time, the loop
+// the four-row kernel replaced: it factors a in place.
+func refCholeskyFactor(a *Dense) error {
+	n := a.Rows
+	for j := 0; j < n; j++ {
+		rowJ := a.Row(j)
+		s := rowJ[j]
+		for k := 0; k < j; k++ {
+			s -= rowJ[k] * rowJ[k]
+		}
+		if !(s > 0) {
+			return ErrSingular
+		}
+		piv := math.Sqrt(s)
+		rowJ[j] = piv
+		for i := j + 1; i < n; i++ {
+			rowI := a.Row(i)
+			s := rowI[j]
+			for k := 0; k < j; k++ {
+				s -= rowI[k] * rowJ[k]
+			}
+			rowI[j] = s / piv
+		}
+	}
+	return nil
+}
+
+// refCholeskySolve is Cholesky.SolveInto one row at a time through
+// the factor l, the loops the multi-row kernel replaced. x may alias
+// b.
+func refCholeskySolve(l *Dense, x, b []float64) {
+	n := l.Rows
+	for i := 0; i < n; i++ {
+		row := l.Row(i)
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= row[k] * x[k]
+		}
+		x[i] = s / row[i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		row := l.Row(i)[:i+1]
+		xi := x[i] / row[i]
+		x[i] = xi
+		for k, lik := range row[:i] {
+			x[k] -= lik * xi
+		}
+	}
+}
+
+// nearSingularSPD builds an SPD matrix with one eigenvalue of 1e-9
+// against the others' O(n): A = MᵀM + 1e-9·I with M of rank n−1. Its
+// last pivot cancels all but a sliver of its diagonal, and solves
+// through it amplify every rounding difference, so a reordered
+// subtraction or a reciprocal pivot shows in the last bits.
+func nearSingularSPD(r *RNG, n int) *Dense {
+	m := NewDense(n-1, n)
+	for i := range m.Data {
+		m.Data[i] = 2*r.Float64() - 1
+	}
+	a := MatMul(m.T(), m)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, a.At(i, i)+1e-9)
+	}
+	return a
+}
+
+// The four-row Factor and the multi-row SolveInto must reproduce the
+// row-at-a-time loops bit for bit at every size modulo four, on a
+// well-conditioned and a near-singular matrix, with x apart from b and
+// aliasing it.
+func TestCholeskyMatchesRowReference(t *testing.T) {
+	r := NewRNG(46)
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 33} {
+		for _, tc := range []struct {
+			name string
+			a    *Dense
+		}{{"random", randSPD(r, n)}, {"near-singular", nearSingularSPD(r, n)}} {
+			want, got := tc.a.Clone(), tc.a.Clone()
+			if err := refCholeskyFactor(want); err != nil {
+				t.Fatalf("n=%d %s: reference: %v", n, tc.name, err)
+			}
+			c := &Cholesky{}
+			if err := c.Factor(got); err != nil {
+				t.Fatalf("n=%d %s: %v", n, tc.name, err)
+			}
+			name := fmt.Sprintf("n=%d %s", n, tc.name)
+			sameBits(t, name+" factor", got, want)
+			for trial := 0; trial < 3; trial++ {
+				b := make([]float64, n)
+				for i := range b {
+					b[i] = 2*r.Float64() - 1
+				}
+				wantX, x := make([]float64, n), make([]float64, n)
+				refCholeskySolve(want, wantX, b)
+				c.SolveInto(x, b)
+				sameBits(t, name+" x", NewDenseFrom(1, n, x), NewDenseFrom(1, n, wantX))
+				c.SolveInto(b, b)
+				sameBits(t, name+" in-place x", NewDenseFrom(1, n, b), NewDenseFrom(1, n, wantX))
+			}
+		}
+	}
+}
+
+// Tridiag.SchurLower must reduce the lower triangle and diagonal
+// exactly as the column-at-a-time update does, one single-vector solve
+// per column, and leave the strict upper triangle as it was.
+func TestTridiagSchurLowerMatchesColumnReference(t *testing.T) {
+	r := NewRNG(47)
+	for _, n := range []int{1, 2, 3, 8, 13} {
+		diag, off := randSPDTridiag(r, n)
+		f := &Tridiag{}
+		if err := f.Factor(diag, off); err != nil {
+			t.Fatal(err)
+		}
+		g := make([]float64, n)
+		for i := range g {
+			g[i] = 0.5 + r.Float64()
+		}
+		d := randSPD(r, n)
+		want, got := d.Clone(), d.Clone()
+		col := make([]float64, n)
+		for k := 0; k < n; k++ {
+			Fill(col, 0)
+			col[k] = g[k]
+			f.SolveInto(col, col)
+			for j := 0; j < n; j++ {
+				want.Data[j*n+k] -= g[j] * col[j]
+			}
+		}
+		w := make([]float64, n*n)
+		Fill(w, math.NaN()) // SchurLower must not read stale scratch
+		f.SchurLower(got, g, w)
+		for j := 0; j < n; j++ {
+			for k := 0; k < n; k++ {
+				ref := want.At(j, k)
+				if k > j {
+					ref = d.At(j, k)
+				}
+				if v := got.At(j, k); math.Float64bits(v) != math.Float64bits(ref) {
+					t.Fatalf("n=%d entry (%d,%d): %v, want %v", n, j, k, v, ref)
+				}
+			}
+		}
+	}
+}
+
+// refFactorBlockTridiag factors diag in place the way BlockTridiag
+// factored before it reduced only lower triangles: every entry of
+// each Schur block, each column of T_{i-1}⁻¹·diag(e) from one
+// single-vector solve, and Cholesky one row at a time. It returns the
+// factor those levels make.
+func refFactorBlockTridiag(t *testing.T, diag []*Dense, off [][]float64) *BlockTridiag {
 	bs := diag[0].Rows
-	chol := make([]*Cholesky, len(diag))
+	f := &BlockTridiag{levels: len(diag), bs: bs, chol: make([]Cholesky, len(diag)), off: off}
 	col := make([]float64, bs)
 	for i, d := range diag {
 		if i > 0 {
@@ -269,27 +419,31 @@ func refFactorBlockTridiag(t *testing.T, diag []*Dense, off [][]float64) []*Chol
 			for k := 0; k < bs; k++ {
 				Fill(col, 0)
 				col[k] = e[k]
-				chol[i-1].SolveInto(col, col)
+				refCholeskySolve(diag[i-1], col, col)
 				for j := 0; j < bs; j++ {
 					d.Data[j*bs+k] -= e[j] * col[j]
 				}
 			}
 		}
-		chol[i] = &Cholesky{}
-		if err := chol[i].Factor(d); err != nil {
+		if err := refCholeskyFactor(d); err != nil {
 			t.Fatal(err)
 		}
+		f.chol[i] = Cholesky{n: bs, l: d}
 	}
-	return chol
+	return f
 }
 
-// BlockTridiag.Factor's block Schur columns must give the factor the
-// column-at-a-time reference gives, bit for bit, and refactoring into
-// reused storage (a repeated shape, then a new one) must too.
+// BlockTridiag.Factor must give each level the reference's factor in
+// the part a solve reads, its lower triangle and diagonal, bit for
+// bit, and so solve every right-hand side exactly as the reference
+// factor does, one vector or a block of them; refactoring into reused
+// storage (a repeated shape, then a new one) must too. The block sizes
+// run the Schur step's groups of eight columns and its four- and
+// one-lane tails.
 func TestBlockTridiagFactorMatchesColumnReference(t *testing.T) {
 	r := NewRNG(45)
 	var reused BlockTridiag
-	for _, dims := range [][2]int{{1, 4}, {3, 1}, {4, 5}, {6, 8}, {6, 8}, {4, 5}} {
+	for _, dims := range [][2]int{{1, 4}, {3, 1}, {4, 5}, {6, 8}, {6, 8}, {3, 13}, {3, 19}, {4, 5}} {
 		levels, bs := dims[0], dims[1]
 		diag, off, _ := blockTridiagSystem(r, levels, bs)
 		// Scale the off-blocks to near the SPD limit (the diagonal
@@ -314,13 +468,29 @@ func TestBlockTridiagFactorMatchesColumnReference(t *testing.T) {
 		if err := reused.Factor(clone(), off); err != nil {
 			t.Fatal(err)
 		}
+		n, m, ld := levels*bs, 5, 7
+		b := make([]float64, n*ld)
+		for i := range b {
+			b[i] = 2*r.Float64() - 1
+		}
+		tmp := make([]float64, bs*ld)
+		wantX, wantBlock := make([]float64, n), make([]float64, n*ld)
+		want.SolveInto(wantX, b[:n], tmp)
+		want.SolveBlockInto(wantBlock, b, tmp, m, ld)
 		for _, got := range []*BlockTridiag{fresh, &reused} {
-			for i, c := range want {
-				for k, v := range c.l.Data {
-					if g := got.chol[i].l.Data[k]; math.Float64bits(g) != math.Float64bits(v) {
-						t.Fatalf("levels=%d bs=%d level %d entry %d: %v, reference %v", levels, bs, i, k, g, v)
-					}
+			for i, c := range want.chol {
+				for j := 0; j < bs; j++ {
+					row := func(d *Dense) *Dense { return NewDenseFrom(1, j+1, d.Data[j*bs:j*bs+j+1]) }
+					sameBits(t, fmt.Sprintf("levels=%d bs=%d level %d row %d", levels, bs, i, j), row(got.chol[i].l), row(c.l))
 				}
+			}
+			x, xb := make([]float64, n), make([]float64, n*ld)
+			got.SolveInto(x, b[:n], tmp)
+			sameBits(t, fmt.Sprintf("levels=%d bs=%d SolveInto", levels, bs), NewDenseFrom(1, n, x), NewDenseFrom(1, n, wantX))
+			got.SolveBlockInto(xb, b, tmp, m, ld)
+			for j := 0; j < n; j++ {
+				lanes := func(v []float64) *Dense { return NewDenseFrom(1, m, v[j*ld:j*ld+m]) }
+				sameBits(t, fmt.Sprintf("levels=%d bs=%d SolveBlockInto row %d", levels, bs, j), lanes(xb), lanes(wantBlock))
 			}
 		}
 	}

@@ -146,9 +146,10 @@ func (f *opFactor) build(cfg Config) error {
 
 	// Bit-line levels: dense Schur-complement blocks
 	// D_i = diag(cdiag_i) − diag(gs_i)·A_i⁻¹·diag(gs_i), with −gw·I
-	// between adjacent levels. One block solve gives all C columns of
-	// A_i⁻¹·diag(gs_i): lane k is the one-vector solve of gs_ik·unit(k),
-	// bit for bit.
+	// between adjacent levels. Only their lower triangles are formed,
+	// the part the column factor reads: SchurLower solves for
+	// A_i⁻¹·diag(gs_i) at and below the diagonal only, every entry bit
+	// for bit the one-vector solve of gs_ik·unit(k).
 	gsnk := 1 / cfg.Rsink
 	w := f.work
 	for i := 0; i < R; i++ {
@@ -168,18 +169,7 @@ func (f *opFactor) build(cfg Config) error {
 			}
 			d.Set(j, j, cd)
 		}
-		gs := f.gs[i*C : (i+1)*C]
-		linalg.Fill(w, 0)
-		for k, g := range gs {
-			w[k*C+k] = g
-		}
-		f.rowTri[i].SolveBlockInto(w, w, C, C)
-		for j, g := range gs {
-			row, col := d.Data[j*C:(j+1)*C], w[j*C:(j+1)*C]
-			for k := range row {
-				row[k] -= g * col[k]
-			}
-		}
+		f.rowTri[i].SchurLower(d, f.gs[i*C:(i+1)*C], w)
 	}
 	return f.col.Factor(f.blocks, f.offBlocks)
 }

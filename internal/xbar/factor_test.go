@@ -299,17 +299,20 @@ func TestValidateStart(t *testing.T) {
 	}
 }
 
-// refWordLineSchur is build's bit-line blocks computed the way the
-// factor used to compute them: each column of A_i⁻¹·diag(gs_i) from
-// one single-vector tridiagonal solve. It returns the blocks factored
-// by linalg.BlockTridiag.Factor and the word-line chain factors.
-func refWordLineSchur(t *testing.T, cfg Config, gs []float64) ([]*linalg.Dense, []*linalg.Tridiag) {
+// refFactor is the factor build gives for f's conductances, computed
+// the way build used to compute it: every entry of each bit-line
+// block reduced, each column of A_i⁻¹·diag(gs_i) from one
+// single-vector tridiagonal solve. linalg.BlockTridiag.Factor factors
+// the blocks, as build's own are.
+func refFactor(t *testing.T, cfg Config, f *opFactor) *opFactor {
 	R, C := cfg.Rows, cfg.Cols
 	gw, gsrc, gsnk := 1/cfg.Rwire, 1/cfg.Rsource, 1/cfg.Rsink
+	ref := newOpFactor(cfg)
+	copy(ref.gsel, f.gsel)
+	copy(ref.gcell, f.gcell)
+	copy(ref.gs, f.gs)
+	gs := ref.gs
 	diag := make([]float64, C)
-	off := make([]float64, max(C-1, 0))
-	linalg.Fill(off, -gw)
-	rowTri := make([]*linalg.Tridiag, R)
 	for i := 0; i < R; i++ {
 		for j := 0; j < C; j++ {
 			diag[j] = gw*float64(btoi(j > 0)+btoi(j+1 < C)) + gs[i*C+j]
@@ -317,16 +320,13 @@ func refWordLineSchur(t *testing.T, cfg Config, gs []float64) ([]*linalg.Dense, 
 				diag[j] += gsrc
 			}
 		}
-		rowTri[i] = &linalg.Tridiag{}
-		if err := rowTri[i].Factor(diag, off); err != nil {
+		if err := ref.rowTri[i].Factor(diag, ref.wire); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blocks := make([]*linalg.Dense, R)
-	offBlocks := make([][]float64, max(R-1, 0))
 	col := make([]float64, C)
-	for i := 0; i < R; i++ {
-		d := linalg.NewDense(C, C)
+	for i, d := range ref.blocks {
+		linalg.Fill(d.Data, 0)
 		for j := 0; j < C; j++ {
 			cd := gw*float64(btoi(i > 0)+btoi(i+1 < R)) + gs[i*C+j]
 			if i == R-1 {
@@ -337,21 +337,16 @@ func refWordLineSchur(t *testing.T, cfg Config, gs []float64) ([]*linalg.Dense, 
 		for k := 0; k < C; k++ {
 			linalg.Fill(col, 0)
 			col[k] = gs[i*C+k]
-			rowTri[i].SolveInto(col, col)
+			ref.rowTri[i].SolveInto(col, col)
 			for j := 0; j < C; j++ {
 				d.Data[j*C+k] -= gs[i*C+j] * col[j]
 			}
 		}
-		blocks[i] = d
-		if i+1 < R {
-			offBlocks[i] = make([]float64, C)
-			linalg.Fill(offBlocks[i], -gw)
-		}
 	}
-	if err := new(linalg.BlockTridiag).Factor(blocks, offBlocks); err != nil {
+	if err := ref.col.Factor(ref.blocks, ref.offBlocks); err != nil {
 		t.Fatal(err)
 	}
-	return blocks, rowTri
+	return ref
 }
 
 func btoi(b bool) int {
@@ -361,15 +356,18 @@ func btoi(b bool) int {
 	return 0
 }
 
-// build's block word-line Schur columns must give the blocks and the
-// solves of the column-at-a-time reference, bit for bit, on J₀ of
-// every shape TestFactorSolvesLinearizedSystem checks, built fresh and
+// build must give the reference's bit-line blocks in the part the
+// column factor reads, their lower triangles and diagonals, bit for
+// bit, and so solve every right-hand side exactly as the reference
+// factor does, through solveInto and solveBlockInto, on J₀ of every
+// shape TestFactorSolvesLinearizedSystem checks, built fresh and
 // rebuilt into reused storage.
 func TestBuildMatchesColumnReference(t *testing.T) {
 	r := linalg.NewRNG(51)
-	for _, dims := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {4, 7}, {8, 8}, {5, 3}} {
+	for _, dims := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {4, 7}, {8, 8}, {5, 3}, {3, 13}} {
 		cfg := DefaultConfig()
 		cfg.Rows, cfg.Cols = dims[0], dims[1]
+		C := cfg.Cols
 		xb, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -382,25 +380,37 @@ func TestBuildMatchesColumnReference(t *testing.T) {
 			if err := xb.zeroBiasFactor(reused); err != nil {
 				t.Fatal(err)
 			}
-			blocks, rowTri := refWordLineSchur(t, cfg, reused.gs)
-			for i, b := range blocks {
-				for k, v := range b.Data {
-					if g := reused.blocks[i].Data[k]; math.Float64bits(g) != math.Float64bits(v) {
-						t.Fatalf("%dx%d trial %d level %d entry %d: %v, reference %v", dims[0], dims[1], trial, i, k, g, v)
+			ref := refFactor(t, cfg, reused)
+			for i, b := range ref.blocks {
+				for j := 0; j < C; j++ {
+					for k := 0; k <= j; k++ {
+						g, v := reused.blocks[i].At(j, k), b.At(j, k)
+						if math.Float64bits(g) != math.Float64bits(v) {
+							t.Fatalf("%dx%d trial %d level %d entry (%d,%d): %v, reference %v", dims[0], dims[1], trial, i, j, k, g, v)
+						}
 					}
 				}
 			}
-			for i, tri := range rowTri {
-				b := make([]float64, cfg.Cols)
-				for j := range b {
-					b[j] = 2*r.Float64() - 1
+			n, m, ld := xb.numNodes(), 3, 4
+			b := make([]float64, n*ld)
+			for j := range b {
+				b[j] = 2*r.Float64() - 1
+			}
+			got, want := make([]float64, n), make([]float64, n)
+			reused.solveInto(got, b[:n], newFactorScratch(cfg))
+			ref.solveInto(want, b[:n], newFactorScratch(cfg))
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%dx%d trial %d: solveInto node %d = %v, reference %v", dims[0], dims[1], trial, j, got[j], want[j])
 				}
-				got, want := make([]float64, len(b)), make([]float64, len(b))
-				reused.rowTri[i].SolveInto(got, b)
-				tri.SolveInto(want, b)
-				for j := range want {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("%dx%d word line %d: solve %v, reference %v", dims[0], dims[1], i, got[j], want[j])
+			}
+			gotB, wantB := make([]float64, n*ld), make([]float64, n*ld)
+			reused.solveBlockInto(gotB, b, m, ld, newBlockScratch(cfg, ld))
+			ref.solveBlockInto(wantB, b, m, ld, newBlockScratch(cfg, ld))
+			for j := 0; j < n; j++ {
+				for l := 0; l < m; l++ {
+					if g, v := gotB[j*ld+l], wantB[j*ld+l]; math.Float64bits(g) != math.Float64bits(v) {
+						t.Fatalf("%dx%d trial %d: solveBlockInto node %d lane %d = %v, reference %v", dims[0], dims[1], trial, j, l, g, v)
 					}
 				}
 			}
@@ -582,5 +592,48 @@ func TestSharedFactorNeverRebuilt(t *testing.T) {
 		if math.Float64bits(after.Data[i]) != math.Float64bits(before.Data[i]) {
 			t.Fatalf("output %d: %v after the reprogramming, %v before", i, after.Data[i], before.Data[i])
 		}
+	}
+}
+
+// BenchmarkFactorBuild measures the factor kernels on their own at
+// each tile size: "build" is one zero-bias build of J₀ into storage
+// the crossbar owns (what every core.Generate label pays once), and
+// "solve" one solveInto through it (what every chord update pays).
+// Neither allocates.
+func BenchmarkFactorBuild(b *testing.B) {
+	for _, n := range []int{8, 16, 32, 64} {
+		cfg := DefaultConfig()
+		cfg.Rows, cfg.Cols = n, n
+		xb, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := linalg.NewRNG(1)
+		if err := xb.Program(randomLevels(cfg, r)); err != nil {
+			b.Fatal(err)
+		}
+		f := newOpFactor(cfg)
+		if err := xb.zeroBiasFactor(f); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%dx%d/build", n, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := xb.zeroBiasFactor(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		rhs, out := make([]float64, xb.numNodes()), make([]float64, xb.numNodes())
+		for i := range rhs {
+			rhs[i] = 2*r.Float64() - 1
+		}
+		ws := newFactorScratch(cfg)
+		b.Run(fmt.Sprintf("%dx%d/solve", n, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.solveInto(out, rhs, ws)
+			}
+		})
 	}
 }
