@@ -142,7 +142,7 @@ func run() error {
 	floatAcc := models.TestAccuracy(net, set, 64)
 	fmt.Printf("float32 accuracy: %.2f%%\n", 100*floatAcc)
 
-	// Build the analog model through the registry: the spec says what
+	// Build the analog model through the tier table: the spec says what
 	// the factory needs (solver health for circuit tiers, a trained
 	// surrogate for GENIEx tiers); the tier-name switch that used to
 	// live here is gone.

@@ -179,7 +179,7 @@ func run() error {
 			return err
 		}
 		// The ladder degrades: each tier must be strictly less faithful
-		// than the one before it, by registry rank.
+		// than the one before it, by tier rank.
 		if i > 0 && spec.Rank >= prevRank {
 			return fmt.Errorf("tier %q (rank %d) is not less faithful than its predecessor (rank %d); order -tiers most faithful first",
 				name, spec.Rank, prevRank)
@@ -210,9 +210,6 @@ func run() error {
 		}
 
 		params := funcsim.ModelParams{Xbar: simCfg.Xbar}
-		if spec.Circuit {
-			params.Health = &funcsim.SolverHealth{}
-		}
 		if spec.NeedsSurrogate {
 			if sharedGX == nil {
 				fmt.Println("serve: training GENIEx surrogate...")
@@ -253,8 +250,18 @@ func run() error {
 			slo, thr := fidSLO, *sloRRMSE
 			p.OnSample(func(rr float64) { slo.Observe(rr <= thr) })
 		}
+		// outOfSpec is the tier's one fidelity verdict: probe drift
+		// past -drift-limit, or the fidelity error budget burning
+		// unsustainably. It distrusts the tier and, with -calibrate,
+		// triggers tuning rounds; nil when neither signal is armed.
+		var outOfSpec func() bool
 		if p := eng.Probe(); p != nil && (*driftLimit > 0 || fidSLO != nil) {
 			limit, slo := *driftLimit, fidSLO
+			outOfSpec = func() bool {
+				st := p.Stats()
+				return (limit > 0 && st.BaselineRecorded && st.Drift > limit) ||
+					(slo != nil && slo.BurnRate() >= 1)
+			}
 			// A distrusted tier serves no traffic, so its probe stops
 			// sampling — which would starve the calibrator of training
 			// data AND freeze the very signals that could clear the
@@ -266,9 +273,7 @@ func run() error {
 				canaryEvery = uint64(*canaryN)
 			}
 			tier.Distrust = func() bool {
-				st := p.Stats()
-				out := (limit > 0 && st.BaselineRecorded && st.Drift > limit) ||
-					(slo != nil && slo.BurnRate() >= 1)
+				out := outOfSpec()
 				if out && canaryEvery > 0 && canary.Add(1)%canaryEvery == 0 {
 					return false
 				}
@@ -279,31 +284,15 @@ func run() error {
 			if p := eng.Probe(); p == nil {
 				return fmt.Errorf("tier %q: -calibrate needs -probe-rate > 0 (the calibrator trains on probe shadow-solves)", name)
 			} else {
-				calCfg := calib.Config{
+				cal, err := calib.New(calib.Config{
 					Model: sharedGX,
 					Probe: p,
 					Swap: func(m *core.Model) (int64, error) {
 						return eng.SwapModel(funcsim.GENIEx{Model: m})
 					},
-					SLO:            *sloRRMSE,
-					DriftThreshold: *driftLimit,
-					Seed:           *seed + 100,
-				}
-				if fidSLO != nil {
-					// Burn-rate trigger: a tuning round is warranted when
-					// the fidelity error budget is burning unsustainably,
-					// or on raw drift past -drift-limit. Replaces the
-					// built-in point-reading checks.
-					slo, limit := fidSLO, *driftLimit
-					calCfg.Trigger = func() bool {
-						if slo.BurnRate() >= 1 {
-							return true
-						}
-						st := p.Stats()
-						return limit > 0 && st.BaselineRecorded && st.Drift > limit
-					}
-				}
-				cal, err := calib.New(calCfg)
+					Trigger: outOfSpec,
+					Seed:    *seed + 100,
+				})
 				if err != nil {
 					return err
 				}

@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Evaluate the simulation modes through the model registry, in
+	// 4. Evaluate the simulation modes through the tier table, in
 	// fidelity-ladder order (the paper compares ideal, analytical and
 	// GENIEx; the circuit tiers are skipped here to keep the example
 	// fast).

@@ -26,30 +26,21 @@ type Config struct {
 	//	}
 	Swap func(*core.Model) (int64, error)
 	// Probe, when non-nil, feeds the calibrator: its tap captures
-	// shadow-solve pairs, and its EWMA and drift (Probe.Stats) decide
-	// when a tuning round is warranted. With a nil Probe the caller feeds
-	// samples through Observe and every sample-triggered check passes.
+	// shadow-solve pairs. With a nil Probe the caller feeds samples
+	// through Observe.
 	Probe *funcsim.Probe
 
 	// Reservoir sizes the sample store; its conductance window is
 	// filled from Model.Cfg when zero.
 	Reservoir ReservoirConfig
 
-	// SLO is the fidelity objective: a tuning round triggers when the
-	// probe's rRMSE EWMA exceeds it. 0 disables the EWMA trigger.
-	SLO float64
-	// DriftThreshold triggers a round when the probe's drift
-	// (EWMA − baseline) exceeds it, once a baseline is recorded. 0
-	// disables the drift trigger. With both triggers disabled every
-	// check passes and rounds are bounded only by MinSamples and the
-	// duty cycle.
-	DriftThreshold float64
-	// Trigger, when non-nil, replaces the built-in checks (SLO /
-	// DriftThreshold) entirely: a tuning round is warranted exactly
-	// when it returns true. geniex-serve wires an obs.SLO burn-rate
-	// closure here, so recalibration keys off a windowed error budget
-	// rather than a raw point reading. Called on the calibrator's worker
-	// goroutine; must be fast and non-blocking.
+	// Trigger decides whether a tuning round is warranted: a round
+	// runs only when it returns true. geniex-serve wires the predicate
+	// that also distrusts the tier here (probe drift past -drift-limit,
+	// or the fidelity SLO's burn rate at 1 or more). A nil Trigger
+	// passes every check, so rounds are bounded only by MinSamples and
+	// the duty cycle. Called on the calibrator's worker goroutine; must
+	// be fast and non-blocking.
 	Trigger func() bool
 	// MinSamples is the fewest reservoir samples a round trains on.
 	// Default 32.
@@ -210,9 +201,11 @@ func (c *Calibrator) loop() {
 	}
 }
 
-// shouldRound applies the non-timer triggers: enough samples, outside
-// the duty-cycle cool-down, and the probe's statistics (when wired) showing
-// the live model out of spec.
+// shouldRound applies the non-timer checks: enough samples, outside
+// the duty-cycle cool-down, and the Trigger (when set) showing the live
+// model out of spec. Recalibration is deliberately signal-driven, not
+// timer-driven: a healthy model is never retrained, no matter how long
+// it runs.
 func (c *Calibrator) shouldRound() bool {
 	if time.Since(c.start).Nanoseconds() < c.cooldownUntil.Load() {
 		c.skipped.Add(1)
@@ -221,32 +214,11 @@ func (c *Calibrator) shouldRound() bool {
 	if c.res.Len() < c.cfg.MinSamples {
 		return false
 	}
-	if !c.triggered() {
+	if c.cfg.Trigger != nil && !c.cfg.Trigger() {
 		c.skipped.Add(1)
 		return false
 	}
 	return true
-}
-
-// triggered consults the Trigger override when one is installed,
-// otherwise the probe's EWMA and drift. Recalibration is
-// deliberately signal-driven, not timer-driven: a healthy model is
-// never retrained, no matter how long it runs.
-func (c *Calibrator) triggered() bool {
-	if c.cfg.Trigger != nil {
-		return c.cfg.Trigger()
-	}
-	if c.cfg.Probe == nil || (c.cfg.SLO == 0 && c.cfg.DriftThreshold == 0) {
-		return true
-	}
-	st := c.cfg.Probe.Stats()
-	if c.cfg.SLO > 0 && st.RRMSEEWMA > c.cfg.SLO {
-		return true
-	}
-	if c.cfg.DriftThreshold > 0 && st.BaselineRecorded && st.Drift > c.cfg.DriftThreshold {
-		return true
-	}
-	return false
 }
 
 // RunRound executes one fine-tuning round synchronously: snapshot the

@@ -2,6 +2,7 @@ package calib
 
 import (
 	"testing"
+	"time"
 
 	"geniex/internal/core"
 	"geniex/internal/funcsim"
@@ -148,6 +149,65 @@ func TestCalibratorRoundImprovesAndPublishes(t *testing.T) {
 	}
 	if got := c.Stats().Skipped; got != 1 {
 		t.Errorf("skipped = %d after duty-cycle refusal, want 1", got)
+	}
+}
+
+// With enough samples held, the Trigger alone decides whether a
+// wake-up of the background worker runs a round: false refuses every
+// wake-up and counts it as skipped, true runs a round, and a nil
+// Trigger passes every check.
+func TestCalibratorTrigger(t *testing.T) {
+	cfg := harshXbar()
+	base := weakSurrogate(t, cfg)
+	samples := circuitSamples(t, cfg, 16, 61)
+	waitFor := func(t *testing.T, what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		trigger func() bool
+		round   bool
+	}{
+		{"false", func() bool { return false }, false},
+		{"true", func() bool { return true }, true},
+		{"nil", nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Config{
+				Model:      base,
+				Swap:       func(*core.Model) (int64, error) { return 2, nil },
+				Trigger:    tc.trigger,
+				MinSamples: 16,
+				Steps:      10,
+				Seed:       1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			feed(c, samples)
+			if tc.round {
+				c.notify <- struct{}{}
+				waitFor(t, "a round", func() bool { return c.Stats().Rounds == 1 })
+				c.Close() // the round in flight completes first
+				if s := c.Stats(); s.Skipped != 0 {
+					t.Errorf("stats %+v, want no skipped wake-up", s)
+				}
+				return
+			}
+			for n := int64(1); n <= 3; n++ {
+				c.notify <- struct{}{}
+				waitFor(t, "a skipped wake-up", func() bool { return c.Stats().Skipped == n })
+			}
+			if s := c.Stats(); s.Rounds != 0 {
+				t.Errorf("stats %+v, want no round while the trigger is false", s)
+			}
+		})
 	}
 }
 

@@ -95,32 +95,11 @@ type calibratedTile struct {
 // applied (the digital-domain correction, modeled in the current
 // domain before the ADC back-conversion).
 func (t *calibratedTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	curr, err := t.inner.Currents(v)
-	if err != nil {
-		return nil, err
-	}
-	t.apply(curr)
-	return curr, nil
+	return currents(t, v, len(t.gain))
 }
 
-// CurrentsInto implements the allocation-free fast path when the inner
-// tile supports it.
-func (t *calibratedTile) CurrentsInto(dst, v *linalg.Dense) error {
-	return t.currentsVC(dst, v, nil)
-}
-
-func (t *calibratedTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
-	if err := currentsInto(nil, t.inner, dst, v, vc, len(t.gain)); err != nil {
-		return err
-	}
-	t.apply(dst)
-	return nil
-}
-
-// CurrentsCtxInto implements ctxTile by forwarding the context to the
-// wrapped tile, so a decorated circuit tile stays cancellable.
-func (t *calibratedTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
-	if err := currentsInto(ctx, t.inner, dst, v, nil, len(t.gain)); err != nil {
+func (t *calibratedTile) eval(ctx context.Context, dst, v *linalg.Dense, vc *core.VContext) error {
+	if err := currentsInto(ctx, t.inner, dst, v, vc, len(t.gain)); err != nil {
 		return err
 	}
 	t.apply(dst)

@@ -149,16 +149,14 @@ type Engine struct {
 	probe *Probe
 
 	// mu guards the live-model identity and the lowered-matrix list.
-	// The model and its surrogate are deliberately unexported and only
-	// reachable through accessors: under Config.Swappable a background
-	// calibrator may replace them at any moment, so direct struct reads
-	// would race. version counts published models; the model the engine
+	// The model is deliberately unexported and only reachable through
+	// accessors: under Config.Swappable a background calibrator may
+	// replace it at any moment, so direct struct reads would race. version counts published models; the model the engine
 	// was constructed with is version 1, and every successful SwapModel
 	// increments it. matrixIDs numbers lowered matrices so the probe's
 	// per-tile aggregates stay distinct across matrices.
 	mu        sync.Mutex
 	model     Model
-	sur       *core.Model // GENIEx surrogate of the model chain, if any
 	version   int64
 	mats      []*Matrix // swap targets; tracked only when Swappable
 	matrixIDs int
@@ -176,7 +174,6 @@ func NewEngine(cfg Config, model Model) (*Engine, error) {
 		cfg:     cfg,
 		retain:  cfg.ProbeRate > 0 || cfg.Swappable,
 		model:   model,
-		sur:     surrogateOf(model),
 		version: 1,
 	}
 	if cfg.ProbeRate > 0 {
@@ -508,7 +505,7 @@ func (e *Engine) SwapModel(model Model) (int64, error) {
 			}
 		}
 	}
-	e.model, e.sur, e.version = model, surrogateOf(model), version
+	e.model, e.version = model, version
 	return version, nil
 }
 
@@ -777,8 +774,6 @@ func (m *Matrix) MVMIntoContext(ctx context.Context, dst, x *linalg.Dense) error
 		return fmt.Errorf("funcsim: MVM input row %d column %d is NaN", i, j)
 	}
 	mvmStart := time.Now()
-	region := obs.StartRegion("funcsim.mvm")
-	defer region.End()
 	// Traced requests get a "funcsim.mvm" span parenting the per-tile
 	// spans; untraced callers (nil or plain contexts — the benchmarked
 	// steady state) skip straight past, preserving 0 allocs/op.

@@ -45,6 +45,16 @@ func quantizedRef(cfg Config, x, w *linalg.Dense) *linalg.Dense {
 	return out
 }
 
+// randConductances draws a tile's Rows×Cols conductances uniformly in
+// [Goff, Gon].
+func randConductances(cfg xbar.Config, r *linalg.RNG) *linalg.Dense {
+	g := linalg.NewDense(cfg.Rows, cfg.Cols)
+	for i := range g.Data {
+		g.Data[i] = cfg.Goff() + r.Float64()*(cfg.Gon()-cfg.Goff())
+	}
+	return g
+}
+
 func randMatrix(r *linalg.RNG, rows, cols, scaleDen int) *linalg.Dense {
 	m := linalg.NewDense(rows, cols)
 	for i := range m.Data {

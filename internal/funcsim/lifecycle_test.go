@@ -81,48 +81,81 @@ func TestEngineCloseRacesInflightMVM(t *testing.T) {
 
 // A cancelled context must stop the MVM before circuit work starts,
 // and — the acceptance criterion — the xbar solve counters must not
-// advance for work done on behalf of a dead caller.
+// advance for work done on behalf of a dead caller. The Noisy and
+// Calibrated wrappers forward the context to their circuit tiles.
 func TestMVMContextCancelledStopsCircuitSolves(t *testing.T) {
 	cfg := exactConfig(8, 8)
 	cfg.Xbar.BatchWorkers = 1
-	eng, err := NewEngine(cfg, Circuit{Cfg: cfg.Xbar})
-	if err != nil {
-		t.Fatal(err)
+	circuit := Circuit{Cfg: cfg.Xbar}
+	fullScale := float64(cfg.Xbar.Rows) * cfg.Xbar.Vsupply * cfg.Xbar.Gon()
+	r := linalg.NewRNG(83)
+	g := randConductances(cfg.Xbar, r)
+	v := linalg.NewDense(3, cfg.Xbar.Rows)
+	for i := range v.Data {
+		v.Data[i] = cfg.Xbar.Vsupply * r.Float64()
 	}
-	w, x := testWorkload(81, 12, 10, 2)
-	mat, err := eng.Lower(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, model := range []Model{
+		circuit,
+		&Noisy{Inner: circuit, Sigma: 0.01, FullScale: fullScale, Seed: 2},
+		Calibrated{Inner: circuit, Samples: 4, Xbar: cfg.Xbar},
+	} {
+		t.Run(model.Name(), func(t *testing.T) {
+			eng, err := NewEngine(cfg, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, x := testWorkload(81, 12, 10, 2)
+			mat, err := eng.Lower(w)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	solves := obs.NewCounter("xbar.solver.solves")
+			solves := obs.NewCounter("xbar.solver.solves")
 
-	// Uncancelled baseline: circuit solves advance the counter.
-	before := solves.Load()
-	if _, err := mat.MVMContext(context.Background(), x); err != nil {
-		t.Fatal(err)
-	}
-	if solves.Load() == before {
-		t.Fatal("circuit MVM advanced no solve counters; test is not exercising the solver")
-	}
+			// Uncancelled baseline: circuit solves advance the counter.
+			before := solves.Load()
+			if _, err := mat.MVMContext(context.Background(), x); err != nil {
+				t.Fatal(err)
+			}
+			if solves.Load() == before {
+				t.Fatal("circuit MVM advanced no solve counters; test is not exercising the solver")
+			}
 
-	// Dead caller: no solves, error wraps context.Canceled.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	before = solves.Load()
-	_, err = mat.MVMContext(ctx, x)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
-	}
-	if d := solves.Load() - before; d != 0 {
-		t.Errorf("solve counter advanced by %d after cancellation", d)
-	}
-	// Per-update cancellation is covered in internal/xbar.
+			// Dead caller: no solves, error wraps context.Canceled.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			before = solves.Load()
+			_, err = mat.MVMContext(ctx, x)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("error %v does not wrap context.Canceled", err)
+			}
+			if d := solves.Load() - before; d != 0 {
+				t.Errorf("solve counter advanced by %d after cancellation", d)
+			}
+			// Per-update cancellation is covered in internal/xbar.
 
-	// Matrix still works after a cancelled call (pooled run state must
-	// not leak the dead context).
-	if _, err := mat.MVM(x); err != nil {
-		t.Fatalf("MVM after cancelled MVM failed: %v", err)
+			// Matrix still works after a cancelled call (pooled run state
+			// must not leak the dead context).
+			if _, err := mat.MVM(x); err != nil {
+				t.Fatalf("MVM after cancelled MVM failed: %v", err)
+			}
+
+			// The MVM checks the context before each tile task, so a dead
+			// caller never reaches a tile; evaluate one directly to see
+			// the context reach the solver through the wrapper.
+			tile, err := model.NewTile(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before = solves.Load()
+			err = currentsInto(ctx, tile, linalg.NewDense(v.Rows, cfg.Xbar.Cols), v, nil, cfg.Xbar.Cols)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("tile error %v does not wrap context.Canceled", err)
+			}
+			if d := solves.Load() - before; d != 0 {
+				t.Errorf("solve counter advanced by %d in a cancelled tile evaluation", d)
+			}
+		})
 	}
 }
 

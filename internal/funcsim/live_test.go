@@ -48,7 +48,7 @@ func mvmOnce(t *testing.T, cfg Config, model Model, w, x *linalg.Dense) *linalg.
 // evaluates only the columns its layer reads changes no bit: MVM(W)
 // must equal the first out columns of MVM([W | 0]), whose zero block
 // pads out to whole tiles (every column live). That holds for every
-// registered tier, the calibrated wrapper and, at one worker with a
+// tier, the calibrated wrapper and, at one worker with a
 // fixed seed, the noisy one, whose tiles draw for every column, live
 // or not.
 func TestLiveColumnsBitIdentical(t *testing.T) {

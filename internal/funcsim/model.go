@@ -43,42 +43,35 @@ type Model interface {
 // The MVM pipeline invokes tiles from multiple worker goroutines, so
 // implementations must be safe for concurrent Currents calls.
 //
-// The pipeline's fast paths (CurrentsInto, CurrentsCtxInto and the
-// surrogate path) write into a dst of c ≤ Cols columns: a tile then
-// computes only the first c columns, which must equal the leading
-// columns of its full-width result. The engine passes the columns its
-// layer reads, so the last tile column of a layer whose output width
-// is not a multiple of Cols skips the padding.
+// Every tile in this package also implements eval, the one method the
+// MVM pipeline calls (see currentsInto). A tile from outside the
+// package is evaluated through CurrentsCtxInto when it has one and
+// through Currents otherwise.
 type Tile interface {
 	// Currents maps a batch of voltage vectors (batch×Rows, volts) to
 	// output currents (batch×Cols, amperes).
 	Currents(v *linalg.Dense) (*linalg.Dense, error)
 }
 
-// intoTile is the allocation-free fast path: tiles that implement it
-// compute into a caller-owned buffer instead of allocating the result.
-// Every in-package tile implements it; the MVM pipeline prefers it and
-// falls back to Currents plus a copy for external implementations.
-type intoTile interface {
-	CurrentsInto(dst, v *linalg.Dense) error
+// evalTile is the pipeline's tile seam. eval writes the first dst.Cols
+// (c ≤ Cols) output currents of v's rows into dst, which must equal the
+// leading columns of the tile's full-width result. The engine passes
+// the columns its layer reads, so the last tile column of a layer whose
+// output width is not a multiple of Cols skips the padding.
+//
+// A non-nil ctx cancels an expensive evaluation mid-flight (the circuit
+// model's batch solves); cheap tiles finish faster than a check is
+// worth and ignore it. A non-nil vc is the surrogate's voltage context
+// of v, computed once per input block and shared by every GENIEx tile
+// of the block; other tiles ignore it. Wrappers forward both.
+type evalTile interface {
+	eval(ctx context.Context, dst, v *linalg.Dense, vc *core.VContext) error
 }
 
-// ctxTile is the cancellation-aware fast path: tiles whose evaluation
-// is expensive enough to be worth stopping mid-flight (the circuit
-// model's batch solves) implement it, and the MVM pipeline prefers it
-// whenever the caller supplied a context. Cheap tiles (ideal,
-// analytical, GENIEx) finish faster than a cancellation check is
-// worth; they fall through to the uncancellable paths.
+// ctxTile is the buffer-filling, cancellable evaluation a tile from
+// outside the package may offer instead of Currents.
 type ctxTile interface {
 	CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error
-}
-
-// surrogateTile is implemented by tiles whose analog evaluation runs
-// through the GENIEx neural surrogate. The engine hands them the
-// per-input-block VContext so the dominant first-layer voltage matmul
-// is computed once per block instead of once per (tile, slice, sign).
-type surrogateTile interface {
-	currentsVC(dst, v *linalg.Dense, vc *core.VContext) error
 }
 
 // surrogateModel exposes the core surrogate at the bottom of a model
@@ -98,23 +91,16 @@ func surrogateOf(m Model) *core.Model {
 }
 
 // currentsInto evaluates the first dst.Cols of a tile's cols columns
-// into dst through the fastest interface it implements: the
-// shared-VContext surrogate path, the cancellable path (when ctx is
-// non-nil), the caller-owned-buffer path, or plain Currents (which
-// must return every column) plus a copy of the leading ones.
+// into dst: through eval for this package's tiles, through
+// CurrentsCtxInto for an outside tile that has it, and otherwise
+// through plain Currents (which must return every column) plus a copy
+// of the leading ones.
 func currentsInto(ctx context.Context, tile Tile, dst, v *linalg.Dense, vc *core.VContext, cols int) error {
-	if vc != nil {
-		if st, ok := tile.(surrogateTile); ok {
-			return st.currentsVC(dst, v, vc)
-		}
-	}
-	if ctx != nil {
-		if ct, ok := tile.(ctxTile); ok {
-			return ct.CurrentsCtxInto(ctx, dst, v)
-		}
-	}
-	if it, ok := tile.(intoTile); ok {
-		return it.CurrentsInto(dst, v)
+	switch t := tile.(type) {
+	case evalTile:
+		return t.eval(ctx, dst, v, vc)
+	case ctxTile:
+		return t.CurrentsCtxInto(ctx, dst, v)
 	}
 	out, err := tile.Currents(v)
 	if err != nil {
@@ -128,6 +114,16 @@ func currentsInto(ctx context.Context, tile Tile, dst, v *linalg.Dense, vc *core
 		copy(dst.Row(b), out.Row(b))
 	}
 	return nil
+}
+
+// currents is the Currents of every tile in this package: all cols
+// columns of v's rows, evaluated into a fresh matrix.
+func currents(t evalTile, v *linalg.Dense, cols int) (*linalg.Dense, error) {
+	out := linalg.NewDense(v.Rows, cols)
+	if err := t.eval(nil, out, v, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Ideal is the error-free analog model.
@@ -144,13 +140,13 @@ func (Ideal) NewTile(g *linalg.Dense) (Tile, error) {
 type idealTile struct{ g *linalg.Dense }
 
 func (t idealTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	return linalg.MatMul(v, t.g), nil
+	return currents(t, v, t.g.Cols)
 }
 
-// CurrentsInto stays on the calling goroutine: the pipeline already
-// runs one tile task per worker, so nested fan-out would only add
-// scheduling overhead and allocations.
-func (t idealTile) CurrentsInto(dst, v *linalg.Dense) error {
+// eval stays on the calling goroutine: the pipeline already runs one
+// tile task per worker, so nested fan-out would only add scheduling
+// overhead and allocations.
+func (t idealTile) eval(_ context.Context, dst, v *linalg.Dense, _ *core.VContext) error {
 	linalg.MatMulSerialInto(dst, v, t.g)
 	return nil
 }
@@ -176,10 +172,10 @@ func (m Analytical) NewTile(g *linalg.Dense) (Tile, error) {
 type analyticalTile struct{ at *linalg.Dense }
 
 func (t analyticalTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	return linalg.MatMul(v, t.at), nil
+	return currents(t, v, t.at.Cols)
 }
 
-func (t analyticalTile) CurrentsInto(dst, v *linalg.Dense) error {
+func (t analyticalTile) eval(_ context.Context, dst, v *linalg.Dense, _ *core.VContext) error {
 	linalg.MatMulSerialInto(dst, v, t.at)
 	return nil
 }
@@ -233,18 +229,10 @@ func (t *geniexTile) putFR(fr *linalg.Dense) {
 }
 
 func (t *geniexTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	out := linalg.NewDense(v.Rows, t.g.Cols)
-	if err := t.currentsVC(out, v, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return currents(t, v, t.g.Cols)
 }
 
-func (t *geniexTile) CurrentsInto(dst, v *linalg.Dense) error {
-	return t.currentsVC(dst, v, nil)
-}
-
-func (t *geniexTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
+func (t *geniexTile) eval(_ context.Context, dst, v *linalg.Dense, vc *core.VContext) error {
 	if vc == nil {
 		vc = t.m.NewVContext(v)
 	}
@@ -278,7 +266,7 @@ type SolverHealth struct {
 
 // SolverHealthCounts is a snapshot of the collector.
 type SolverHealthCounts struct {
-	// Batches and Items count BatchSolve calls and batch items.
+	// Batches and Items count batch solves and batch items.
 	Batches, Items int64
 	// Recovered, Retried, Failed, Unconverged count items by outcome.
 	Recovered, Retried, Failed, Unconverged int64
@@ -394,21 +382,19 @@ func (t *circuitTile) putReport(rep *xbar.BatchReport) {
 }
 
 func (t *circuitTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	out := linalg.NewDense(v.Rows, t.cols)
-	if err := t.CurrentsInto(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return currents(t, v, t.cols)
 }
 
-func (t *circuitTile) CurrentsInto(dst, v *linalg.Dense) error {
-	return t.CurrentsCtxInto(nil, dst, v)
-}
-
-// CurrentsCtxInto implements ctxTile: the batch solve aborts at the
-// next solver update once ctx is done, so a revoked serving deadline
-// stops circuit work instead of letting it run to completion.
+// CurrentsCtxInto is eval for callers outside the package that wrap a
+// circuit tile and keep it cancellable.
 func (t *circuitTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
+	return t.eval(ctx, dst, v, nil)
+}
+
+// eval aborts the batch solve at the next solver update once ctx is
+// done, so a revoked serving deadline stops circuit work instead of
+// letting it run to completion.
+func (t *circuitTile) eval(ctx context.Context, dst, v *linalg.Dense, _ *core.VContext) error {
 	rep := t.getReport()
 	defer t.putReport(rep)
 	if err := t.solver.SolveReportIntoContext(ctx, rep, dst, v); err != nil {

@@ -81,32 +81,11 @@ type noisyTile struct {
 
 // Currents implements Tile.
 func (t *noisyTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	curr, err := t.inner.Currents(v)
-	if err != nil {
-		return nil, err
-	}
-	t.perturb(curr)
-	return curr, nil
+	return currents(t, v, t.cols)
 }
 
-// CurrentsInto implements the allocation-free fast path when the inner
-// tile supports it.
-func (t *noisyTile) CurrentsInto(dst, v *linalg.Dense) error {
-	return t.currentsVC(dst, v, nil)
-}
-
-func (t *noisyTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
-	if err := currentsInto(nil, t.inner, dst, v, vc, t.cols); err != nil {
-		return err
-	}
-	t.perturb(dst)
-	return nil
-}
-
-// CurrentsCtxInto implements ctxTile by forwarding the context to the
-// wrapped tile, so a decorated circuit tile stays cancellable.
-func (t *noisyTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
-	if err := currentsInto(ctx, t.inner, dst, v, nil, t.cols); err != nil {
+func (t *noisyTile) eval(ctx context.Context, dst, v *linalg.Dense, vc *core.VContext) error {
+	if err := currentsInto(ctx, t.inner, dst, v, vc, t.cols); err != nil {
 		return err
 	}
 	t.perturb(dst)

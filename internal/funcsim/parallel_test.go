@@ -221,11 +221,8 @@ func TestGENIExSharedVContextMatchesDirect(t *testing.T) {
 	cfg := exactConfig(8, 8)
 	cfg.Xbar = harshXbar()
 	gx := sharedHarshGENIEx(t)
-	g := linalg.NewDense(8, 8)
 	r := linalg.NewRNG(67)
-	for i := range g.Data {
-		g.Data[i] = cfg.Xbar.Goff() + r.Float64()*(cfg.Xbar.Gon()-cfg.Xbar.Goff())
-	}
+	g := randConductances(cfg.Xbar, r)
 	tile, err := GENIEx{Model: gx}.NewTile(g)
 	if err != nil {
 		t.Fatal(err)
@@ -238,9 +235,8 @@ func TestGENIExSharedVContextMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := tile.(surrogateTile)
 	fast := linalg.NewDense(6, 8)
-	if err := st.currentsVC(fast, v, gx.NewVContext(v)); err != nil {
+	if err := tile.(evalTile).eval(nil, fast, v, gx.NewVContext(v)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range direct.Data {

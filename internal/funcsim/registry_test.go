@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"geniex/internal/core"
+	"geniex/internal/linalg"
 )
 
 // The built-in ladder must resolve by name, in decreasing-rank order,
@@ -69,21 +70,41 @@ func TestModelByNameUnknown(t *testing.T) {
 	}
 }
 
-// Registration is init-time wiring: collisions and malformed specs are
-// programming errors and must panic.
-func TestRegisterModelPanics(t *testing.T) {
-	mustPanic := func(name string, spec ModelSpec) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: RegisterModel did not panic", name)
-			}
-		}()
-		RegisterModel(spec)
+// Every tier's tiles, bare and wrapped in Noisy or Calibrated,
+// implement eval, the one method the MVM pipeline calls: a tile without
+// it would silently fall back to the allocating Currents path.
+func TestTierTilesImplementEval(t *testing.T) {
+	cfg := exactConfig(8, 8)
+	cfg.Xbar.BatchWorkers = 1
+	sur, err := core.NewModel(cfg.Xbar, 8, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustPanic("empty name", ModelSpec{New: func(ModelParams) (Model, error) { return Ideal{}, nil }})
-	mustPanic("nil factory", ModelSpec{Name: "test-nil-factory"})
-	mustPanic("duplicate", ModelSpec{Name: "ideal", New: func(ModelParams) (Model, error) { return Ideal{}, nil }})
+	g := randConductances(cfg.Xbar, linalg.NewRNG(5))
+	fullScale := float64(cfg.Xbar.Rows) * cfg.Xbar.Vsupply * cfg.Xbar.Gon()
+	for _, name := range ModelNames() {
+		spec, err := ModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := spec.New(ModelParams{Xbar: cfg.Xbar, Surrogate: sur})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []Model{
+			m,
+			&Noisy{Inner: m, Sigma: 0.01, FullScale: fullScale},
+			Calibrated{Inner: m, Samples: 4, Xbar: cfg.Xbar},
+		} {
+			tile, err := model.NewTile(g)
+			if err != nil {
+				t.Fatalf("%s: %v", model.Name(), err)
+			}
+			if _, ok := tile.(evalTile); !ok {
+				t.Errorf("%s: %T does not implement eval", model.Name(), tile)
+			}
+		}
+	}
 }
 
 // Surrogate-backed factories must reject a missing or mismatched

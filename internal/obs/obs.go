@@ -25,9 +25,7 @@
 // In addition to metrics, a Registry keeps a fixed-size ring buffer of
 // span events (name, start, duration) — a lightweight trace of coarse
 // operations (per-layer forwards, batch solves) that the snapshot
-// exposes without the overhead of full tracing. StartRegion bridges
-// the same call sites into runtime/trace regions when an execution
-// trace is being captured.
+// exposes without the overhead of full tracing.
 //
 // # Cost contract
 //
@@ -61,10 +59,8 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"net/http"
-	rtrace "runtime/trace"
 	"sync/atomic"
 )
 
@@ -134,25 +130,3 @@ func Handler() http.Handler { return std.Handler() }
 // net/http/pprof handlers under /debug/pprof/ (opt-in: profiling
 // endpoints on a metrics port are a debugging tool, not a default).
 func Serve(addr string, withPprof bool) (string, error) { return std.Serve(addr, withPprof) }
-
-// Region is a started runtime/trace region (possibly inert). The zero
-// Region is inert; End on it is a no-op.
-type Region struct{ r *rtrace.Region }
-
-// StartRegion opens a runtime/trace region named name when runtime
-// tracing is enabled; otherwise it returns an inert Region. The
-// untraced path is one atomic load and no allocations, so the hook can
-// sit inside the steady-state MVM loop.
-func StartRegion(name string) Region {
-	if !rtrace.IsEnabled() {
-		return Region{}
-	}
-	return Region{r: rtrace.StartRegion(context.Background(), name)}
-}
-
-// End closes the region. Safe on the zero Region.
-func (r Region) End() {
-	if r.r != nil {
-		r.r.End()
-	}
-}

@@ -22,9 +22,9 @@ import (
 	"geniex/internal/nonideal"
 )
 
-// Convenience aliases for the registered fidelity-tier names
-// (funcsim.RegisterModel is the source of truth; a cell may select any
-// registered tier, these are just the built-ins specs commonly list).
+// Convenience aliases for the fidelity-tier names (funcsim's tier
+// table is the source of truth; a cell may select any tier, these are
+// just the ones specs commonly list).
 const (
 	ModelIdeal      = "ideal"
 	ModelAnalytical = "analytical"

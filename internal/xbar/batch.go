@@ -58,7 +58,7 @@ type ItemOutcome struct {
 }
 
 // BatchReport aggregates per-item outcomes and solver-health counters
-// for one BatchSolve call. Callers decide whether to continue with a
+// for one batch solve. Callers decide whether to continue with a
 // degraded-item mask or fail the whole batch.
 type BatchReport struct {
 	// Outcomes has one entry per batch item, in item order.
@@ -155,23 +155,6 @@ func (r *BatchReport) Err() error {
 	return nil
 }
 
-// BatchSolve runs the full non-linear circuit solver for a batch of
-// input vectors against a single programmed conductance matrix,
-// fanning out across CPUs. vs is batch×Rows; the result is batch×Cols
-// of non-ideal output currents. Any item that fails — or is accepted
-// without convergence under PolicyBestEffort — makes the whole call
-// fail; use BatchSolveReport for per-item outcomes.
-func BatchSolve(cfg Config, g *linalg.Dense, vs *linalg.Dense) (*linalg.Dense, error) {
-	out, rep, err := BatchSolveReport(cfg, g, vs)
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // BatchSolveReport is the resilient one-shot batch entry point: every
 // item is attempted, items that fail under PolicyFailFast are retried
 // once under the recovery ladder, and the report records per-item
@@ -197,8 +180,8 @@ func BatchSolveReport(cfg Config, g *linalg.Dense, vs *linalg.Dense) (*linalg.De
 		return nil, nil, err
 	}
 	out := linalg.NewDense(vs.Rows, cfg.Cols)
-	rep, err := s.SolveReportInto(out, vs)
-	if err != nil {
+	rep := &BatchReport{}
+	if err := s.SolveReportIntoContext(nil, rep, out, vs); err != nil {
 		return nil, nil, err
 	}
 	return out, rep, nil
@@ -350,49 +333,25 @@ func (s *BatchSolver) release(xb *Crossbar) {
 	s.mu.Unlock()
 }
 
-// SolveReport is the allocating form of SolveReportInto: it allocates
-// the batch×Cols output matrix and delegates. This follows the
-// repo-wide result-buffer idiom — a method X allocates its result and
-// delegates to XInto, which writes into a caller-owned buffer and is
-// the one to use in steady-state loops.
-func (s *BatchSolver) SolveReport(vs *linalg.Dense) (*linalg.Dense, *BatchReport, error) {
-	out := linalg.NewDense(vs.Rows, s.cfg.Cols)
-	rep, err := s.SolveReportInto(out, vs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
-}
-
-// SolveReportInto solves every item of vs (batch×Rows) into out,
-// fanning out across the configured worker count
-// (Config.BatchWorkers; 0 means GOMAXPROCS). Items that fail under
+// SolveReportIntoContext solves every item of vs (batch×Rows) into
+// out and overwrites rep with the per-item outcomes, reusing the
+// capacity of rep.Outcomes, so a caller that keeps its report makes
+// steady-state calls that allocate nothing. Items that fail under
 // PolicyFailFast are retried once under the recovery ladder; failed
-// items are zeroed. The report, allocated per call, carries per-item
-// outcomes. out is batch×c with c ≤ Cols: it receives the first c
-// output currents of every item, which equal the leading currents of
-// a full-width solve (the solve itself always covers the whole
-// array). The error covers setup problems only. Results are
-// deterministic and independent of worker count and block
+// items are zeroed. out is batch×c with c ≤ Cols: it receives the
+// first c output currents of every item, which equal the leading
+// currents of a full-width solve (the solve itself always covers the
+// whole array). The error covers setup problems and cancellation only.
+// Results are deterministic and independent of worker count and block
 // composition: every item's arithmetic depends only on the array and
 // its own drive vector, and each item is written by index.
-func (s *BatchSolver) SolveReportInto(out *linalg.Dense, vs *linalg.Dense) (*BatchReport, error) {
-	rep := &BatchReport{}
-	if err := s.SolveReportIntoContext(nil, rep, out, vs); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// SolveReportIntoContext is SolveReportInto into a caller-owned report,
-// under cooperative cancellation. It overwrites rep, reusing the
-// capacity of rep.Outcomes, so a caller that keeps its report makes
-// steady-state calls that allocate nothing. Blocks not yet started are
-// skipped once ctx is done, the in-flight solves abort at their next
-// update, and the call returns an error matching ctx.Err(). On
-// cancellation the output and report are incomplete and must be
-// discarded — cancellation is a whole-call outcome, not a per-item
-// one. A nil ctx means no cancellation.
+//
+// Cancellation is cooperative: blocks not yet started are skipped once
+// ctx is done, the in-flight solves abort at their next update, and
+// the call returns an error matching ctx.Err(). On cancellation the
+// output and report are incomplete and must be discarded —
+// cancellation is a whole-call outcome, not a per-item one. A nil ctx
+// means no cancellation.
 //
 // Items run in blocks of up to blockLanes(cfg), claimed one at a time
 // on the process's fan-out pool (linalg.ParallelEach) with
@@ -402,13 +361,11 @@ func (s *BatchSolver) SolveReportInto(out *linalg.Dense, vs *linalg.Dense) (*Bat
 func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, rep *BatchReport, out *linalg.Dense, vs *linalg.Dense) error {
 	cfg := s.cfg
 	if vs.Cols != cfg.Rows {
-		return fmt.Errorf("xbar: BatchSolve inputs have %d columns for %d rows", vs.Cols, cfg.Rows)
+		return fmt.Errorf("xbar: batch solve inputs have %d columns for %d rows", vs.Cols, cfg.Rows)
 	}
 	if out.Rows != vs.Rows || out.Cols > cfg.Cols {
-		return fmt.Errorf("xbar: BatchSolve output is %dx%d, want %dx(≤%d)", out.Rows, out.Cols, vs.Rows, cfg.Cols)
+		return fmt.Errorf("xbar: batch solve output is %dx%d, want %dx(≤%d)", out.Rows, out.Cols, vs.Rows, cfg.Cols)
 	}
-	region := obs.StartRegion("xbar.batch")
-	defer region.End()
 	// One parented span per batch call (not per item): a traced request
 	// sees every slice evaluation as one "xbar.batch.solve" child under
 	// its tile span without flooding the span ring with per-item events.

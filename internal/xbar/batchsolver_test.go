@@ -18,6 +18,25 @@ func randomBatch(cfg Config, r *linalg.RNG, batch int) *linalg.Dense {
 	return vs
 }
 
+// solveReportInto solves vs into out on s with a fresh report.
+func solveReportInto(s *BatchSolver, out, vs *linalg.Dense) (*BatchReport, error) {
+	rep := &BatchReport{}
+	if err := s.SolveReportIntoContext(nil, rep, out, vs); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// solveReport solves vs on s into a fresh full-width output.
+func solveReport(s *BatchSolver, vs *linalg.Dense) (*linalg.Dense, *BatchReport, error) {
+	out := linalg.NewDense(vs.Rows, s.cfg.Cols)
+	rep, err := solveReportInto(s, out, vs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, rep, nil
+}
+
 // A reusable BatchSolver must reproduce the one-shot BatchSolveReport
 // result bit for bit across repeated calls, and keep its pool of
 // programmed instances bounded instead of re-programming per call.
@@ -40,7 +59,7 @@ func TestBatchSolverReusesProgrammedInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		got, rep, err := s.SolveReport(vs)
+		got, rep, err := solveReport(s, vs)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -89,7 +108,7 @@ func TestBatchSolverSerialWorkersMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := linalg.NewDense(vs.Rows, cfg.Cols)
-	rep, err := s.SolveReportInto(out, vs)
+	rep, err := solveReportInto(s, out, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +141,7 @@ func TestBatchSolverNarrowOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, fullRep, err := s.SolveReport(vs)
+	full, fullRep, err := solveReport(s, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +150,7 @@ func TestBatchSolverNarrowOutput(t *testing.T) {
 	}
 	for _, c := range []int{1, cfg.Cols - 3} {
 		out := linalg.NewDense(vs.Rows, c)
-		rep, err := s.SolveReportInto(out, vs)
+		rep, err := solveReportInto(s, out, vs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,14 +165,14 @@ func TestBatchSolverNarrowOutput(t *testing.T) {
 			}
 		}
 	}
-	if _, err := s.SolveReportInto(linalg.NewDense(vs.Rows, cfg.Cols+1), vs); err == nil {
+	if _, err := solveReportInto(s, linalg.NewDense(vs.Rows, cfg.Cols+1), vs); err == nil {
 		t.Error("an output wider than the array was accepted")
 	}
 }
 
 // Best-effort items accepted without convergence must not pass
-// silently: the report's strict gate and the BatchSolve convenience
-// wrapper both surface them as ErrNewtonDiverged.
+// silently: the report's strict gate surfaces them as
+// ErrNewtonDiverged.
 func TestBatchSolveSurfacesUnconvergedItems(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Policy = PolicyBestEffort
@@ -187,14 +206,13 @@ func TestBatchSolveSurfacesUnconvergedItems(t *testing.T) {
 		}
 	}
 
-	// The error-only wrapper must refuse the degraded batch outright.
-	if _, err := BatchSolve(faulted, g, vs); !errors.Is(err, ErrNewtonDiverged) {
-		t.Errorf("BatchSolve error = %v, want ErrNewtonDiverged", err)
-	}
-
 	// A clean batch keeps the nil-error contract.
-	if _, err := BatchSolve(cfg, g, vs); err != nil {
-		t.Errorf("clean BatchSolve errored: %v", err)
+	_, rep, err = BatchSolveReport(cfg, g, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Errorf("clean batch Err() = %v", err)
 	}
 }
 
@@ -280,7 +298,7 @@ func TestBatchSolverItemsDoNotAllocate(t *testing.T) {
 		vs := randomBatch(cfg, r, batch)
 		out := linalg.NewDense(batch, cfg.Cols)
 		return testing.AllocsPerRun(10, func() {
-			rep, err := s.SolveReportInto(out, vs)
+			rep, err := solveReportInto(s, out, vs)
 			if err != nil || !rep.AllOK() {
 				t.Fatalf("batch %d: %v, %v", batch, err, rep)
 			}
@@ -309,12 +327,12 @@ func TestBatchSolverRejectsNaNDrive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clean, _, err := s.SolveReport(vs)
+		clean, _, err := solveReport(s, vs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		failures0 := obs.Snapshot().Counters["xbar.solver.failures"]
-		out, rep, err := s.SolveReport(poisoned)
+		out, rep, err := solveReport(s, poisoned)
 		if err != nil {
 			t.Fatal(err)
 		}

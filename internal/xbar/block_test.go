@@ -101,7 +101,7 @@ func TestBlockChordMatchesOneItemSolve(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						out, rep, err := s.SolveReport(batch)
+						out, rep, err := solveReport(s, batch)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}

@@ -9,8 +9,8 @@ import (
 )
 
 // Crossbar is a programmed crossbar instance ready to solve MVMs at
-// circuit level. It is not safe for concurrent use; use BatchSolve for
-// parallel workloads (it clones per worker).
+// circuit level. It is not safe for concurrent use; use a BatchSolver
+// for parallel workloads (it pools one instance per worker).
 type Crossbar struct {
 	cfg Config
 

@@ -544,7 +544,7 @@ func TestSharedFactorNeverRebuilt(t *testing.T) {
 	for i := range vs.Data {
 		vs.Data[i] = cfg.Vsupply * r.Float64()
 	}
-	before, _, err := s.SolveReport(vs)
+	before, _, err := solveReport(s, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +584,7 @@ func TestSharedFactorNeverRebuilt(t *testing.T) {
 	}
 	// With that instance held, the pool builds a new one, which adopts
 	// the shared factor and still gives the same currents.
-	after, _, err := s.SolveReport(vs)
+	after, _, err := solveReport(s, vs)
 	if err != nil {
 		t.Fatal(err)
 	}

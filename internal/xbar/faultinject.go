@@ -35,7 +35,7 @@ type FaultPlan struct {
 	// stalls cheaply.
 	MaxNewton int `json:"max_newton,omitempty"`
 	// Items restricts the plan to these batch item indices during
-	// BatchSolve; nil applies it to every item (and to direct Solve
+	// a batch solve; nil applies it to every item (and to direct Solve
 	// calls). Through funcsim, a circuit tile's batch holds only the
 	// live rows of its input block (the digit rows with a non-zero
 	// digit), packed in (batch row, stream digit) order, so index 0 is
@@ -67,7 +67,7 @@ func (c Config) WithFaults(p *FaultPlan) Config {
 }
 
 // setFaults swaps the active plan on an existing crossbar, adjusting
-// the update budget override. BatchSolve uses this to arm the plan only
+// the update budget override. Batch solves use this to arm the plan only
 // for the batch items it covers.
 func (x *Crossbar) setFaults(p *FaultPlan) {
 	x.faults = p

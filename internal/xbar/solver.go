@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"geniex/internal/linalg"
-	"geniex/internal/obs"
 )
 
 const (
@@ -155,7 +154,7 @@ func canceled(err error) bool {
 }
 
 // solve validates the drive vector, runs the recovery ladder under an
-// explicit policy (BatchSolve retries override the configured one)
+// explicit policy (batch-solve retries override the configured one)
 // into sol and records the solve in the obs registry. ctx may be nil
 // (no cancellation). On error sol holds no result.
 func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) error {
@@ -163,9 +162,7 @@ func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, 
 		return err
 	}
 	start := time.Now()
-	region := obs.StartRegion("xbar.solve")
 	err := x.runLadder(ctx, v, policy, sol)
-	region.End()
 	if err != nil && canceled(err) {
 		mSolveCancelled.Inc()
 		return err // cancellation is not a solver failure; skip recordSolve

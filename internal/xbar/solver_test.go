@@ -339,9 +339,9 @@ func TestBatchSolveReportDegradedItems(t *testing.T) {
 		t.Errorf("FirstError %v does not match linalg.ErrNoConvergence", err)
 	}
 
-	// The strict wrapper must refuse the same batch.
-	if _, err := BatchSolve(faulted, g, vs); !errors.Is(err, ErrNewtonDiverged) {
-		t.Errorf("BatchSolve error = %v, want ErrNewtonDiverged", err)
+	// The strict gate must refuse the same batch.
+	if err := rep.Err(); !errors.Is(err, ErrNewtonDiverged) {
+		t.Errorf("Err() = %v, want ErrNewtonDiverged", err)
 	}
 }
 

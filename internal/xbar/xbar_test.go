@@ -496,8 +496,11 @@ func TestBatchSolveMatchesSequential(t *testing.T) {
 	for i := range vs.Data {
 		vs.Data[i] = cfg.Vsupply * r.Float64()
 	}
-	got, err := BatchSolve(cfg, g, vs)
+	got, rep, err := BatchSolveReport(cfg, g, vs)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
 	xb, err := New(cfg)
@@ -524,7 +527,7 @@ func TestBatchSolveShapeError(t *testing.T) {
 	cfg := smallConfig()
 	g := linalg.NewDense(cfg.Rows, cfg.Cols)
 	linalg.Fill(g.Data, cfg.Goff())
-	if _, err := BatchSolve(cfg, g, linalg.NewDense(2, cfg.Rows+1)); err == nil {
+	if _, _, err := BatchSolveReport(cfg, g, linalg.NewDense(2, cfg.Rows+1)); err == nil {
 		t.Error("expected shape error")
 	}
 }
