@@ -50,7 +50,6 @@ func run() error {
 		geniexM   = flag.String("geniex-model", "", "load a pretrained GENIEx model (gob) instead of training one")
 		calibrate = flag.Bool("calibrate", false, "apply per-column gain calibration to the analog model")
 		noise     = flag.Float64("noise", 0, "read-noise sigma as a fraction of full-scale current")
-		policy    = flag.String("solver-policy", "recover", "circuit-solver non-convergence handling: recover, failfast or besteffort")
 		degraded  = flag.Bool("degraded", false, "circuit mode: continue with zeroed currents for batch items that fail even after recovery")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "concurrent tile tasks per MVM: 0 = all cores, 1 = serial (results are bit-identical at any setting)")
@@ -91,10 +90,6 @@ func run() error {
 		return fmt.Errorf("unknown dataset %q", *dsName)
 	}
 
-	pol, err := xbar.ParsePolicy(*policy)
-	if err != nil {
-		return err
-	}
 	spec, err := funcsim.ModelByName(*mode)
 	if err != nil {
 		return err
@@ -118,7 +113,7 @@ func run() error {
 	}
 	xcfg, err := xbar.NewConfig(*size, *size,
 		xbar.WithVsupply(*vdd), xbar.WithRon(*ron), xbar.WithOnOffRatio(*onoff),
-		xbar.WithPolicy(pol), xbar.WithBatchWorkers(batchWorkers))
+		xbar.WithBatchWorkers(batchWorkers))
 	if err != nil {
 		return err
 	}

@@ -11,45 +11,33 @@ import (
 // tables can report how hard the circuit solver had to work — and
 // whether any point needed the recovery ladder.
 type solverHealth struct {
-	solves, converged, recovered, unconverged int
-	newtonIters                               int
-	worstResid                                float64
+	solves, recovered, newtonIters int
+	worstResid                     float64
 }
 
 func (h *solverHealth) record(sol *xbar.Solution) {
 	h.solves++
 	h.newtonIters += sol.NewtonIters
-	if sol.Converged {
-		h.converged++
-	} else {
-		h.unconverged++
-	}
-	if sol.Recovery != "" && sol.Recovery != "best-effort" {
+	if sol.Recovery != "" {
 		h.recovered++
 	}
-	if sol.Residual > h.worstResid {
-		h.worstResid = sol.Residual
-	}
+	h.worstResid = max(h.worstResid, sol.Residual)
 }
 
 func (h *solverHealth) add(other solverHealth) {
 	h.solves += other.solves
-	h.converged += other.converged
 	h.recovered += other.recovered
-	h.unconverged += other.unconverged
 	h.newtonIters += other.newtonIters
-	if other.worstResid > h.worstResid {
-		h.worstResid = other.worstResid
-	}
+	h.worstResid = max(h.worstResid, other.worstResid)
 }
 
+// note prints the line cmd/xbar-sim prints for its solves.
 func (h *solverHealth) note(t *Table) {
 	if h.solves == 0 {
 		return
 	}
-	t.Note("solver health: %d/%d converged, %d recovered, %d unconverged, %.1f solver updates/solve, worst KCL residual %.2g",
-		h.converged, h.solves, h.recovered, h.unconverged,
-		float64(h.newtonIters)/float64(h.solves), h.worstResid)
+	t.Note("solver health: %d solves, %d recovered, %.1f solver updates/solve, worst KCL residual %.2g",
+		h.solves, h.recovered, float64(h.newtonIters)/float64(h.solves), h.worstResid)
 }
 
 // sampleNF draws random sparse (V, G) workloads for a design point,

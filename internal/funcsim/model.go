@@ -260,37 +260,32 @@ func (t *geniexTile) eval(_ context.Context, dst, v *linalg.Dense, vc *core.VCon
 // per-field consistent (each count is exact) but not cross-field
 // consistent — a concurrent record may be half folded.
 type SolverHealth struct {
-	batches, items                          obs.Counter
-	recovered, retried, failed, unconverged obs.Counter
+	batches, items, recovered, failed obs.Counter
 }
 
 // SolverHealthCounts is a snapshot of the collector.
 type SolverHealthCounts struct {
 	// Batches and Items count batch solves and batch items.
 	Batches, Items int64
-	// Recovered, Retried, Failed, Unconverged count items by outcome.
-	Recovered, Retried, Failed, Unconverged int64
+	// Recovered and Failed count items by outcome.
+	Recovered, Failed int64
 }
 
 func (h *SolverHealth) record(rep *xbar.BatchReport) {
 	h.batches.Inc()
 	h.items.Add(int64(len(rep.Outcomes)))
 	h.recovered.Add(int64(rep.Recovered))
-	h.retried.Add(int64(rep.Retried))
 	h.failed.Add(int64(rep.Failed))
-	h.unconverged.Add(int64(rep.Unconverged))
 }
 
 // Counts returns a snapshot of the counters. It is read-only: reading
 // never clears; use Reset to clear.
 func (h *SolverHealth) Counts() SolverHealthCounts {
 	return SolverHealthCounts{
-		Batches:     h.batches.Load(),
-		Items:       h.items.Load(),
-		Recovered:   h.recovered.Load(),
-		Retried:     h.retried.Load(),
-		Failed:      h.failed.Load(),
-		Unconverged: h.unconverged.Load(),
+		Batches:   h.batches.Load(),
+		Items:     h.items.Load(),
+		Recovered: h.recovered.Load(),
+		Failed:    h.failed.Load(),
 	}
 }
 
@@ -299,19 +294,17 @@ func (h *SolverHealth) Counts() SolverHealthCounts {
 // (see Matrix.ResetStats).
 func (h *SolverHealth) Reset() SolverHealthCounts {
 	return SolverHealthCounts{
-		Batches:     h.batches.Swap(),
-		Items:       h.items.Swap(),
-		Recovered:   h.recovered.Swap(),
-		Retried:     h.retried.Swap(),
-		Failed:      h.failed.Swap(),
-		Unconverged: h.unconverged.Swap(),
+		Batches:   h.batches.Swap(),
+		Items:     h.items.Swap(),
+		Recovered: h.recovered.Swap(),
+		Failed:    h.failed.Swap(),
 	}
 }
 
 // String summarizes the counters.
 func (c SolverHealthCounts) String() string {
-	return fmt.Sprintf("solver health: %d batches, %d items (%d recovered, %d retried, %d failed, %d unconverged)",
-		c.Batches, c.Items, c.Recovered, c.Retried, c.Failed, c.Unconverged)
+	return fmt.Sprintf("solver health: %d batches, %d items (%d recovered, %d failed)",
+		c.Batches, c.Items, c.Recovered, c.Failed)
 }
 
 // Circuit runs the full non-linear solver per tile — the ground-truth
@@ -326,11 +319,10 @@ func (c SolverHealthCounts) String() string {
 type Circuit struct {
 	Cfg xbar.Config
 	// Degraded selects failed-batch-item handling: false (the default)
-	// fails the MVM when any item fails even after the solver's retry
-	// ladder or is accepted without convergence; true zeroes the failed
-	// items' currents, keeps best-effort ones, and continues, so one
-	// bad input no longer kills a whole evaluation. Either way the
-	// outcome is counted in Health.
+	// fails the MVM when any item fails every rung of the solver's
+	// recovery ladder; true zeroes the failed items' currents and
+	// continues, so one bad input no longer kills a whole evaluation.
+	// Either way the outcome is counted in Health.
 	Degraded bool
 	// Health, when non-nil, collects solver outcomes across all tiles
 	// created from this model (value copies share the pointer).
@@ -403,14 +395,9 @@ func (t *circuitTile) eval(ctx context.Context, dst, v *linalg.Dense, _ *core.VC
 	if t.health != nil {
 		t.health.record(rep)
 	}
-	if !t.degraded {
-		if rep.Failed > 0 {
-			return fmt.Errorf("funcsim: circuit tile: %d of %d batch items failed: %w",
-				rep.Failed, len(rep.Outcomes), rep.FirstError())
-		}
-		if !rep.AllOK() {
-			return fmt.Errorf("funcsim: circuit tile: %w", rep.Err())
-		}
+	if !t.degraded && rep.Failed > 0 {
+		return fmt.Errorf("funcsim: circuit tile: %d of %d batch items failed: %w",
+			rep.Failed, len(rep.Outcomes), rep.Err())
 	}
 	return nil
 }

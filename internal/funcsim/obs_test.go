@@ -70,13 +70,13 @@ func TestMatrixResetStatsSwapSemantics(t *testing.T) {
 func TestSolverHealthResetSwapSemantics(t *testing.T) {
 	var h SolverHealth
 	h.record(&xbar.BatchReport{
-		Outcomes:    make([]xbar.ItemOutcome, 4),
-		Recovered:   1,
-		Unconverged: 2,
+		Outcomes:  make([]xbar.ItemOutcome, 4),
+		Recovered: 1,
+		Failed:    2,
 	})
 	before := h.Counts()
 	if before.Batches != 1 || before.Items != 4 || before.Recovered != 1 ||
-		before.Unconverged != 2 {
+		before.Failed != 2 {
 		t.Fatalf("unexpected counts: %+v", before)
 	}
 	if again := h.Counts(); again != before {

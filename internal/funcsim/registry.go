@@ -13,7 +13,7 @@ import (
 // they care about and ignore the rest.
 type ModelParams struct {
 	// Xbar is the crossbar design point (tile geometry, voltages,
-	// conductance window, solver policy).
+	// conductance window, solver start).
 	Xbar xbar.Config
 	// Degraded selects failed-batch-item handling for circuit-solver
 	// models (see Circuit.Degraded).

@@ -96,6 +96,41 @@ func TestCircuitTileDegradedModeContinues(t *testing.T) {
 	}
 }
 
+// An item the damped rung rescues is a solution like any other: the
+// degraded tile counts it as recovered, not failed, and its currents
+// match a clean tile's bit for bit. The damped rung runs Newton from a
+// cold start, so both tiles are pinned to StartCold.
+func TestCircuitTileCountsRecoveredItem(t *testing.T) {
+	cfg, g, v := faultedWorkload(t, nil)
+	cfg.Start = xbar.StartCold
+	health := &SolverHealth{}
+	faulted := cfg.WithFaults(&xbar.FaultPlan{FailAttempts: 1, Items: []int{2}})
+	tile, err := Circuit{Cfg: faulted, Degraded: true, Health: health}.NewTile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := tile.Currents(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanTile, err := Circuit{Cfg: cfg.WithFaults(nil)}.NewTile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := cleanTile.Currents(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range clean.Data {
+		if out.Data[i] != clean.Data[i] {
+			t.Fatalf("current %d: %v, clean tile %v", i, out.Data[i], clean.Data[i])
+		}
+	}
+	if c := health.Counts(); c.Recovered != 1 || c.Failed != 0 || c.Items != int64(v.Rows) {
+		t.Errorf("health = %+v, want 1 recovered and 0 failed of %d items", c, v.Rows)
+	}
+}
+
 // A solver failure inside a lowered matrix must propagate through the
 // full engine pipeline (tiling, bit slicing, differential passes) as
 // an error — not as silently wrong activations.

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"geniex/internal/linalg"
 )
 
 // Every builtin component round-trips through the JSON envelope with
@@ -99,28 +97,6 @@ func TestJSONUnknownKindRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "alien_rays") {
 		t.Fatalf("unknown kind accepted: %v", err)
 	}
-}
-
-func TestRegisterCustomKind(t *testing.T) {
-	Register("test_zeroizer", func() Component { return &zeroizer{} })
-	var s Stack
-	if err := json.Unmarshal([]byte(`[{"kind":"test_zeroizer"}]`), &s); err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 1 || s[0].Kind() != "test_zeroizer" {
-		t.Fatalf("custom kind not decoded: %#v", s)
-	}
-}
-
-type zeroizer struct{}
-
-func (*zeroizer) Kind() string    { return "test_zeroizer" }
-func (*zeroizer) Validate() error { return nil }
-func (*zeroizer) Apply(g *linalg.Dense, env Env, rng *linalg.RNG, t float64) (int, error) {
-	for i := range g.Data {
-		g.Data[i] = env.Goff
-	}
-	return len(g.Data), nil
 }
 
 // A stack Validate accepts can still overflow: ν·d0 underflows to 0

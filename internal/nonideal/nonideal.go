@@ -9,8 +9,8 @@
 // fault taxonomy: each physical effect is one small Component with a
 // uniform Apply(conductances, env, rng, t) contract, and scenarios
 // compose as ordered Stacks. A Stack round-trips through JSON via a
-// kind registry and reproduces bit-identically from a seed, which is
-// what makes sweep results checkpointable and resumable.
+// static kind table and reproduces bit-identically from a seed, which
+// is what makes sweep results checkpointable and resumable.
 //
 // Components never allocate result matrices: they perturb in place,
 // clamped to the programming window [Goff, Gon], because downstream

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"geniex/internal/linalg"
 )
@@ -217,31 +216,15 @@ type componentJSON struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func() Component{}
-)
-
-// Register adds a component kind to the JSON registry. The factory
-// returns a zero-parameter instance for UnmarshalJSON to fill.
-// Re-registering a kind panics: two factories for one wire identifier
-// is always a bug.
-func Register(kind string, factory func() Component) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[kind]; dup {
-		panic(fmt.Sprintf("nonideal: kind %q registered twice", kind))
-	}
-	registry[kind] = factory
-}
-
-func init() {
-	Register(KindStuckAt, func() Component { return &StuckAt{} })
-	Register(KindD2DVariation, func() Component { return &D2DVariation{} })
-	Register(KindC2CVariation, func() Component { return &C2CVariation{} })
-	Register(KindDrift, func() Component { return &Drift{} })
-	Register(KindLineResistance, func() Component { return &LineResistance{} })
-	Register(KindReadNoise, func() Component { return &ReadNoise{} })
+// kinds maps every component kind to a factory for a zero-parameter
+// instance that UnmarshalJSON fills.
+var kinds = map[string]func() Component{
+	KindStuckAt:        func() Component { return &StuckAt{} },
+	KindD2DVariation:   func() Component { return &D2DVariation{} },
+	KindC2CVariation:   func() Component { return &C2CVariation{} },
+	KindDrift:          func() Component { return &Drift{} },
+	KindLineResistance: func() Component { return &LineResistance{} },
+	KindReadNoise:      func() Component { return &ReadNoise{} },
 }
 
 // MarshalJSON encodes the stack as a list of {kind, params} envelopes.
@@ -261,7 +244,7 @@ func (s Stack) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a list of {kind, params} envelopes through the
-// registry. Unknown kinds are an error, not a silent skip: a scenario
+// kinds table. Unknown kinds are an error, not a silent skip: a scenario
 // that drops a fault is a different scenario.
 func (s *Stack) UnmarshalJSON(b []byte) error {
 	var raw []componentJSON
@@ -270,9 +253,7 @@ func (s *Stack) UnmarshalJSON(b []byte) error {
 	}
 	out := make(Stack, len(raw))
 	for i, e := range raw {
-		registryMu.RLock()
-		factory, ok := registry[e.Kind]
-		registryMu.RUnlock()
+		factory, ok := kinds[e.Kind]
 		if !ok {
 			return fmt.Errorf("nonideal: unknown component kind %q", e.Kind)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
 	"geniex/internal/linalg"
@@ -15,17 +14,13 @@ import (
 type ItemStatus uint8
 
 const (
-	// ItemOK means the item solved cleanly on the first attempt.
+	// ItemOK means rung 0 solved the item.
 	ItemOK ItemStatus = iota
-	// ItemRecovered means the first attempt succeeded on a recovery
-	// rung (damped Newton or source stepping).
+	// ItemRecovered means a recovery rung (damped Newton or source
+	// stepping) solved the item.
 	ItemRecovered
-	// ItemRetried means the first attempt failed under PolicyFailFast
-	// and the retry under the recovery ladder succeeded.
-	ItemRetried
-	// ItemFailed means the item failed (after the retry, under
-	// PolicyFailFast); its output row is zero and its error is
-	// recorded.
+	// ItemFailed means every rung failed; the item's output row is zero
+	// and its error is recorded.
 	ItemFailed
 )
 
@@ -36,8 +31,6 @@ func (s ItemStatus) String() string {
 		return "ok"
 	case ItemRecovered:
 		return "recovered"
-	case ItemRetried:
-		return "retried"
 	case ItemFailed:
 		return "failed"
 	}
@@ -46,58 +39,35 @@ func (s ItemStatus) String() string {
 
 // ItemOutcome is the per-item record in a BatchReport.
 type ItemOutcome struct {
-	Status  ItemStatus
-	Err     error // non-nil only when Status == ItemFailed
-	Retries int
+	Status ItemStatus
+	Err    error // non-nil only when Status == ItemFailed
 	// Recovery names the ladder rung that produced the accepted
-	// solution ("" for a plain Newton solve).
+	// solution ("" for rung 0).
 	Recovery                 string
-	Converged                bool
 	Residual                 float64
 	NewtonIters, DampedSteps int
 }
 
 // BatchReport aggregates per-item outcomes and solver-health counters
-// for one batch solve. Callers decide whether to continue with a
-// degraded-item mask or fail the whole batch.
+// for one batch solve. Callers decide whether to continue past failed
+// items or fail the whole batch.
 type BatchReport struct {
 	// Outcomes has one entry per batch item, in item order.
 	Outcomes []ItemOutcome
-	// Solved, Recovered, Retried, Failed count items by final status.
-	Solved, Recovered, Retried, Failed int
-	// Unconverged counts items accepted with Converged=false (possible
-	// only under PolicyBestEffort).
-	Unconverged int
+	// Solved, Recovered, Failed count items by status.
+	Solved, Recovered, Failed int
 	// NewtonIters and DampedSteps aggregate solver work across all
-	// items, retries included.
+	// items.
 	NewtonIters, DampedSteps int
 }
 
-// AllOK reports whether every item produced a converged solution.
-func (r *BatchReport) AllOK() bool { return r.Failed == 0 && r.Unconverged == 0 }
+// AllOK reports whether every item produced a solution.
+func (r *BatchReport) AllOK() bool { return r.Failed == 0 }
 
-// FailedItems returns the indices of failed items, in order.
-func (r *BatchReport) FailedItems() []int {
-	var out []int
-	for i, o := range r.Outcomes {
-		if o.Status == ItemFailed {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// FailedMask returns a per-item mask, true where the item failed.
-func (r *BatchReport) FailedMask() []bool {
-	mask := make([]bool, len(r.Outcomes))
-	for i, o := range r.Outcomes {
-		mask[i] = o.Status == ItemFailed
-	}
-	return mask
-}
-
-// FirstError returns the first failed item's error, nil when none.
-func (r *BatchReport) FirstError() error {
+// Err returns the first failed item's error, nil when none failed.
+// Callers that cannot tolerate zeroed outputs check Err; callers that
+// can inspect the per-item Outcomes instead.
+func (r *BatchReport) Err() error {
 	for i, o := range r.Outcomes {
 		if o.Err != nil {
 			return fmt.Errorf("xbar: batch item %d: %w", i, o.Err)
@@ -108,17 +78,11 @@ func (r *BatchReport) FirstError() error {
 
 // String summarizes the report in one line.
 func (r *BatchReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "batch %d items: %d ok, %d recovered, %d retried, %d failed",
-		len(r.Outcomes), r.Solved, r.Recovered, r.Retried, r.Failed)
-	if r.Unconverged > 0 {
-		fmt.Fprintf(&b, ", %d unconverged", r.Unconverged)
-	}
-	fmt.Fprintf(&b, " (newton=%d damped=%d)", r.NewtonIters, r.DampedSteps)
-	return b.String()
+	return fmt.Sprintf("batch %d items: %d ok, %d recovered, %d failed (newton=%d damped=%d)",
+		len(r.Outcomes), r.Solved, r.Recovered, r.Failed, r.NewtonIters, r.DampedSteps)
 }
 
-// record folds one item outcome into the aggregate counters (Outcomes
+// tally folds one item outcome into the aggregate counters (Outcomes
 // is filled separately, per item, to stay deterministic).
 func (r *BatchReport) tally(o ItemOutcome) {
 	switch o.Status {
@@ -126,43 +90,18 @@ func (r *BatchReport) tally(o ItemOutcome) {
 		r.Solved++
 	case ItemRecovered:
 		r.Recovered++
-	case ItemRetried:
-		r.Retried++
 	case ItemFailed:
 		r.Failed++
-	}
-	if o.Status != ItemFailed && !o.Converged {
-		r.Unconverged++
 	}
 	r.NewtonIters += o.NewtonIters
 	r.DampedSteps += o.DampedSteps
 }
 
-// Err returns nil when every item produced a converged solution, the
-// first failed item's error when any item failed, and an error
-// matching ErrNewtonDiverged when the batch contains best-effort items
-// accepted with Converged=false. It is the strict form of the AllOK
-// contract: callers that cannot tolerate silently degraded outputs
-// check Err; callers that can, inspect the per-item Outcomes instead.
-func (r *BatchReport) Err() error {
-	if r.Failed > 0 {
-		return r.FirstError()
-	}
-	if r.Unconverged > 0 {
-		return fmt.Errorf("xbar: %d of %d batch items accepted without convergence (best-effort): %w",
-			r.Unconverged, len(r.Outcomes), ErrNewtonDiverged)
-	}
-	return nil
-}
-
 // BatchSolveReport is the resilient one-shot batch entry point: every
-// item is attempted, items that fail under PolicyFailFast are retried
-// once under the recovery ladder, and the report records per-item
-// status so callers can continue with a degraded-item mask instead of
-// losing the whole batch. Failed items' output rows are zero. Note the
-// report may contain unconverged best-effort items even when the
-// returned error is nil; gate on BatchReport.AllOK (or Err) when
-// degraded outputs are unacceptable.
+// item runs the recovery ladder, and the report records per-item
+// status so callers can continue past failed items instead of losing
+// the whole batch. Failed items' output rows are zero; gate on
+// BatchReport.AllOK (or Err) when zeroed outputs are unacceptable.
 //
 // The returned error covers setup problems only (bad shapes, an
 // unprogrammable conductance matrix); solver failures never abort the
@@ -336,12 +275,12 @@ func (s *BatchSolver) release(xb *Crossbar) {
 // SolveReportIntoContext solves every item of vs (batch×Rows) into
 // out and overwrites rep with the per-item outcomes, reusing the
 // capacity of rep.Outcomes, so a caller that keeps its report makes
-// steady-state calls that allocate nothing. Items that fail under
-// PolicyFailFast are retried once under the recovery ladder; failed
-// items are zeroed. out is batch×c with c ≤ Cols: it receives the
-// first c output currents of every item, which equal the leading
-// currents of a full-width solve (the solve itself always covers the
-// whole array). The error covers setup problems and cancellation only.
+// steady-state calls that allocate nothing. Every item runs the
+// recovery ladder; failed items are zeroed. out is batch×c with
+// c ≤ Cols: it receives the first c output currents of every item,
+// which equal the leading currents of a full-width solve (the solve
+// itself always covers the whole array). The error covers setup
+// problems and cancellation only.
 // Results are deterministic and independent of worker count and block
 // composition: every item's arithmetic depends only on the array and
 // its own drive vector, and each item is written by index.
@@ -420,40 +359,21 @@ func (s *BatchSolver) armFaults(xb *Crossbar, b int) {
 }
 
 // solveItem solves one batch item into the instance's reused Solution
-// and writes the currents into dst (zeroed on failure). An item that
-// fails under PolicyFailFast is retried once with the recovery ladder
-// on. Under the other policies the ladder has already run, and it is
-// deterministic with the item's fault plan re-armed identically, so a
-// retry would repeat the same work and fail the same way; a cancelled
-// item is not retried either — its caller discards the whole report.
+// and writes the currents into dst (zeroed on failure).
 func solveItem(ctx context.Context, xb *Crossbar, v, dst []float64) ItemOutcome {
 	sol := &xb.sol
-	if err := xb.solve(ctx, v, xb.cfg.Policy, sol); err != nil {
-		if canceled(err) || xb.cfg.Policy != PolicyFailFast {
-			linalg.Fill(dst, 0)
-			return ItemOutcome{Status: ItemFailed, Err: err}
-		}
-		if err := xb.solve(ctx, v, PolicyRecover, sol); err != nil {
-			linalg.Fill(dst, 0)
-			return ItemOutcome{Status: ItemFailed, Err: err, Retries: 1}
-		}
-		copy(dst, sol.Currents)
-		return outcomeFor(sol, ItemRetried, 1)
+	if err := xb.solve(ctx, v, sol); err != nil {
+		linalg.Fill(dst, 0)
+		return ItemOutcome{Status: ItemFailed, Err: err}
 	}
 	copy(dst, sol.Currents)
 	status := ItemOK
 	if sol.Recovery != "" {
 		status = ItemRecovered
 	}
-	return outcomeFor(sol, status, 0)
-}
-
-func outcomeFor(sol *Solution, status ItemStatus, retries int) ItemOutcome {
 	return ItemOutcome{
 		Status:      status,
-		Retries:     retries,
 		Recovery:    sol.Recovery,
-		Converged:   sol.Converged,
 		Residual:    sol.Residual,
 		NewtonIters: sol.NewtonIters,
 		DampedSteps: sol.DampedSteps,

@@ -132,7 +132,7 @@ func (s *BatchSolver) solveBlock(ctx context.Context, xb *Crossbar, vs, out *lin
 	// The block takes only items it can finish: in-range drives on the
 	// shared factor with no fault plan. Everything else, and every item
 	// chord hands over, re-runs on the one-item path from the start,
-	// which reproduces today's outcome, retries and counters exactly.
+	// which reproduces its outcome and counters exactly.
 	xb.setFaults(nil)
 	w.redo = w.redo[:0]
 	m, ld := 0, w.lanes
@@ -212,8 +212,8 @@ func (s *BatchSolver) chordBlock(ctx context.Context, xb *Crossbar, w *blockScra
 			case accepted(resid, w.last[l]):
 				b := w.item[l]
 				xb.currentsInto(out.Row(b), w.volt[l:], ld)
-				outcomes[b] = ItemOutcome{Status: ItemOK, Converged: true, Residual: resid, NewtonIters: w.iters[l]}
-				recordSolve(&Solution{Seeded: true, Converged: true, NewtonIters: w.iters[l]}, nil, start)
+				outcomes[b] = ItemOutcome{Status: ItemOK, Residual: resid, NewtonIters: w.iters[l]}
+				recordSolve(&Solution{Seeded: true, NewtonIters: w.iters[l]}, nil, start)
 			case !(resid <= w.prev[l]/2) || update == xb.maxNewton:
 				w.redo = append(w.redo, w.item[l])
 			default:

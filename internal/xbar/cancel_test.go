@@ -138,7 +138,7 @@ func TestSolveCancellationCounters(t *testing.T) {
 }
 
 // Batch solving with a cancelled context must fail the whole call;
-// remaining items are never attempted and never retried.
+// remaining items are never attempted.
 func TestBatchSolveContextCancelled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rows, cfg.Cols = 8, 8

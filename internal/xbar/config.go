@@ -26,55 +26,10 @@ package xbar
 
 import (
 	"fmt"
-	"strings"
 
 	"geniex/internal/device"
 	"geniex/internal/nonideal"
 )
-
-// SolverPolicy selects how strictly the circuit solver treats
-// non-convergence. The zero value is PolicyRecover, so existing
-// configurations get the recovery ladder without opting in.
-type SolverPolicy int
-
-const (
-	// PolicyRecover runs the recovery ladder (damped Newton → source
-	// stepping) and returns ErrNewtonDiverged only if every rung fails.
-	PolicyRecover SolverPolicy = iota
-	// PolicyFailFast returns ErrNewtonDiverged when the first rung
-	// fails, with no recovery attempts.
-	PolicyFailFast
-	// PolicyBestEffort runs the full ladder and, if nothing converges,
-	// returns the lowest-residual solution with Converged=false instead
-	// of an error. Callers must check Solution.Converged.
-	PolicyBestEffort
-)
-
-// String implements fmt.Stringer.
-func (p SolverPolicy) String() string {
-	switch p {
-	case PolicyRecover:
-		return "recover"
-	case PolicyFailFast:
-		return "failfast"
-	case PolicyBestEffort:
-		return "besteffort"
-	}
-	return fmt.Sprintf("SolverPolicy(%d)", int(p))
-}
-
-// ParsePolicy converts a CLI-style name into a SolverPolicy.
-func ParsePolicy(s string) (SolverPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "recover":
-		return PolicyRecover, nil
-	case "failfast", "fail-fast":
-		return PolicyFailFast, nil
-	case "besteffort", "best-effort":
-		return PolicyBestEffort, nil
-	}
-	return 0, fmt.Errorf("xbar: unknown solver policy %q (want recover, failfast or besteffort)", s)
-}
 
 // SolverStart selects how the circuit solver's first rung runs. The
 // zero value is StartSeeded: the per-programming MNA factorization
@@ -146,10 +101,6 @@ type Config struct {
 	// (the analytical baseline).
 	NonLinear bool
 
-	// Policy selects the solver's non-convergence behaviour; the zero
-	// value (PolicyRecover) runs the recovery ladder.
-	Policy SolverPolicy
-
 	// Start selects how the first rung runs; the zero value
 	// (StartSeeded) seeds from and chord-iterates on the
 	// per-programming factorization.
@@ -214,9 +165,6 @@ func WithParasitics(rsource, rsink, rwire float64) Option {
 // resistors (the analytical-baseline netlist).
 func WithLinearDevices() Option { return func(c *Config) { c.NonLinear = false } }
 
-// WithPolicy sets the solver's non-convergence policy.
-func WithPolicy(p SolverPolicy) Option { return func(c *Config) { c.Policy = p } }
-
 // WithStart sets how the solver's first rung runs (seeded or cold).
 func WithStart(s SolverStart) Option { return func(c *Config) { c.Start = s } }
 
@@ -266,8 +214,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("xbar: SelectorVsat must be positive, got %g", c.SelectorVsat)
 	case !(c.RRAM.I0 > 0 && c.RRAM.D0 > 0 && c.RRAM.V0 > 0):
 		return fmt.Errorf("xbar: RRAM parameters must be positive, got %+v", c.RRAM)
-	case c.Policy < PolicyRecover || c.Policy > PolicyBestEffort:
-		return fmt.Errorf("xbar: invalid solver policy %d", int(c.Policy))
 	case c.Start < StartSeeded || c.Start > StartCold:
 		return fmt.Errorf("xbar: invalid solver start %d", int(c.Start))
 	case c.BatchWorkers < 0:

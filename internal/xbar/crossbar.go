@@ -26,7 +26,6 @@ type Crossbar struct {
 	prev []float64 // iterate before the last Newton update
 	step []float64 // last full Newton step J⁻¹·F (for damped backtracking)
 	res  []float64 // KCL violation F at volt
-	best []float64 // lowest-residual iterate (best-effort reporting)
 	sol  Solution  // the batch path's reused result
 	// The Newton rungs' Jacobian at the iterate: each cell's selector
 	// and RRAM differential conductance, as kcl records them.
@@ -86,7 +85,6 @@ func New(cfg Config) (*Crossbar, error) {
 	x.prev = make([]float64, n)
 	x.step = make([]float64, n)
 	x.res = make([]float64, n)
-	x.best = make([]float64, n)
 	x.jsel = make([]float64, cfg.Rows*cfg.Cols)
 	x.jcell = make([]float64, cfg.Rows*cfg.Cols)
 	x.factScr = newFactorScratch(cfg)

@@ -163,9 +163,9 @@ func TestSeededSolveMatchesCold(t *testing.T) {
 						t.Fatal("cold solve reported a seeded start")
 					}
 					got := cleanSolve(t, cfg, g, v)
-					if !got.Seeded || got.Recovery != "" || !got.Converged {
-						t.Fatalf("trial %d: seeded=%v recovery=%q converged=%v, want a seeded rung-0 solve",
-							trial, got.Seeded, got.Recovery, got.Converged)
+					if !got.Seeded || got.Recovery != "" {
+						t.Fatalf("trial %d: seeded=%v recovery=%q, want a seeded rung-0 solve",
+							trial, got.Seeded, got.Recovery)
 					}
 					if got.NewtonIters > 10 {
 						t.Errorf("trial %d: %d chord updates, want ≤ 10", trial, got.NewtonIters)

@@ -24,7 +24,6 @@ var (
 	mRungNewton     = obs.NewCounter("xbar.solver.rung.newton")
 	mRungDamped     = obs.NewCounter("xbar.solver.rung.damped")
 	mRungSourceStep = obs.NewCounter("xbar.solver.rung.source_step")
-	mRungBestEffort = obs.NewCounter("xbar.solver.rung.best_effort")
 
 	// Zero-bias factorization-cache counters: builds/invalidations
 	// follow the Program lifecycle, and reuses counts seeded solves —
@@ -63,8 +62,6 @@ func recordSolve(sol *Solution, err error, start time.Time) {
 		mRungDamped.Inc()
 	case "source-step":
 		mRungSourceStep.Inc()
-	case "best-effort":
-		mRungBestEffort.Inc()
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 func TestNewConfigValidatesOnce(t *testing.T) {
 	cfg, err := NewConfig(16, 8,
 		WithRon(50e3), WithOnOffRatio(10), WithVsupply(0.2),
-		WithParasitics(400, 80, 2), WithPolicy(PolicyBestEffort), WithBatchWorkers(2))
+		WithParasitics(400, 80, 2), WithStart(StartCold), WithBatchWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Rows != 16 || cfg.Cols != 8 || cfg.Ron != 50e3 || cfg.OnOffRatio != 10 ||
-		cfg.Vsupply != 0.2 || cfg.Rsource != 400 || cfg.Policy != PolicyBestEffort ||
+		cfg.Vsupply != 0.2 || cfg.Rsource != 400 || cfg.Start != StartCold ||
 		cfg.BatchWorkers != 2 {
 		t.Errorf("options not applied: %+v", cfg)
 	}

@@ -19,9 +19,9 @@ const (
 	// accepted as converged regardless of step size.
 	kclTol = 1e-9
 	// kclOK is the looser residual bound a step-converged solution must
-	// still satisfy to be reported Converged — it is what turns a
-	// silent stall (tiny steps, large nodal current imbalance) into a
-	// detected failure.
+	// still satisfy to be accepted — it is what turns a silent stall
+	// (tiny steps, large nodal current imbalance) into a detected
+	// failure.
 	kclOK = 1e-6
 	// sourceSteps is the number of continuation stages in the
 	// source-stepping recovery rung.
@@ -80,7 +80,9 @@ func (e *NewtonDivergedError) Is(target error) bool {
 	return target == ErrNewtonDiverged || target == linalg.ErrNoConvergence
 }
 
-// Solution is the result of one circuit solve.
+// Solution is the result of one circuit solve. Every Solution the
+// solver returns has passed the acceptance test of the rung that
+// produced it.
 type Solution struct {
 	// Currents are the sensed bit-line output currents (amperes),
 	// positive flowing into the virtual ground; length Cols.
@@ -93,11 +95,6 @@ type Solution struct {
 	// recovery attempts: chord updates on the seeded rung 0, Newton
 	// updates on every other rung.
 	NewtonIters int
-
-	// Converged reports whether the solver met its tolerances. It is
-	// false only under PolicyBestEffort — the other policies return an
-	// error instead of an unconverged solution.
-	Converged bool
 	// Residual is the final relative KCL residual ‖F‖/‖rhs‖ — the
 	// physical nodal current imbalance of the reported solution against
 	// the drive injection plus the devices' companion sources.
@@ -108,8 +105,7 @@ type Solution struct {
 	MaxStep float64
 	// Recovery names the ladder rung that produced the solution: ""
 	// (rung 0: chord from the seed, or plain Newton from a cold
-	// start), "damped", "source-step", or "best-effort" when nothing
-	// converged under PolicyBestEffort.
+	// start), "damped" or "source-step".
 	Recovery string
 	// Seeded reports that rung 0 started from the factorized linear
 	// solve at the programmed operating point and iterated on that
@@ -123,12 +119,10 @@ type Solution struct {
 // drive voltages (length Rows, volts). Voltages may be any value in
 // [0, Vsupply]; values outside are an error.
 //
-// Non-convergence handling follows the configured SolverPolicy: under
-// PolicyFailFast the first failed attempt returns an error matching
-// ErrNewtonDiverged; under PolicyRecover (the default) a ladder of
-// damped Newton and source-stepping continuation is tried first; under
-// PolicyBestEffort a failed ladder returns the lowest-residual iterate
-// with Converged=false instead of an error.
+// When rung 0 fails, the recovery ladder tries damped Newton and then
+// source-stepping continuation. Solve returns the first solution that
+// passes the acceptance test, or, when every rung fails, a
+// *NewtonDivergedError matching ErrNewtonDiverged.
 func (x *Crossbar) Solve(v []float64) (*Solution, error) {
 	return x.SolveContext(nil, v)
 }
@@ -141,7 +135,7 @@ func (x *Crossbar) Solve(v []float64) (*Solution, error) {
 // work instead of letting an abandoned request keep iterating.
 func (x *Crossbar) SolveContext(ctx context.Context, v []float64) (*Solution, error) {
 	sol := &Solution{}
-	if err := x.solve(ctx, v, x.cfg.Policy, sol); err != nil {
+	if err := x.solve(ctx, v, sol); err != nil {
 		return nil, err
 	}
 	return sol, nil
@@ -153,16 +147,15 @@ func canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// solve validates the drive vector, runs the recovery ladder under an
-// explicit policy (batch-solve retries override the configured one)
-// into sol and records the solve in the obs registry. ctx may be nil
-// (no cancellation). On error sol holds no result.
-func (x *Crossbar) solve(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) error {
+// solve validates the drive vector, runs the recovery ladder into sol
+// and records the solve in the obs registry. ctx may be nil (no
+// cancellation). On error sol holds no result.
+func (x *Crossbar) solve(ctx context.Context, v []float64, sol *Solution) error {
 	if err := checkDrive(x.cfg, v); err != nil {
 		return err
 	}
 	start := time.Now()
-	err := x.runLadder(ctx, v, policy, sol)
+	err := x.runLadder(ctx, v, sol)
 	if err != nil && canceled(err) {
 		mSolveCancelled.Inc()
 		return err // cancellation is not a solver failure; skip recordSolve
@@ -195,14 +188,14 @@ var (
 
 // runLadder is the uninstrumented recovery ladder: rung 0 (chord from
 // the factorized seed, or plain Newton from a cold start) → damped
-// Newton → source stepping, with best-effort reporting under
-// PolicyBestEffort. It fills the caller's sol, keeping the capacity of
-// sol.Currents. A cancelled ctx aborts the ladder immediately —
-// recovery rungs are never attempted for a caller that has gone away.
-func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPolicy, sol *Solution) error {
+// Newton → source stepping. It fills the caller's sol, keeping the
+// capacity of sol.Currents, from the first rung that converges, and
+// returns a *NewtonDivergedError when none does. A cancelled ctx
+// aborts the ladder immediately — recovery rungs are never attempted
+// for a caller that has gone away.
+func (x *Crossbar) runLadder(ctx context.Context, v []float64, sol *Solution) error {
 	*sol = Solution{Currents: sol.Currents}
 	var cause error
-	bestResid := math.Inf(1)
 	for rung := range rungs {
 		var ok bool
 		var err error
@@ -230,28 +223,13 @@ func (x *Crossbar) runLadder(ctx context.Context, v []float64, policy SolverPoli
 		}
 		if ok && x.faults != nil && rung < x.faults.FailAttempts {
 			ok = false // injected divergence: discard the result
-			sol.Converged = false
 		}
 		if ok {
 			x.finish(v, sol, recoveries[rung])
 			return nil
 		}
-		if !math.IsNaN(sol.Residual) && sol.Residual < bestResid {
-			bestResid = sol.Residual
-			copy(x.best, x.volt)
-		}
-		if policy == PolicyFailFast {
-			return x.diverged(sol, rung+1, cause)
-		}
 	}
-	if policy == PolicyBestEffort && !math.IsInf(bestResid, 1) {
-		copy(x.volt, x.best)
-		sol.Converged = false
-		sol.Residual = bestResid
-		x.finish(v, sol, "best-effort")
-		return nil
-	}
-	return x.diverged(sol, len(rungs), cause)
+	return diverged(sol, cause)
 }
 
 // rung0 is the ladder's first attempt. With the cached factorization
@@ -269,13 +247,13 @@ func (x *Crossbar) rung0(ctx context.Context, v []float64, sol *Solution) (bool,
 	return x.chordIterate(ctx, v, f, sol)
 }
 
-// diverged builds the failure report after the first tried rungs.
-func (x *Crossbar) diverged(sol *Solution, tried int, cause error) error {
+// diverged builds the failure report once every rung has failed.
+func diverged(sol *Solution, cause error) error {
 	return &NewtonDivergedError{
 		Iters:    sol.NewtonIters,
 		MaxStep:  sol.MaxStep,
 		Residual: sol.Residual,
-		Attempts: append([]string(nil), rungs[:tried]...),
+		Attempts: append([]string(nil), rungs[:]...),
 		Cause:    cause,
 	}
 }
@@ -346,7 +324,6 @@ func (x *Crossbar) chordIterate(ctx context.Context, v []float64, f *opFactor, s
 			sol.MaxStep = lastStep
 		}
 		if accepted(resid, lastStep) {
-			sol.Converged = true
 			return true, nil
 		}
 		if !(resid <= prevResid/2) || update == x.maxNewton {
@@ -414,7 +391,6 @@ func (x *Crossbar) newtonIterate(ctx context.Context, v []float64, damped bool, 
 			sol.MaxStep = lastStep
 		}
 		if accepted(resid, lastStep) {
-			sol.Converged = true
 			return true, nil
 		}
 		if lastStep < stepTol {

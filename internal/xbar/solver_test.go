@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"geniex/internal/linalg"
@@ -47,9 +48,6 @@ func TestSolveReportsConvergence(t *testing.T) {
 	cfg := smallConfig()
 	r := linalg.NewRNG(20)
 	sol := cleanSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r))
-	if !sol.Converged {
-		t.Fatal("clean solve reported Converged=false")
-	}
 	if sol.Recovery != "" {
 		t.Errorf("clean solve used recovery rung %q", sol.Recovery)
 	}
@@ -82,9 +80,6 @@ func TestDampedRungRescues(t *testing.T) {
 	if sol.Recovery != "damped" {
 		t.Fatalf("Recovery = %q, want damped", sol.Recovery)
 	}
-	if !sol.Converged {
-		t.Fatal("damped rung did not report convergence")
-	}
 	for j := range want.Currents {
 		if sol.Currents[j] != want.Currents[j] {
 			t.Errorf("col %d: damped %v != clean %v", j, sol.Currents[j], want.Currents[j])
@@ -109,9 +104,6 @@ func TestSourceStepRungRescues(t *testing.T) {
 	if sol.Recovery != "source-step" {
 		t.Fatalf("Recovery = %q, want source-step", sol.Recovery)
 	}
-	if !sol.Converged {
-		t.Fatal("source stepping did not report convergence")
-	}
 	for j := range want.Currents {
 		if rel := math.Abs(sol.Currents[j]-want.Currents[j]) / (math.Abs(want.Currents[j]) + 1e-15); rel > 1e-6 {
 			t.Errorf("col %d: source-step %v vs clean %v (rel %v)", j, sol.Currents[j], want.Currents[j], rel)
@@ -119,18 +111,15 @@ func TestSourceStepRungRescues(t *testing.T) {
 	}
 }
 
-// PolicyFailFast with a forced rung-0 divergence must return a typed
-// error matching both sentinels, with diagnostics attached.
-func TestFailFastReturnsTypedDivergence(t *testing.T) {
+// With the whole ladder forced to fail, the solve must return a typed
+// error matching both sentinels, with diagnostics attached and all
+// three rungs on record.
+func TestLadderExhaustion(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Policy = PolicyFailFast
-	r := linalg.NewRNG(25)
-	_, err := faultedSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r), &FaultPlan{FailAttempts: 1})
-	if err == nil {
-		t.Fatal("expected divergence error")
-	}
+	r := linalg.NewRNG(26)
+	_, err := faultedSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r), &FaultPlan{FailAttempts: 3})
 	if !errors.Is(err, ErrNewtonDiverged) {
-		t.Errorf("error %v does not match ErrNewtonDiverged", err)
+		t.Fatalf("error = %v, want ErrNewtonDiverged", err)
 	}
 	if !errors.Is(err, linalg.ErrNoConvergence) {
 		t.Errorf("error %v does not match linalg.ErrNoConvergence", err)
@@ -142,83 +131,30 @@ func TestFailFastReturnsTypedDivergence(t *testing.T) {
 	if nde.Iters <= 0 {
 		t.Errorf("diagnostics missing iteration count: %+v", nde)
 	}
-	if len(nde.Attempts) != 1 || nde.Attempts[0] != "newton" {
-		t.Errorf("fail-fast attempted %v, want [newton]", nde.Attempts)
-	}
-}
-
-// With the whole ladder forced to fail, PolicyRecover must error (with
-// all three rungs on record) while PolicyBestEffort must return the
-// lowest-residual iterate flagged Converged=false.
-func TestLadderExhaustion(t *testing.T) {
-	cfg := smallConfig()
-	r := linalg.NewRNG(26)
-	g := randomLevels(cfg, r)
-	v := randomDrive(cfg, r)
-	plan := &FaultPlan{FailAttempts: 3}
-
-	_, err := faultedSolve(t, cfg, g, v, plan)
-	if !errors.Is(err, ErrNewtonDiverged) {
-		t.Fatalf("PolicyRecover error = %v, want ErrNewtonDiverged", err)
-	}
-	var nde *NewtonDivergedError
-	if !errors.As(err, &nde) {
-		t.Fatalf("error %T is not *NewtonDivergedError", err)
-	}
-	if len(nde.Attempts) != 3 {
+	if !slices.Equal(nde.Attempts, []string{"newton", "damped", "source-step"}) {
 		t.Errorf("attempts = %v, want all three rungs", nde.Attempts)
 	}
-
-	cfg.Policy = PolicyBestEffort
-	bestEffort0 := obs.Snapshot().Counters["xbar.solver.rung.best_effort"]
-	sol, err := faultedSolve(t, cfg, g, v, plan)
-	if err != nil {
-		t.Fatalf("PolicyBestEffort errored: %v", err)
-	}
-	if d := obs.Snapshot().Counters["xbar.solver.rung.best_effort"] - bestEffort0; d != 1 {
-		t.Errorf("best-effort rung counter moved by %d, want 1", d)
-	}
-	if sol.Converged {
-		t.Error("best-effort solution claims convergence")
-	}
-	if sol.Recovery != "best-effort" {
-		t.Errorf("Recovery = %q, want best-effort", sol.Recovery)
-	}
-	// The forced-failed rungs actually converged, so the best iterate is
-	// a genuine solution: its currents must be finite and physical.
-	for j, c := range sol.Currents {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			t.Errorf("col %d: non-finite best-effort current %v", j, c)
-		}
-	}
-	if sol.Residual > 1e-6 {
-		t.Errorf("best-effort residual %v unexpectedly high for a converged iterate", sol.Residual)
-	}
 }
 
-// A NaN conductance stamp must be detected and reported as an error —
-// under every policy — never returned as NaN currents.
+// A NaN conductance stamp must be detected and reported as an error,
+// never returned as NaN currents.
 func TestNaNConductanceDetected(t *testing.T) {
+	cfg := smallConfig()
 	r := linalg.NewRNG(27)
-	for _, policy := range []SolverPolicy{PolicyRecover, PolicyFailFast, PolicyBestEffort} {
-		cfg := smallConfig()
-		cfg.Policy = policy
-		sol, err := faultedSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r), &FaultPlan{NaNConductance: true})
-		if err == nil {
-			t.Errorf("%v: NaN conductance produced a solution (converged=%v)", policy, sol.Converged)
-			continue
-		}
-		if !errors.Is(err, ErrNewtonDiverged) {
-			t.Errorf("%v: error %v does not match ErrNewtonDiverged", policy, err)
-		}
+	sol, err := faultedSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r), &FaultPlan{NaNConductance: true})
+	if err == nil {
+		t.Fatalf("NaN conductance produced a solution: %v", sol.Currents)
+	}
+	if !errors.Is(err, ErrNewtonDiverged) {
+		t.Errorf("error %v does not match ErrNewtonDiverged", err)
 	}
 }
 
 // A genuine Newton stall — iteration budget exhausted on a strongly
 // non-linear netlist (near-saturated selectors at elevated supply) —
 // must be detected, not returned as a silently wrong answer: either
-// the solve errors, or it reports a converged solution whose KCL
-// residual actually is small.
+// the solve errors, or it returns a solution whose KCL residual
+// actually is small.
 func TestNewtonStallDetected(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Vsupply = 0.5
@@ -240,8 +176,8 @@ func TestNewtonStallDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Converged || sol.Residual > 1e-6 {
-		t.Errorf("hard problem: converged=%v residual=%v", sol.Converged, sol.Residual)
+	if sol.Residual > 1e-6 {
+		t.Errorf("hard problem: residual %v", sol.Residual)
 	}
 }
 
@@ -261,9 +197,8 @@ func TestChordHandsOverToDamped(t *testing.T) {
 		cfg.SelectorVsat = 0.02
 		r := linalg.NewRNG(28)
 		sol := cleanSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r))
-		if !sol.Converged || sol.Recovery != "damped" {
-			t.Fatalf("%dx%d: converged=%v recovery=%q, want convergence through the damped rung",
-				n, n, sol.Converged, sol.Recovery)
+		if sol.Recovery != "damped" {
+			t.Fatalf("%dx%d: recovery = %q, want convergence through the damped rung", n, n, sol.Recovery)
 		}
 		if sol.NewtonIters >= 20 {
 			t.Errorf("%dx%d: %d updates across the ladder, want < 20", n, n, sol.NewtonIters)
@@ -298,23 +233,18 @@ func TestBatchSolveReportDegradedItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ladder already ran under PolicyRecover, so a failed item is
-	// not retried: one failed solve per item.
+	// A failed item has run the whole ladder once and is not solved
+	// again: one failed solve per item.
 	if d := obs.Snapshot().Counters["xbar.solver.failures"] - failures0; d != int64(len(bad)) {
 		t.Errorf("xbar.solver.failures moved by %d, want %d (one per failed item)", d, len(bad))
 	}
 	if rep.Failed != len(bad) || rep.Solved != batch-len(bad) {
 		t.Fatalf("report = %v, want %d failed", rep, len(bad))
 	}
-	gotBad := rep.FailedItems()
-	if len(gotBad) != len(bad) || gotBad[0] != bad[0] || gotBad[1] != bad[1] {
-		t.Fatalf("FailedItems = %v, want %v", gotBad, bad)
-	}
-	mask := rep.FailedMask()
 	for b := 0; b < batch; b++ {
 		failed := b == 1 || b == 3
-		if mask[b] != failed {
-			t.Errorf("mask[%d] = %v, want %v", b, mask[b], failed)
+		if got := rep.Outcomes[b].Status == ItemFailed; got != failed {
+			t.Errorf("item %d failed = %v, want %v", b, got, failed)
 		}
 		for j := 0; j < cfg.Cols; j++ {
 			if failed {
@@ -328,53 +258,29 @@ func TestBatchSolveReportDegradedItems(t *testing.T) {
 	}
 	for _, b := range bad {
 		o := rep.Outcomes[b]
-		if o.Status != ItemFailed || o.Retries != 0 {
-			t.Errorf("item %d outcome = %+v, want failed without a retry", b, o)
+		if o.Status != ItemFailed {
+			t.Errorf("item %d outcome = %+v, want failed", b, o)
 		}
 		if !errors.Is(o.Err, ErrNewtonDiverged) {
 			t.Errorf("item %d error %v does not match ErrNewtonDiverged", b, o.Err)
 		}
 	}
-	if err := rep.FirstError(); !errors.Is(err, linalg.ErrNoConvergence) {
-		t.Errorf("FirstError %v does not match linalg.ErrNoConvergence", err)
+	// The strict gate must refuse the same batch with the first failed
+	// item's error.
+	if rep.AllOK() {
+		t.Error("AllOK true with failed items")
 	}
-
-	// The strict gate must refuse the same batch.
-	if err := rep.Err(); !errors.Is(err, ErrNewtonDiverged) {
-		t.Errorf("Err() = %v, want ErrNewtonDiverged", err)
+	err = rep.Err()
+	if !errors.Is(err, ErrNewtonDiverged) || !errors.Is(err, linalg.ErrNoConvergence) {
+		t.Errorf("Err() = %v, want ErrNewtonDiverged and linalg.ErrNoConvergence", err)
 	}
-}
-
-// The single-retry path: items that fail under PolicyFailFast must be
-// retried under the recovery ladder and succeed, marked ItemRetried.
-func TestBatchSolveRetriesFailFastItems(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Policy = PolicyFailFast
-	r := linalg.NewRNG(30)
-	g := randomLevels(cfg, r)
-	vs := linalg.NewDense(4, cfg.Rows)
-	for i := range vs.Data {
-		vs.Data[i] = cfg.Vsupply * r.Float64()
-	}
-	faulted := cfg.WithFaults(&FaultPlan{FailAttempts: 1, Items: []int{2}})
-	_, rep, err := BatchSolveReport(faulted, g, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("report = %v, want no failures", rep)
-	}
-	if rep.Retried != 1 {
-		t.Fatalf("Retried = %d, want 1", rep.Retried)
-	}
-	o := rep.Outcomes[2]
-	if o.Status != ItemRetried || o.Retries != 1 || o.Recovery != "damped" || !o.Converged {
-		t.Errorf("outcome = %+v, want retried+damped+converged", o)
+	if err := cleanRep.Err(); err != nil {
+		t.Errorf("clean batch Err() = %v", err)
 	}
 }
 
-// An item rescued by a ladder rung (without a failed first attempt)
-// must be marked ItemRecovered and counted in the aggregate.
+// An item rescued by a ladder rung must be marked ItemRecovered and
+// counted in the aggregate.
 func TestBatchSolveCountsRecoveredItems(t *testing.T) {
 	cfg := smallConfig()
 	r := linalg.NewRNG(31)
@@ -396,12 +302,11 @@ func TestBatchSolveCountsRecoveredItems(t *testing.T) {
 	}
 }
 
-// Determinism guard: batch output — including items that went through
-// the retry path — must be byte-identical whether the batch runs on
-// one worker or many.
+// Determinism guard: batch output — including items the damped rung
+// rescued — must be byte-identical whether the batch runs on one
+// worker or many.
 func TestBatchSolveDeterministicAcrossWorkers(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Policy = PolicyFailFast // force item 2 through the retry path
 	r := linalg.NewRNG(32)
 	g := randomLevels(cfg, r)
 	const batch = 8
@@ -423,8 +328,12 @@ func TestBatchSolveDeterministicAcrossWorkers(t *testing.T) {
 
 	serial, serialRep := solveAt(1)
 	parallel, parallelRep := solveAt(runtime.NumCPU())
-	if serialRep.Retried != 2 || parallelRep.Retried != 2 {
-		t.Fatalf("retries = %d/%d, want 2 in both runs", serialRep.Retried, parallelRep.Retried)
+	for _, rep := range []*BatchReport{serialRep, parallelRep} {
+		for _, b := range []int{2, 5} {
+			if o := rep.Outcomes[b]; o.Status != ItemRecovered || o.Recovery != "damped" {
+				t.Fatalf("item %d outcome = %+v, want recovered by the damped rung", b, o)
+			}
+		}
 	}
 	for i := range serial.Data {
 		if serial.Data[i] != parallel.Data[i] {
@@ -433,26 +342,8 @@ func TestBatchSolveDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for b := 0; b < batch; b++ {
 		s, p := serialRep.Outcomes[b], parallelRep.Outcomes[b]
-		if s.Status != p.Status || s.NewtonIters != p.NewtonIters || s.Residual != p.Residual {
+		if s != p {
 			t.Errorf("item %d: outcomes differ: %+v vs %+v", b, s, p)
 		}
-	}
-}
-
-// ParsePolicy round-trips every policy and rejects junk.
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []SolverPolicy{PolicyRecover, PolicyFailFast, PolicyBestEffort} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("yolo"); err == nil {
-		t.Error("expected error for unknown policy")
-	}
-	cfg := smallConfig()
-	cfg.Policy = SolverPolicy(99)
-	if err := cfg.Validate(); err == nil {
-		t.Error("expected validation error for out-of-range policy")
 	}
 }

@@ -252,7 +252,7 @@ func TestSolveInputValidation(t *testing.T) {
 		t.Error("expected over-voltage error")
 	}
 	// A NaN drive is an input error, not a solve that fails to
-	// converge (which callers would count and retry).
+	// converge (which callers would count as a solver failure).
 	bad[0] = math.NaN()
 	if _, err := xb.Solve(bad); err == nil || errors.Is(err, ErrNewtonDiverged) {
 		t.Errorf("NaN drive: got %v, want an input error", err)
