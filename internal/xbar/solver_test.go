@@ -136,6 +136,40 @@ func TestLadderExhaustion(t *testing.T) {
 	}
 }
 
+// A genuine stall — a one-update budget per rung on a strongly
+// non-linear netlist, no injected discard — must fail fast with the
+// same typed error: both sentinels, and diagnostics that carry the
+// updates spent and the unconverged residual.
+func TestFailFastReturnsTypedDivergence(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Vsupply = 0.5
+	cfg.SelectorVsat = 0.05
+	r := linalg.NewRNG(25)
+	_, err := faultedSolve(t, cfg, randomLevels(cfg, r), randomDrive(cfg, r), &FaultPlan{MaxNewton: 1})
+	if err == nil {
+		t.Fatal("expected divergence error")
+	}
+	if !errors.Is(err, ErrNewtonDiverged) {
+		t.Errorf("error %v does not match ErrNewtonDiverged", err)
+	}
+	if !errors.Is(err, linalg.ErrNoConvergence) {
+		t.Errorf("error %v does not match linalg.ErrNoConvergence", err)
+	}
+	var nde *NewtonDivergedError
+	if !errors.As(err, &nde) {
+		t.Fatalf("error %T is not *NewtonDivergedError", err)
+	}
+	if nde.Iters <= 0 {
+		t.Errorf("diagnostics missing iteration count: %+v", nde)
+	}
+	if !(nde.Residual > kclTol) {
+		t.Errorf("diagnostics residual %v, want the unconverged residual above %v", nde.Residual, kclTol)
+	}
+	if !slices.Equal(nde.Attempts, []string{"newton", "damped", "source-step"}) {
+		t.Errorf("attempts = %v, want all three rungs", nde.Attempts)
+	}
+}
+
 // A NaN conductance stamp must be detected and reported as an error,
 // never returned as NaN currents.
 func TestNaNConductanceDetected(t *testing.T) {
